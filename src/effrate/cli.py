@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import svg
@@ -74,31 +73,6 @@ class RateCurve:
             raise ValueError("RateCurve: negative rate")
         if self.ci_halfwidth is not None and len(self.ci_halfwidth) != len(self.rate):
             raise ValueError("RateCurve: ci length differs from rate")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Axis and grid of one sweep plus the link it runs over."""
-
-    axis: str
-    start: float
-    stop: float
-    points: int
-    link: MisoLink
-    methods: tuple
-    mc: McConfig = None
-
-    def __post_init__(self):
-        if self.axis not in ("snr_db", "eb_n0_db"):
-            raise ValueError("SweepSpec: axis must be snr_db or eb_n0_db")
-        if not self.start < self.stop:
-            raise ValueError("SweepSpec: need start < stop")
-        if self.points < 2:
-            raise ValueError("SweepSpec: need at least 2 points")
-
-    def grid_db(self):
-        step = (self.stop - self.start) / (self.points - 1)
-        return tuple(self.start + i * step for i in range(self.points))
 
 
 def db_to_linear(db):
@@ -163,36 +137,27 @@ def curve_to_json_obj(curve):
     }
 
 
-def _rate_fn(label):
-    return {
-        "fox_h": rate_exact_foxh,
-        "meijer_g": rate_exact_meijerg,
-        "quadrature": rate_exact_quadrature,
-        "high_snr": rate_high_snr,
-    }[label]
-
-
 def _sweep_rates(link, rhos, label, mc=None, seed=0):
-    """Evaluate one method over a grid of linear SNRs, points in parallel."""
+    """Evaluate one method over a grid of linear SNRs.  The Fox H route takes
+    the grid in one call, setting its kernel up once; the rest go point by point."""
     if label == "monte_carlo":
         results = []
         for i, rho in enumerate(rhos):
             cfg = McConfig(samples=mc.samples, seed=(mc.seed + 7919 * i), streams=mc.streams)
             results.append(simulate_rate(link, rho, cfg))
         return [r for r, _ in results], [h for _, h in results]
+    if label == "fox_h":
+        return rate_exact_foxh(link, rhos).tolist(), None
     if label == "nakagami_closed":
         b = link.branch
         if abs(b.alpha - 2.0) > 1e-12:
             raise ValueError("method nakagami requires alpha = 2 (got alpha=%g)" % b.alpha)
-        fn = lambda rho: rate_nakagami(b.mu, b.mean_snr, link.n_t, link.delay_a, rho)
-    elif label == "awgn":
-        fn = lambda rho: math.log2(1.0 + rho)
-    else:
-        rate = _rate_fn(label)
-        fn = lambda rho: rate(link, rho)
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        vals = list(pool.map(fn, rhos))
-    return vals, None
+        return [rate_nakagami(b.mu, b.mean_snr, link.n_t, link.delay_a, rho) for rho in rhos], None
+    if label == "awgn":
+        return [math.log2(1.0 + rho) for rho in rhos], None
+    rate = {"meijer_g": rate_exact_meijerg, "quadrature": rate_exact_quadrature,
+            "high_snr": rate_high_snr}[label]
+    return [rate(link, rho) for rho in rhos], None
 
 
 def _write_output(text, out):

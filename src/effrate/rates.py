@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
 from scipy import integrate
 
 from .alphamu import AlphaMuParams, moment
-from .special import FoxHSpec, MeijerGSpec, fox_h, meijer_g, tricomi_u
+from .special import FoxHSpec, MeijerGSpec, TruncationError, contour_integral, fox_h, tricomi_u
 from .sumfit import fit_sum
 
 LN2 = math.log(2.0)
@@ -103,7 +104,7 @@ def gamma_expectation(mu, g, epsrel=1e-12):
 
 
 def _check_rho(rho):
-    if not rho > 0:
+    if not np.all(np.asarray(rho) > 0):
         raise ValueError("rho must be > 0, got %r" % (rho,))
 
 
@@ -134,24 +135,37 @@ def rate_exact_foxh(link, rho):
     The expectation equals (alpha/2) H / (Gamma(A) Gamma(mu)) with
     H = H^{2,1}_{1,2}[ (n_t/(rho beta))^(alpha/2) | (1, alpha/2);
                        (mu, 1), (A, alpha/2) ]
-    in the fitted sum parameters.
+    in the fitted sum parameters.  rho is a scalar (giving a float) or a
+    sequence (giving an array; one node set per contour serves it all).
+    H comes from the strip midpoint.  Where E > 1/2 the line Re s = 1/alpha
+    right of the pole at s = 0 gives E - 1 instead (the residue is the 1),
+    so a small 1 - E keeps its digits.  Raises TruncationError where the
+    rate's estimated relative error exceeds 1e-12.
     """
     _check_rho(rho)
+    rhos = np.atleast_1d(np.asarray(rho, dtype=float))
     p = link.fit.fitted
     a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
-    z = (link.n_t / (rho * p.beta)) ** half_alpha
-    spec = FoxHSpec(
-        m=2,
-        n=1,
-        upper_pairs=((1.0, half_alpha),),
-        lower_pairs=((p.mu, 1.0), (a_qos, half_alpha)),
-    )
-    h = fox_h(spec, z)
-    if h <= 0:
-        raise ArithmeticError("rate_exact_foxh: contour integral returned %r" % (h,))
-    log_e = math.log(half_alpha) + math.log(h) - math.lgamma(a_qos) - math.lgamma(p.mu)
-    return -log_e / (a_qos * LN2)
+    log_z = half_alpha * np.log(link.n_t / (rhos * p.beta))
+    spec = FoxHSpec(m=2, n=1, upper_pairs=((1.0, half_alpha),),
+                    lower_pairs=((p.mu, 1.0), (a_qos, half_alpha)))
+    log_k = math.log(half_alpha) - math.lgamma(a_qos) - math.lgamma(p.mu)
+    log_scale, scaled, err = contour_integral(spec, spec.contour_abscissa(), log_z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_e = log_k + log_scale + np.log(scaled)
+        low = ~(log_e < -LN2)
+        if low.any():
+            log_scale, scaled, err_low = contour_integral(spec, 1.0 / p.alpha, log_z[low])
+            e_minus_1 = np.exp(log_k + log_scale) * scaled
+            log_e[low] = np.log1p(e_minus_1)
+            err[low] = err_low * np.abs(e_minus_1) / (1.0 + e_minus_1)
+        err /= np.abs(log_e)
+    for e, r in zip(err.tolist(), rhos.tolist()):
+        if not e <= 1e-12:
+            raise TruncationError("rate_exact_foxh: error %g at rho=%r exceeds 1e-12" % (e, r))
+    rates = -log_e / (a_qos * LN2)
+    return float(rates[0]) if np.ndim(rho) == 0 else rates
 
 
 def _rationalize_half_alpha(alpha, cap=25):
@@ -212,7 +226,7 @@ def rate_exact_meijerg(link, rho, cap=25):
         lowers=_delta_block(k, 0.0) + _delta_block(l, a_qos - amu2),
     )
     x = math.exp(l * math.log(link.n_t / rho) - k * (0.5 * alpha * math.log(beta) + math.log(k)))
-    g = meijer_g(spec, x)
+    g = fox_h(spec.as_fox_h(), x)
     if g <= 0:
         raise ArithmeticError("rate_exact_meijerg: contour integral returned %r" % (g,))
     log_p = (

@@ -64,6 +64,54 @@ def test_routes_agree_on_mixed_grid():
                         assert _rel(rf, rg) < 1e-6, (alpha, mu, n_t, a, rho)
 
 
+def test_foxh_early_stop_repro():
+    # rho = 2.4130e-5 to five digits: here the real part of the integrand
+    # vanishes at t = 1, which stopped a panel loop tested on the real part
+    # after its first panel, at 0.1279
+    link = MisoLink(n_t=1, delay_a=0.5, branch=AlphaMuParams(alpha=2.0, mu=2.0))
+    rho = 2.4129581672712884e-05
+    rf = rate_exact_foxh(link, rho)
+    assert _rel(rf, rate_exact_quadrature(link, rho)) < 1e-6
+    assert _rel(rf, rate_nakagami(2.0, 1.0, 1, 0.5, rho)) < 1e-6
+
+
+def test_foxh_narrow_strips_match_quadrature():
+    # A = 0.5 with alpha = 4 or 8 leaves a strip of width 0.25 or 0.125
+    # between the pole families; -50 dB to 40 dB spans both contours
+    rhos = 10.0 ** (np.linspace(-50.0, 40.0, 19) / 10.0)
+    for alpha in (4.0, 8.0):
+        for mu in (0.75, 2.0):
+            for n_t in (1, 2, 4):
+                link = MisoLink(n_t=n_t, delay_a=0.5, branch=AlphaMuParams(alpha=alpha, mu=mu))
+                rf = rate_exact_foxh(link, rhos)
+                for rho, got in zip(rhos, rf):
+                    assert _rel(got, rate_exact_quadrature(link, rho)) < 1e-6, (alpha, mu, n_t, rho)
+
+
+def test_foxh_large_fitted_mu_matches_quadrature():
+    # sixteen antennas fit mu between 15 and 50, where Gamma(mu + s) keeps
+    # |chi| large far up the contour
+    rhos = (10.0, 100.0, 1e3, 1e4)
+    for alpha, mu in ((1.5, 1.0), (2.0, 2.0), (4.0, 3.0), (8.0, 0.75)):
+        link = MisoLink(n_t=16, delay_a=1.0, branch=AlphaMuParams(alpha=alpha, mu=mu))
+        assert link.fit.fitted.mu > 14.0
+        rf = rate_exact_foxh(link, rhos)
+        for rho, got in zip(rhos, rf):
+            assert _rel(got, rate_exact_quadrature(link, rho)) < 1e-6, (alpha, mu, rho)
+
+
+def test_foxh_vector_call_matches_points():
+    rhos = 10.0 ** (np.linspace(-10.0, 30.0, 121) / 10.0)
+    for alpha, mu, n_t, a in ((0.8, 3.0, 4, 1.0), (3.0, 0.75, 2, 2.0), (8.0, 1.0, 1, 0.5)):
+        link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
+        vec = rate_exact_foxh(link, rhos)
+        assert isinstance(vec, np.ndarray) and vec.shape == rhos.shape
+        for rho, got in zip(rhos, vec):
+            one = rate_exact_foxh(link, rho)
+            assert isinstance(one, float)
+            assert _rel(got, one) <= 1e-12, (alpha, mu, n_t, a, rho)
+
+
 def test_meijerg_uses_genuine_rational_path():
     # single antenna keeps the branch alpha, so 0.8 = 2*2/5 and 4 = 2*2/1
     # rationalize exactly and no fallback may fire
@@ -106,6 +154,8 @@ def test_rate_rejects_bad_snr():
         rate_exact_quadrature(_EXP_LINK, 0.0)
     with pytest.raises(ValueError):
         rate_exact_foxh(_EXP_LINK, -1.0)
+    with pytest.raises(ValueError):
+        rate_exact_foxh(_EXP_LINK, [1.0, 0.0])
 
 
 # ----------------------------------------------------------- Nakagami forms
