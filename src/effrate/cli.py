@@ -137,26 +137,26 @@ def curve_to_json_obj(curve):
     }
 
 
-def _sweep_rates(link, rhos, label, mc=None, seed=0):
-    """Evaluate one method over a grid of linear SNRs.  The Fox H route takes
-    the grid in one call, setting its kernel up once; the rest go point by point."""
+def _sweep_rates(link, rhos, label, mc=None):
+    """Evaluate one method over a grid of linear SNRs.  The exact routes take
+    the grid in one call, setting their kernel up once; the rest go point by point."""
     if label == "monte_carlo":
         results = []
         for i, rho in enumerate(rhos):
             cfg = McConfig(samples=mc.samples, seed=(mc.seed + 7919 * i), streams=mc.streams)
             results.append(simulate_rate(link, rho, cfg))
         return [r for r, _ in results], [h for _, h in results]
-    if label == "fox_h":
-        return rate_exact_foxh(link, rhos).tolist(), None
+    if label in ("fox_h", "quadrature"):
+        rate = rate_exact_foxh if label == "fox_h" else rate_exact_quadrature
+        return rate(link, rhos).tolist(), None
     if label == "nakagami_closed":
         b = link.branch
         if abs(b.alpha - 2.0) > 1e-12:
             raise ValueError("method nakagami requires alpha = 2 (got alpha=%g)" % b.alpha)
-        return [rate_nakagami(b.mu, b.mean_snr, link.n_t, link.delay_a, rho) for rho in rhos], None
+        return rate_nakagami(b.mu, b.mean_snr, link.n_t, link.delay_a, rhos).tolist(), None
     if label == "awgn":
         return [math.log2(1.0 + rho) for rho in rhos], None
-    rate = {"meijer_g": rate_exact_meijerg, "quadrature": rate_exact_quadrature,
-            "high_snr": rate_high_snr}[label]
+    rate = {"meijer_g": rate_exact_meijerg, "high_snr": rate_high_snr}[label]
     return [rate(link, rho) for rho in rhos], None
 
 
@@ -283,10 +283,9 @@ def _sweep_eb_n0_figure(num, fig, out_dir, seed, mc_samples):
     drawn = []
     for idx, (val, link) in enumerate(_figure_links(fig)):
         tag = "fig%d_%s%g" % (num, fig["family"], val)
-        pts = [parametric_eb_n0(link, rho) for rho in rhos]
-        ebs_db = tuple(linear_to_db(eb) for eb, _ in pts)
-        rates = tuple(r for _, r in pts)
-        _emit(out_dir, tag + "_exact", RateCurve(ebs_db, rates, "quadrature"),
+        ebs, rates = parametric_eb_n0(link, rhos)
+        ebs_db = tuple(linear_to_db(eb) for eb in ebs.tolist())
+        _emit(out_dir, tag + "_exact", RateCurve(ebs_db, tuple(rates.tolist()), "quadrature"),
               drawn, "A=%g exact" % val)
         approx = tuple(rate_low_snr(link, db_to_linear(x)) for x in ebs_db)
         _emit(out_dir, tag + "_wideband", RateCurve(ebs_db, approx, "low_snr_wideband"),
@@ -355,7 +354,6 @@ def build_parser():
     p_rate.add_argument("--mean-snr", type=float, default=1.0)
     p_rate.add_argument("--out", default=None)
     p_rate.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_rate.add_argument("--seed", type=int, default=0)
     p_rate.set_defaults(func=cmd_rate)
 
     p_fit = sub.add_parser("fit-sum", help="moment-match a branch sum")
@@ -363,7 +361,6 @@ def build_parser():
     p_fit.add_argument("--mu", type=float, required=True)
     p_fit.add_argument("--nt", type=int, required=True)
     p_fit.add_argument("--mean-snr", type=float, default=1.0)
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.set_defaults(func=cmd_fit_sum)
 
     p_ver = sub.add_parser("verify", help="cross-check all evaluation routes")

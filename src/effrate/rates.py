@@ -8,7 +8,7 @@ bandwidth over ln 2), the effective rate is
 
 where S is the sum of the branch SNRs.  S is replaced by its moment-matched
 alpha-mu proxy (exact for alpha = 2), after which the expectation has three
-interchangeable evaluations: adaptive quadrature in the Gamma domain, a Fox H
+interchangeable evaluations: a trapezoid sum in the Gamma domain, a Fox H
 contour integral, and a Meijer G form obtained by rationalizing alpha/2.
 A Tricomi-U closed form covers the Nakagami-m line, and both ends of the SNR
 axis get dedicated asymptotics.
@@ -21,10 +21,10 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .alphamu import AlphaMuParams, moment
-from .special import FoxHSpec, MeijerGSpec, TruncationError, contour_integral, fox_h, tricomi_u
+from .special import (FoxHSpec, MeijerGSpec, TruncationError, contour_integral, fox_h,
+                      gamma_expectation, log_mean_power, tricomi_u)
 from .sumfit import fit_sum
 
 LN2 = math.log(2.0)
@@ -57,55 +57,16 @@ class MisoLink:
         return fit_sum(self.branch, self.n_t)
 
 
-def gamma_expectation(mu, g, epsrel=1e-12):
-    """E[g(U)] for U ~ Gamma(mu, 1), by piecewise adaptive quadrature.
-
-    Integration panels bracket the bulk of the Gamma weight (mean mu, width
-    sqrt(mu)); for mu < 1 the u^(mu-1) endpoint singularity is absorbed by
-    the substitution w = u^mu on the first panel.
-    """
-    if mu <= 0:
-        raise ValueError("gamma_expectation: mu must be > 0")
-    lg = math.lgamma(mu)
-
-    def f(u):
-        if u <= 0.0:
-            return 0.0
-        return math.exp((mu - 1.0) * math.log(u) - u - lg) * g(u)
-
-    # epsabs is intentionally unreachable so quad always refines to epsrel;
-    # its roundoff-limit warning is then expected noise, and accuracy is
-    # cross-checked against the contour route rather than trusted blindly
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        total = 0.0
-        if mu < 1.0:
-            # head panel [0, 1/2] with the singularity substituted away
-            def head(w):
-                u = w ** (1.0 / mu)
-                return math.exp(-u - lg) * g(u) / mu
-
-            piece, _ = integrate.quad(
-                head, 0.0, 0.5 ** mu, epsabs=1e-300, epsrel=epsrel, limit=200
-            )
-            total += piece
-            edges = [0.5, 2.0, 8.0, 24.0]
-        else:
-            sd = math.sqrt(mu)
-            raw = [mu - 8.0 * sd, mu - 2.0 * sd, mu + 2.0 * sd, mu + 8.0 * sd, mu + 24.0 * sd]
-            edges = [0.0] + sorted(e for e in raw if e > 0.0)
-        for a, b in zip(edges, edges[1:]):
-            piece, _ = integrate.quad(f, a, b, epsabs=1e-300, epsrel=epsrel, limit=200)
-            total += piece
-        piece, _ = integrate.quad(
-            f, edges[-1], math.inf, epsabs=1e-300, epsrel=epsrel, limit=200
-        )
-    return total + piece
-
-
-def _check_rho(rho):
+def _rho_vector(rho):
+    """rho as a 1-d array, after checking that every entry is > 0."""
     if not np.all(np.asarray(rho) > 0):
         raise ValueError("rho must be > 0, got %r" % (rho,))
+    return np.atleast_1d(np.asarray(rho, dtype=float))
+
+
+def _like_rho(rho, values):
+    """A float for a scalar rho, else the array of values."""
+    return float(values[0]) if np.ndim(rho) == 0 else values
 
 
 def rate_exact_quadrature(link, rho):
@@ -114,19 +75,14 @@ def rate_exact_quadrature(link, rho):
     This is the reference evaluation the other routes are checked against.
     The fitted sum density turns into a unit Gamma weight under
     u = (gamma/beta)^(alpha/2), and the integrand is exp(-A log1p(.)) so
-    that nothing is lost when rho is tiny.
+    that nothing is lost when rho is tiny (log_mean_power).  rho is a
+    scalar (giving a float) or a sequence (giving an array; one node set
+    serves it all).
     """
-    _check_rho(rho)
     p = link.fit.fitted
-    a_qos = link.delay_a
-    c = rho * p.beta / link.n_t
-    two_over_alpha = 2.0 / p.alpha
-
-    def g(u):
-        return math.exp(-a_qos * math.log1p(c * u ** two_over_alpha))
-
-    e = gamma_expectation(p.mu, g)
-    return -math.log(e) / (a_qos * LN2)
+    c = _rho_vector(rho) * p.beta / link.n_t
+    log_e = log_mean_power(p.mu, c, 2.0 / p.alpha, -link.delay_a)
+    return _like_rho(rho, -log_e / (link.delay_a * LN2))
 
 
 def rate_exact_foxh(link, rho):
@@ -142,8 +98,7 @@ def rate_exact_foxh(link, rho):
     so a small 1 - E keeps its digits.  Raises TruncationError where the
     rate's estimated relative error exceeds 1e-12.
     """
-    _check_rho(rho)
-    rhos = np.atleast_1d(np.asarray(rho, dtype=float))
+    rhos = _rho_vector(rho)
     p = link.fit.fitted
     a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
@@ -164,8 +119,7 @@ def rate_exact_foxh(link, rho):
     for e, r in zip(err.tolist(), rhos.tolist()):
         if not e <= 1e-12:
             raise TruncationError("rate_exact_foxh: error %g at rho=%r exceeds 1e-12" % (e, r))
-    rates = -log_e / (a_qos * LN2)
-    return float(rates[0]) if np.ndim(rho) == 0 else rates
+    return _like_rho(rho, -log_e / (a_qos * LN2))
 
 
 def _rationalize_half_alpha(alpha, cap=25):
@@ -206,7 +160,7 @@ def rate_exact_meijerg(link, rho, cap=25):
     If no admissible (l, k) exists the Fox H route is used instead, with a
     warning.
     """
-    _check_rho(rho)
+    _rho_vector(rho)
     p = link.fit.fitted
     a_qos = link.delay_a
     try:
@@ -250,20 +204,19 @@ def rate_nakagami(m, omega, n_t, delay_a, rho):
 
         R = (m n_t / A) log2(omega rho / (m n_t))
             - (1/A) log2 U(m n_t; m n_t + 1 - A; m n_t / (omega rho))
+          = -(1/A) log2( z^(m n_t) U(m n_t; m n_t + 1 - A; z) ),  z = m n_t / (omega rho),
+
+    the second form through the log-scaled U, so no large logarithms cancel.
+    rho is a scalar or a sequence, as for rate_exact_quadrature.
     """
-    if not m > 0:
-        raise ValueError("rate_nakagami: need m > 0")
-    if not omega > 0:
-        raise ValueError("rate_nakagami: need omega > 0")
+    if not (m > 0 and omega > 0 and delay_a > 0):
+        raise ValueError("rate_nakagami: need m, omega and delay_a > 0")
     if n_t < 1 or n_t != int(n_t):
         raise ValueError("rate_nakagami: n_t must be a positive integer")
-    if not delay_a > 0:
-        raise ValueError("rate_nakagami: need delay_a > 0")
-    _check_rho(rho)
     mn = m * n_t
-    z = mn / (omega * rho)
-    u = tricomi_u(mn, mn + 1.0 - delay_a, z)
-    return (mn / delay_a) * math.log2(omega * rho / mn) - math.log(u) / (delay_a * LN2)
+    z = mn / (omega * _rho_vector(rho))
+    log_u = tricomi_u(mn, mn + 1.0 - delay_a, z, log_scaled=True)
+    return _like_rho(rho, -log_u / (delay_a * LN2))
 
 
 def high_snr_validity(link):
@@ -287,7 +240,7 @@ def rate_high_snr(link, rho):
     bound and the conservative A < alpha mu / 2 - 1 a warning is emitted
     because convergence becomes slow.
     """
-    _check_rho(rho)
+    _rho_vector(rho)
     required, conservative = high_snr_validity(link)
     p = link.fit.fitted
     if not required:
@@ -350,22 +303,18 @@ def parametric_eb_n0(link, rho, rate_fn=None):
     """Map an SNR point to the (Eb/N0, rate) plane: Eb/N0 = rho / R(rho)."""
     fn = rate_fn or rate_exact_quadrature
     r = fn(link, rho)
-    if r <= 0:
+    if not np.all(np.asarray(r) > 0):
         raise ArithmeticError("parametric_eb_n0: rate is not positive at rho=%r" % (rho,))
-    return rho / r, r
+    return (rho if np.ndim(rho) == 0 else np.asarray(rho, dtype=float)) / r, r
 
 
 def ergodic_capacity_quadrature(link, rho):
     """E{log2(1 + rho S / n_t)} under the fitted sum density.
 
     The A -> 0 limit of the effective rate; used as the no-QoS reference.
+    rho is a scalar or a sequence, as for rate_exact_quadrature.
     """
-    _check_rho(rho)
+    rhos = _rho_vector(rho)
     p = link.fit.fitted
-    c = rho * p.beta / link.n_t
-    two_over_alpha = 2.0 / p.alpha
-
-    def g(u):
-        return math.log1p(c * u ** two_over_alpha) / LN2
-
-    return gamma_expectation(p.mu, g)
+    e = gamma_expectation(p.mu, np.log1p, rhos * p.beta / link.n_t, 2.0 / p.alpha, growth=1.0)
+    return _like_rho(rho, e / LN2)

@@ -1,8 +1,9 @@
 """Gamma-family special functions used by the rate expressions.
 
-The workhorses are two Mellin-Barnes contour integrals (Fox H and Meijer G,
-the latter evaluated through its Fox H form) and the Tricomi confluent
-hypergeometric function U(a;b;z).  Everything is evaluated in log space so
+The workhorses are two trapezoid-rule kernels: Mellin-Barnes contour
+integrals (Fox H, and Meijer G through its Fox H form), and expectations
+over a Gamma weight, which also give the Tricomi confluent hypergeometric
+function U(a;b;z).  Everything is evaluated in log space so
 that gamma-function products with large arguments neither overflow nor lose
 precision before the final exponentiation.
 """
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import loggamma as _scipy_loggamma
 
 
@@ -39,42 +39,27 @@ def log_gamma_complex(z):
     return out
 
 
-def tricomi_u(a, b, z):
-    """Tricomi confluent hypergeometric U(a;b;z) for a > 0, z > 0.
+def tricomi_u(a, b, z, log_scaled=False):
+    """Tricomi confluent hypergeometric U(a;b;z) for a > 0, z > 0 and real b.
 
     Evaluated from the Laplace-type integral
 
-        U(a;b;z) = z^-a / Gamma(a) * int_0^inf e^-u u^(a-1) (1 + u/z)^(b-a-1) du
+        U(a;b;z) = z^-a E[(1 + V/z)^(b-a-1)],   V ~ Gamma(a, 1),
 
     which is smooth in b, so nothing special happens when b passes through
-    an integer.  The u^(a-1) endpoint singularity for a < 1 is removed by
-    substituting w = u^a on [0, 1].
+    an integer.  z is a scalar (giving a float) or a sequence (giving an
+    array).  log_scaled=True returns log(z^a U(a;b;z)), which keeps its
+    digits where U under- or overflows and where z^a U is close to 1.
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError("tricomi_u: need a > 0, got a=%r" % (a,))
-    if z <= 0:
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(zs > 0):
         raise ValueError("tricomi_u: need z > 0, got z=%r" % (z,))
-    c = b - a - 1.0
-
-    def h(u):
-        return (1.0 + u / z) ** c
-
-    # [0, 1] with the singularity absorbed: u = w^(1/a)
-    def head(w):
-        u = w ** (1.0 / a)
-        return math.exp(-u) * h(u)
-
-    i0, _ = integrate.quad(head, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
-    i0 /= a
-
-    def tail(u):
-        return math.exp((a - 1.0) * math.log(u) - u) * h(u)
-
-    i1, _ = integrate.quad(tail, 1.0, np.inf, epsabs=1e-300, epsrel=1e-13, limit=200)
-    total = i0 + i1
-    if total <= 0:
-        raise TruncationError("tricomi_u: quadrature returned a non-positive value")
-    return math.exp(-a * math.log(z) - math.lgamma(a) + math.log(total))
+    u = log_mean_power(a, 1.0 / zs, 1.0, b - a - 1.0)
+    if not log_scaled:
+        u = np.exp(u - a * np.log(zs))
+    return float(u[0]) if np.ndim(z) == 0 else u
 
 
 @dataclass(frozen=True)
@@ -215,6 +200,71 @@ def contour_integral(spec, c, log_z, rel_tol=1e-12):
         err = (full - 2.0 * half) ** 2 / (abs(full) * np.abs(w).sum() * np.exp(rise_at_h))
         err += 2.0 * abs(w[-1]) / (kappa * h * abs(full))
     return peak - c * log_z, full * (h / math.pi), err
+
+
+def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
+    """E[g(c U^p)] for U ~ Gamma(mu, 1), for every c > 0 of a vector.
+
+    The trapezoid rule in x = log u converges geometrically (Trefethen &
+    Weideman, as above).  The weight exp(mu x - e^x - lgamma mu) and the
+    nodes are set up once; each c costs one row of g over the nodes.  g
+    acts elementwise on t = c u^p, is analytic for |arg t| < pi, and
+    |g(t)| / t^growth does not increase, so the integrand is at most a
+    multiple of u^m e^-u, m = mu + p growth, right of any point.  The
+    strip half-width d keeps |arg t| <= pi/2, keeps d <= pi/4 and bounds
+    the envelope's rise cos(d)^-m off the real axis by d <= acos(1 - 5/m);
+    the step is 2 pi d / (log(1/1e-12) + margin + log rise).  Nodes run
+    from 45/mu left of the knee -log(max c)/p (or of 0), where the weight
+    falls as e^(mu x), to where the envelope is as far below its peak.
+    The sum on every second node and the two tail bounds give an error
+    estimate; above 1e-12 relative, TruncationError is raised.
+    """
+    if not mu > 0:
+        raise ValueError("gamma_expectation: need mu > 0, got mu=%r" % (mu,))
+    log_c = np.log(np.atleast_1d(np.asarray(c, dtype=float)))
+    target = _MARGIN - math.log(1e-12)
+    m = mu + p * growth  # |integrand| <= const u^m e^-u on the right
+    d = min(0.25 * math.pi, 0.5 * math.pi / p, math.acos(max(1.0 - 5.0 / m, -1.0)))
+    rise = -m * math.log(math.cos(d))
+    h = 2.0 * math.pi * d / (target + rise)
+    right = max(math.log(m), 0.0) + 1.0
+    while m * right - math.exp(right) > m * math.log(m) - m - target:
+        right += 1.0
+    left = min(0.0, -log_c.max() / p) - 45.0 / mu
+    x = left + h * np.arange(math.ceil((right - left) / h) + 1)
+    w = np.exp(mu * x - np.exp(x) - math.lgamma(mu))
+    sums = np.empty((6, len(log_c)))
+    rows = max(1, _BLOCK // len(x))
+    for i in range(0, len(log_c), rows):
+        f = g(np.exp(log_c[i:i + rows, None] + p * x)) * w
+        sums[:3, i:i + rows] = f.sum(axis=1), f[:, ::2].sum(axis=1), abs(f).sum(axis=1)
+        sums[3:, i:i + rows] = abs(f[:, [0, 1, -1]]).T
+    full, half, size, first, second, last = sums
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # on the left log|f| is concave, or g rises with t, so either the
+        # first secant or the weight's own slope bounds the decay
+        slope = np.fmin(np.log(second / first) / h, mu - math.exp(x[0]))
+        tails = np.where(slope > 0, first / slope, np.inf) + last / (math.exp(x[-1]) - m)
+        err = ((full - 2.0 * half) ** 2 / (size * math.exp(rise)) + tails / h) / abs(full)
+    if not np.all(err <= 1e-12):
+        i = int(np.argmax(~(err <= 1e-12)))
+        raise TruncationError("gamma_expectation: error %g at c=%r exceeds 1e-12"
+                              % (err[i], math.exp(log_c[i])))
+    return h * full
+
+
+def log_mean_power(mu, c, p, k):
+    """log E[(1 + c U^p)^k] for U ~ Gamma(mu, 1) and a vector c > 0.  Within
+    a factor 2 of 1 the mean minus 1 is summed instead, as the mean of
+    expm1(k log1p(c U^p)), so that a small logarithm keeps its digits."""
+    if k == 0:
+        return np.zeros(np.size(c))
+    log_e = np.log(gamma_expectation(mu, lambda t: np.exp(k * np.log1p(t)), c, p, max(k, 0.0)))
+    near = ~(np.abs(log_e) > math.log(2.0))
+    if near.any():
+        log_e[near] = np.log1p(gamma_expectation(
+            mu, lambda t: np.expm1(k * np.log1p(t)), np.asarray(c)[near], p, max(k, 1.0)))
+    return log_e
 
 
 def fox_h(spec, z, rel_tol=1e-12):

@@ -140,7 +140,10 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
         for j in range(2):
             xp = list(x)
             xp[j] += h
-            fp = f(xp)
+            try:
+                fp = f(xp)
+            except (ArithmeticError, ValueError) as err:
+                raise FitConvergenceError("fit_sum: Jacobian trial failed: %s" % err, fx)
             jac.append(((fp[0] - fx[0]) / h, (fp[1] - fx[1]) / h))
         det = jac[0][0] * jac[1][1] - jac[1][0] * jac[0][1]
         if det == 0:
@@ -153,7 +156,7 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
             xn = [x[0] + step * dx0, x[1] + step * dx1]
             try:
                 fn = f(xn)
-            except (OverflowError, ValueError):
+            except (ArithmeticError, ValueError):
                 step *= 0.5
                 continue
             nn = max(abs(fn[0]), abs(fn[1]))

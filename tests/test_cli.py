@@ -55,13 +55,19 @@ def test_rate_range_monotone(capsys):
 
 
 def test_rate_sweep_lets_no_warning_escape(capsys):
-    # a sweep evaluates its points in order in the calling thread, so every
-    # warning filter the routes set up holds for all of its points; on these
-    # links quad warnings escaped when points ran in a thread pool
-    for alpha, mu, n_t, a in (
-        ("0.8", "1", "2", "1"), ("1.5", "3", "1", "2"), ("3", "2", "4", "1"), ("4", "1", "4", "2"),
+    # on the first four links quad warnings escaped when points ran in a
+    # thread pool; on the alpha = 2 links they escaped from the per-point
+    # quad of the Tricomi route
+    for alpha, mu, n_t, a, methods in (
+        ("0.8", "1", "2", "1", ("foxh", "quadrature")),
+        ("1.5", "3", "1", "2", ("foxh", "quadrature")),
+        ("3", "2", "4", "1", ("foxh", "quadrature")),
+        ("4", "1", "4", "2", ("foxh", "quadrature")),
+        ("2", "2", "4", "2", ("nakagami",)),
+        ("2", "2", "2", "1", ("nakagami",)),
+        ("2", "3", "2", "2", ("nakagami",)),
     ):
-        for method in ("foxh", "quadrature"):
+        for method in methods:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code, out, err = _run(
@@ -158,6 +164,19 @@ def test_rate_bad_range_spec(capsys):
     capsys.readouterr()
 
 
+def test_rate_and_fit_sum_take_no_seed(capsys):
+    # both are deterministic, so an ignored --seed is not offered
+    for argv in (
+        ["rate", "--alpha", "2", "--mu", "1", "--nt", "1", "--delay-a", "1",
+         "--snr-db", "0", "--method", "quadrature", "--seed", "3"],
+        ["fit-sum", "--alpha", "2", "--mu", "1", "--nt", "2", "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- fit-sum
 
 
@@ -168,6 +187,19 @@ def test_fit_sum_gamma_closure(capsys):
     np.testing.assert_allclose(float(fields["alpha"]), 2.0, atol=1e-9)
     np.testing.assert_allclose(float(fields["mu"]), 6.0, rtol=1e-9)
     np.testing.assert_allclose(float(fields["mean_snr"]), 3.0, rtol=1e-12)
+
+
+def test_fit_sum_division_by_zero_exits_3(capsys):
+    # a trial step made 1/expm1(...) divide by zero; that is a failed fit
+    for alpha, mu, n_t in (("0.5515", "1.648", "16"), ("0.5914", "3.236", "8")):
+        code, _, err = _run(["fit-sum", "--alpha", alpha, "--mu", mu, "--nt", n_t], capsys)
+        assert code == 3 and err.startswith("error: fit_sum:"), err
+        code, _, err = _run(
+            ["rate", "--alpha", alpha, "--mu", mu, "--nt", n_t, "--delay-a", "0.6623",
+             "--snr-db", "-35.83", "--method", "quadrature"],
+            capsys,
+        )
+        assert code == 3 and err.startswith("error: fit_sum:"), err
 
 
 def test_fit_sum_single_antenna_echoes(capsys):

@@ -112,6 +112,23 @@ def test_foxh_vector_call_matches_points():
             assert _rel(got, one) <= 1e-12, (alpha, mu, n_t, a, rho)
 
 
+def test_gamma_routes_vector_call_matches_points():
+    rhos = 10.0 ** (np.linspace(-50.0, 40.0, 91) / 10.0)
+    for alpha, mu, n_t, a in ((0.8, 3.0, 4, 1.0), (2.0, 0.75, 2, 2.0), (8.0, 1.0, 16, 0.5)):
+        link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
+        routes = [lambda r: rate_exact_quadrature(link, r),
+                  lambda r: ergodic_capacity_quadrature(link, r)]
+        if alpha == 2.0:
+            routes.append(lambda r: rate_nakagami(mu, 1.0, n_t, a, r))
+        for route in routes:
+            vec = route(rhos)
+            assert isinstance(vec, np.ndarray) and vec.shape == rhos.shape
+            for rho, got in zip(rhos, vec):
+                one = route(rho)
+                assert isinstance(one, float)
+                assert _rel(got, one) <= 1e-12, (alpha, mu, n_t, a, rho)
+
+
 def test_meijerg_uses_genuine_rational_path():
     # single antenna keeps the branch alpha, so 0.8 = 2*2/5 and 4 = 2*2/1
     # rationalize exactly and no fallback may fire
@@ -156,6 +173,10 @@ def test_rate_rejects_bad_snr():
         rate_exact_foxh(_EXP_LINK, -1.0)
     with pytest.raises(ValueError):
         rate_exact_foxh(_EXP_LINK, [1.0, 0.0])
+    with pytest.raises(ValueError):
+        rate_exact_quadrature(_EXP_LINK, [1.0, -2.0])
+    with pytest.raises(ValueError):
+        rate_nakagami(1.0, 1.0, 1, 1.0, [0.0, 1.0])
 
 
 # ----------------------------------------------------------- Nakagami forms

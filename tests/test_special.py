@@ -14,7 +14,9 @@ from effrate.special import (
     ContourError,
     FoxHSpec,
     MeijerGSpec,
+    TruncationError,
     fox_h,
+    gamma_expectation,
     log_gamma_complex,
     meijer_g,
     tricomi_u,
@@ -123,11 +125,59 @@ def test_tricomi_cross_check_scipy():
         np.testing.assert_allclose(tricomi_u(a, b, z), sps.hyperu(a, b, z), rtol=5e-6)
 
 
+def test_tricomi_vector_call_matches_points():
+    zs = np.logspace(-4.0, 6.0, 41)
+    for a, b in ((0.3, -2.0), (2.0, 1.5), (64.0, 61.0), (3.0, 7.0)):
+        for log_scaled in (False, True):
+            vec = tricomi_u(a, b, zs, log_scaled=log_scaled)
+            assert isinstance(vec, np.ndarray) and vec.shape == zs.shape
+            for z, got in zip(zs, vec):
+                one = tricomi_u(a, b, z, log_scaled=log_scaled)
+                assert isinstance(one, float)
+                assert abs(got - one) <= 1e-12 * abs(one), (a, b, z, log_scaled)
+
+
+def test_tricomi_log_scaled_frozen_values():
+    # log(z^a U(a;b;z)) at 40 digits: U itself underflows at the first
+    # point, and z^a U is within 4e-5 of 1 there
+    assert tricomi_u(64.0, 61.0, 6.4e6) == 0.0
+    for z, ref in ((6.4e6, -3.9999784376655584e-05), (1e-3, -44.106576449746685)):
+        np.testing.assert_allclose(tricomi_u(64.0, 61.0, z, log_scaled=True), ref, rtol=1e-12)
+
+
 def test_tricomi_rejects_nonpositive_a():
     with pytest.raises(ValueError):
         tricomi_u(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         tricomi_u(-1.5, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        tricomi_u(1.5, 1.0, [1.0, 0.0])
+
+
+# ---------------------------------------------------- Gamma-weight trapezoid
+
+
+def test_gamma_expectation_power_moments():
+    # E[c U^p] = c Gamma(mu + p) / Gamma(mu)
+    c = np.logspace(-6.0, 6.0, 13)
+    for mu, p in ((0.5, 1.0), (1.0, 4.0), (3.0, 0.25), (95.0, 2.0)):
+        want = c * math.exp(math.lgamma(mu + p) - math.lgamma(mu))
+        got = gamma_expectation(mu, lambda t: t, c, p, growth=1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_gamma_expectation_flags_short_node_range():
+    # t^20 far outgrows a declared growth 0, so the right tail bound fails;
+    # E[U^-3] diverges for mu = 2, so the left tail bound fails
+    np.testing.assert_allclose(
+        gamma_expectation(2.0, lambda t: t ** 20, [1.0], 1.0, growth=20.0), math.gamma(22.0),
+        rtol=1e-12)
+    with pytest.raises(TruncationError):
+        gamma_expectation(2.0, lambda t: t ** 20, [1.0], 1.0, growth=0.0)
+    with pytest.raises(TruncationError):
+        gamma_expectation(2.0, lambda t: t ** -3.0, [1.0], 1.0)
+    with pytest.raises(ValueError):
+        gamma_expectation(0.0, np.log1p, [1.0])
 
 
 # -------------------------------------------------------------------- Fox H

@@ -121,6 +121,14 @@ def test_fit_exhausted_budget_raises():
     assert len(err.value.residuals) == 2
 
 
+def test_fit_zero_division_is_a_convergence_error():
+    # trial steps on these links drove 1/expm1(...) to a ZeroDivisionError
+    for alpha, mu, n_t in ((0.5515, 1.648, 16), (0.5914, 3.236, 8)):
+        with pytest.raises(FitConvergenceError) as err:
+            fit_sum(AlphaMuParams(alpha=alpha, mu=mu), n_t)
+        assert len(err.value.residuals) == 2
+
+
 def test_fit_input_validation():
     branch = AlphaMuParams(alpha=2.0, mu=1.0)
     with pytest.raises(ValueError):
