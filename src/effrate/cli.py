@@ -138,14 +138,12 @@ def curve_to_json_obj(curve):
 
 
 def _sweep_rates(link, rhos, label, mc=None):
-    """Evaluate one method over a grid of linear SNRs.  The exact routes take
-    the grid in one call, setting their kernel up once; the rest go point by point."""
+    """Evaluate one method over a grid of linear SNRs.  The exact routes and
+    Monte Carlo take the grid in one call, setting their kernel up (or drawing
+    the branch sums) once; the rest go point by point."""
     if label == "monte_carlo":
-        results = []
-        for i, rho in enumerate(rhos):
-            cfg = McConfig(samples=mc.samples, seed=(mc.seed + 7919 * i), streams=mc.streams)
-            results.append(simulate_rate(link, rho, cfg))
-        return [r for r, _ in results], [h for _, h in results]
+        rates, halfwidths = simulate_rate(link, rhos, mc)
+        return rates.tolist(), halfwidths.tolist()
     if label in ("fox_h", "quadrature"):
         rate = rate_exact_foxh if label == "fox_h" else rate_exact_quadrature
         return rate(link, rhos).tolist(), None

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphamu import sample
+from .rates import _like_rho, _rho_vector
 
 LN2 = math.log(2.0)
 
@@ -43,23 +44,32 @@ def _stream_plan(cfg):
     return [(np.random.default_rng(children[i]), counts[i]) for i in range(cfg.streams)]
 
 
-def _accumulate(link, rho, cfg, term_fn):
-    """Stream-ordered mean/variance accumulation of term_fn over SNR sums."""
-    total = 0.0
-    total_sq = 0.0
+def _accumulate(link, rhos, cfg, term_fn):
+    """Stream-ordered mean/variance accumulation of term_fn over SNR sums.
+
+    Each stream's branch draws are summed once and serve every rho; the
+    totals of each rho still accumulate in stream order, so the estimate at
+    rhos[j] is the one a call with that rho alone gives.
+    """
+    totals = [0.0] * len(rhos)
+    totals_sq = [0.0] * len(rhos)
     n = 0
     for rng, count in _stream_plan(cfg):
         if count == 0:
             continue
         draws = sample(link.branch, rng, size=(count, link.n_t))
         snr_sum = draws.sum(axis=1)
-        terms = term_fn(rho * snr_sum / link.n_t)
-        total += float(terms.sum())
-        total_sq += float(np.square(terms).sum())
+        for j, rho in enumerate(rhos):
+            terms = term_fn(rho * snr_sum / link.n_t)
+            totals[j] += float(terms.sum())
+            totals_sq[j] += float(np.square(terms).sum())
         n += count
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
-    return mean, var, n
+    stats = []
+    for total, total_sq in zip(totals, totals_sq):
+        mean = total / n
+        var = max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
+        stats.append((mean, var))
+    return stats, n
 
 
 def simulate_rate(link, rho, cfg):
@@ -69,28 +79,29 @@ def simulate_rate(link, rho, cfg):
     R = -(1/A) log2 X, and propagates the standard error through the log:
     halfwidth = 1.96 sd(X) / (sqrt(M) A ln2 X).
 
-    Returns (rate, ci_halfwidth).
+    Returns (rate, ci_halfwidth): floats for a scalar rho, arrays for a
+    sequence.  One set of branch draws serves every rho of a sequence (common
+    random numbers), so the errors of its points are correlated, while each
+    row is bit-for-bit the scalar call at that rho.
     """
-    if not rho > 0:
-        raise ValueError("simulate_rate: rho must be > 0")
+    rhos = _rho_vector(rho).tolist()
     a_qos = link.delay_a
 
     def decay_term(x):
         return np.exp(-a_qos * np.log1p(x))
 
-    mean, var, n = _accumulate(link, rho, cfg, decay_term)
-    rate = -math.log(mean) / (a_qos * LN2)
-    halfwidth = 1.96 * math.sqrt(var / n) / (a_qos * LN2 * mean)
-    return rate, halfwidth
+    stats, n = _accumulate(link, rhos, cfg, decay_term)
+    rate = np.array([-math.log(mean) / (a_qos * LN2) for mean, _ in stats])
+    halfwidth = np.array([1.96 * math.sqrt(var / n) / (a_qos * LN2 * mean) for mean, var in stats])
+    return _like_rho(rho, rate), _like_rho(rho, halfwidth)
 
 
 def simulate_ergodic_capacity(link, rho, cfg):
-    """Monte Carlo E{log2(1 + rho S / n_t)}, the no-QoS ceiling."""
-    if not rho > 0:
-        raise ValueError("simulate_ergodic_capacity: rho must be > 0")
+    """Monte Carlo E{log2(1 + rho S / n_t)}, the no-QoS ceiling; rho is a
+    scalar or a sequence, with one set of draws serving every rho."""
 
     def log_term(x):
         return np.log1p(x) / LN2
 
-    mean, _, _ = _accumulate(link, rho, cfg, log_term)
-    return mean
+    stats, _ = _accumulate(link, _rho_vector(rho).tolist(), cfg, log_term)
+    return _like_rho(rho, np.array([mean for mean, _ in stats]))

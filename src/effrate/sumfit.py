@@ -4,8 +4,8 @@ The instantaneous SNR of an N_t-branch transmit array is the sum of N_t
 branch SNRs.  That sum is not alpha-mu distributed, but it is extremely well
 approximated by one, and the approximating parameters are pinned down by
 matching the first and second moment ratio and the second and fourth moment
-ratio.  For alpha = 2 the family is the Gamma family, the sum is exactly
-Gamma, and the fit recovers it exactly.
+ratio.  For alpha = 2 the family is the Gamma family and the sum is exactly
+Gamma(n_t mu), which the fit returns without solving anything.
 
 Integer moments of the sum are exact: they follow from the branch moments
 by iterated binomial convolution, no approximation involved.
@@ -114,6 +114,9 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
     moment.  Residuals are relative mismatches of the two ratios.
 
     n_t = 1 short-circuits to the branch parameters with zero residuals.
+    alpha = 2 (within 1e-12) short-circuits to the exact sum law
+    Gamma(n_t mu), where Newton would solve an ill-conditioned system for a
+    known answer; its residuals are those of the two ratios at (2, n_t mu).
     """
     if n_t < 1 or n_t != int(n_t):
         raise ValueError("fit_sum: n_t must be a positive integer")
@@ -121,6 +124,8 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
     (t1, t2), moments = _ratio_targets(branch, n_t)
     if n_t == 1:
         return SumFit(fitted=branch, residuals=(0.0, 0.0), exact_moments=moments)
+    if abs(branch.alpha - 2.0) <= 1e-12:
+        return _fit_result(2.0, n_t * branch.mu, moments, t1, t2)
 
     lt1, lt2 = math.log(t1), math.log(t2)
 
@@ -175,7 +180,11 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
             fx,
         )
 
-    alpha, mu = math.exp(x[0]), math.exp(x[1])
+    return _fit_result(math.exp(x[0]), math.exp(x[1]), moments, t1, t2)
+
+
+def _fit_result(alpha, mu, moments, t1, t2):
+    """SumFit at (alpha, mu), scaled to the exact mean, with ratio residuals."""
     fitted = AlphaMuParams(alpha=alpha, mu=mu, mean_snr=moments[0])
     r1, r2 = _ratio_values(alpha, mu)
     residuals = (abs(r1 / t1 - 1.0), abs(r2 / t2 - 1.0))

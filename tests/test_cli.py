@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import effrate.alphamu
-from effrate import cli
+from effrate import cli, verify
+from effrate.montecarlo import McConfig, simulate_rate
 
 
 def _run(argv, capsys):
@@ -187,6 +188,13 @@ def test_fit_sum_gamma_closure(capsys):
     np.testing.assert_allclose(float(fields["alpha"]), 2.0, atol=1e-9)
     np.testing.assert_allclose(float(fields["mu"]), 6.0, rtol=1e-9)
     np.testing.assert_allclose(float(fields["mean_snr"]), 3.0, rtol=1e-12)
+    # a link whose damped Newton fit failed before the exact closure
+    code, _, err = _run(
+        ["rate", "--alpha", "2", "--mu", "3.013", "--nt", "16", "--delay-a", "1",
+         "--snr-db", "10", "--method", "foxh"],
+        capsys,
+    )
+    assert code == 0, err
 
 
 def test_fit_sum_division_by_zero_exits_3(capsys):
@@ -294,6 +302,22 @@ def test_sweep_figure3_outputs(tmp_path, capsys):
     assert abs(curve.x_db[0] - (-1.5917)) < 0.05
 
 
+def test_sweep_mc_curve_is_one_call_per_link(tmp_path, capsys):
+    # one set of branch draws per link, seeded seed + 1000 * idx, serves
+    # every SNR point of the curve
+    code, _, err = _run(_fig_args(1, tmp_path, extra=("--seed", "4")), capsys)
+    assert code == 0, err
+    xs_mc = tuple(2.0 * i for i in range(11))
+    rhos_mc = [cli.db_to_linear(x) for x in xs_mc]
+    for idx, (val, link) in enumerate(cli._figure_links(cli._FIG1)):
+        with open(tmp_path / ("fig1_alpha%g_mc.csv" % val)) as fh:
+            (curve,) = cli.curves_from_csv(fh)
+        rates, halfwidths = simulate_rate(link, rhos_mc, McConfig(2000, 4 + 1000 * idx, 8))
+        assert curve.x_db == xs_mc
+        assert curve.rate == tuple(rates.tolist())
+        assert curve.ci_halfwidth == tuple(halfwidths.tolist())
+
+
 def test_sweep_outputs_byte_identical(tmp_path, capsys):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     for d in (dir_a, dir_b):
@@ -338,6 +362,26 @@ def test_verify_catches_injected_scale_bug(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("error: verification failed:")
     assert "FAIL" in out
+
+
+def test_verify_pdf_check_flags_scaled_density(monkeypatch):
+    # negative control: a density off by 1e-7 must fail pdf-normalization,
+    # and only that check
+    orig = verify.pdf
+    monkeypatch.setattr(verify, "pdf", lambda p, g: orig(p, g) * (1.0 + 1e-7))
+    assert verify.run_verification(out=io.StringIO()) == ["pdf-normalization"]
+
+
+def test_import_leaves_scipy_integrate_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, effrate.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- entry point

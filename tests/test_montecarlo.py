@@ -37,6 +37,21 @@ def test_bit_reproducible():
     assert abs(c[0] - a[0]) < 5.0 * (a[1] + c[1])
 
 
+def test_vector_call_rows_equal_scalar_calls():
+    # one set of draws serves every rho, yet each row is the scalar call;
+    # 10_007 samples split unevenly over the 8 streams
+    cfg = McConfig(samples=10_007, seed=13, streams=8)
+    rhos = [1e-3, 1.0, 10.0, 1e3]
+    for n_t in (1, 3):
+        link = MisoLink(n_t=n_t, delay_a=0.7, branch=AlphaMuParams(alpha=1.5, mu=0.8))
+        rates, halfwidths = simulate_rate(link, rhos, cfg)
+        assert isinstance(rates, np.ndarray) and rates.shape == (len(rhos),)
+        for j, rho in enumerate(rhos):
+            assert (rates[j], halfwidths[j]) == simulate_rate(link, rho, cfg)
+        ergodic = simulate_ergodic_capacity(link, rhos, cfg)
+        assert ergodic.tolist() == [simulate_ergodic_capacity(link, rho, cfg) for rho in rhos]
+
+
 def test_interval_shrinks_with_samples():
     _, h1 = simulate_rate(_RAYLEIGH, 1.0, McConfig(samples=250_000, seed=3))
     _, h4 = simulate_rate(_RAYLEIGH, 1.0, McConfig(samples=1_000_000, seed=3))
@@ -63,6 +78,10 @@ def test_vanishing_snr_gives_vanishing_rate():
 def test_rate_rejects_bad_snr():
     with pytest.raises(ValueError):
         simulate_rate(_RAYLEIGH, 0.0, McConfig(samples=10_000, seed=0))
+    with pytest.raises(ValueError):
+        simulate_rate(_RAYLEIGH, [1.0, -2.0, 3.0], McConfig(samples=10_000, seed=0))
+    with pytest.raises(ValueError):
+        simulate_ergodic_capacity(_RAYLEIGH, [0.0, 1.0], McConfig(samples=10_000, seed=0))
 
 
 def test_ergodic_estimate():

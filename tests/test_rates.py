@@ -129,6 +129,19 @@ def test_gamma_routes_vector_call_matches_points():
                 assert _rel(got, one) <= 1e-12, (alpha, mu, n_t, a, rho)
 
 
+def test_routes_match_nakagami_where_newton_failed():
+    # alpha = 2 links whose damped Newton fit ran out of steps; the exact
+    # Gamma(n_t mu) closure makes the sum-fit routes the Tricomi closed form
+    rhos = 10.0 ** (np.linspace(-10.0, 30.0, 41) / 10.0)
+    for mu in (3.013, 3.594):
+        for a in (0.5, 1.0, 2.0):
+            link = MisoLink(n_t=16, delay_a=a, branch=AlphaMuParams(alpha=2.0, mu=mu))
+            closed = rate_nakagami(mu, 1.0, 16, a, rhos)
+            for route in (rate_exact_foxh, rate_exact_quadrature):
+                worst = np.max(np.abs(route(link, rhos) / closed - 1.0))
+                assert worst <= 1e-12, (mu, a, route.__name__, worst)
+
+
 def test_meijerg_uses_genuine_rational_path():
     # single antenna keeps the branch alpha, so 0.8 = 2*2/5 and 4 = 2*2/1
     # rationalize exactly and no fallback may fire

@@ -61,14 +61,17 @@ def test_fit_single_branch_is_identity():
 
 
 def test_fit_gamma_closure():
-    # alpha=2 sums stay in the Gamma family: fitted (2, n_t mu) exactly
-    for mu in (0.5, 1.0, 2.5):
-        for n_t in (2, 4, 8):
-            branch = AlphaMuParams(alpha=2.0, mu=mu, mean_snr=1.0)
-            fit = fit_sum(branch, n_t)
-            assert abs(fit.fitted.alpha - 2.0) <= 1e-6
-            np.testing.assert_allclose(fit.fitted.mu, n_t * mu, rtol=1e-6)
-            np.testing.assert_allclose(fit.fitted.mean_snr, n_t * mu / mu, rtol=1e-12)
+    # alpha=2 sums stay in the Gamma family: fitted (2, n_t mu) exactly,
+    # also at (3.013, 16) and (3.594, 16), where damped Newton failed
+    for mu, n_t in [(mu, n_t) for mu in (0.5, 1.0, 2.5) for n_t in (2, 4, 8)] + [
+        (3.013, 16), (3.594, 16)
+    ]:
+        branch = AlphaMuParams(alpha=2.0, mu=mu, mean_snr=1.0)
+        fit = fit_sum(branch, n_t)
+        assert fit.fitted.alpha == 2.0
+        assert fit.fitted.mu == n_t * mu
+        np.testing.assert_allclose(fit.fitted.mean_snr, n_t * mu / mu, rtol=1e-12)
+        assert max(fit.residuals) <= 1e-10
 
 
 def test_fit_residuals_small_across_family():
