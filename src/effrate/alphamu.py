@@ -88,15 +88,61 @@ def pdf(params, gamma):
 
 def cdf(params, gamma):
     """Distribution function, a regularized lower incomplete gamma in disguise."""
-    from scipy.special import gammainc
-
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("cdf: gamma must be >= 0")
-    u = (g / params.beta) ** (params.alpha / 2.0)
-    out = gammainc(params.mu, u)
+    out = _gammainc(params.mu, (g / params.beta) ** (params.alpha / 2.0))
     if out.ndim == 0:
         return float(out)
+    return out
+
+
+def _gammainc(a, x):
+    """Regularized lower incomplete gamma P(a, x) for a > 0 and an array x >= 0.
+
+    Below x = a + 1 the power series of P, above it the continued fraction
+    of Q = 1 - P by the modified Lentz method (Numerical Recipes, section
+    6.2).  Both carry the factor x^a e^-x / Gamma(a + 1), whose logarithm
+    is formed as a log(x/a) - (x - a) - (lgamma(a + 1) - a log a + a), with
+    log1p for log(x/a) near x = a and the last bracket from Stirling's series
+    for large a, so that the large terms a log x and lgamma(a + 1) never
+    cancel.
+    """
+    x = np.asarray(x, dtype=float)
+    if a < 20.0:
+        stirling = math.lgamma(a + 1.0) - a * math.log(a) + a
+    else:
+        inv2 = 1.0 / (a * a)
+        stirling = 0.5 * math.log(2.0 * math.pi * a) + (
+            1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(abs(x - a) < 0.5 * a, np.log1p((x - a) / a), np.log(x / a))
+        factor = np.exp(a * log_ratio - (x - a) - stirling)
+    out = np.where(np.isnan(x), np.nan, np.where(x == np.inf, 1.0, 0.0))
+    low = np.flatnonzero((x > 0) & (x < a + 1.0))
+    if low.size:
+        xs = x.flat[low]
+        term, total, n = np.ones(low.size), np.ones(low.size), a
+        while np.any(term > 1e-17 * total):
+            n += 1.0
+            term *= xs / n
+            total += term
+        out.flat[low] = factor.flat[low] * total
+    high = np.flatnonzero((x >= a + 1.0) & (x < np.inf))
+    if high.size:
+        xs = x.flat[high]
+        b = xs + 1.0 - a
+        c, d = np.full(high.size, 1e300), 1.0 / b
+        frac, i = d.copy(), 0.0
+        while True:
+            i += 1.0
+            b += 2.0
+            d = 1.0 / (b - i * (i - a) * d)
+            c = b - i * (i - a) / c
+            frac *= d * c
+            if np.all(np.abs(d * c - 1.0) <= 1e-15):
+                break
+        out.flat[high] = 1.0 - a * factor.flat[high] * frac
     return out
 
 

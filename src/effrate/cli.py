@@ -144,8 +144,9 @@ def _sweep_rates(link, rhos, label, mc=None):
     if label == "monte_carlo":
         rates, halfwidths = simulate_rate(link, rhos, mc)
         return rates.tolist(), halfwidths.tolist()
-    if label in ("fox_h", "quadrature"):
-        rate = rate_exact_foxh if label == "fox_h" else rate_exact_quadrature
+    if label in ("fox_h", "meijer_g", "quadrature"):
+        rate = {"fox_h": rate_exact_foxh, "meijer_g": rate_exact_meijerg,
+                "quadrature": rate_exact_quadrature}[label]
         return rate(link, rhos).tolist(), None
     if label == "nakagami_closed":
         b = link.branch
@@ -154,8 +155,7 @@ def _sweep_rates(link, rhos, label, mc=None):
         return rate_nakagami(b.mu, b.mean_snr, link.n_t, link.delay_a, rhos).tolist(), None
     if label == "awgn":
         return [math.log2(1.0 + rho) for rho in rhos], None
-    rate = {"meijer_g": rate_exact_meijerg, "high_snr": rate_high_snr}[label]
-    return [rate(link, rho) for rho in rhos], None
+    return [rate_high_snr(link, rho) for rho in rhos], None
 
 
 def _write_output(text, out):

@@ -23,8 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .alphamu import AlphaMuParams, moment
-from .special import (FoxHSpec, MeijerGSpec, TruncationError, contour_integral, fox_h,
-                      gamma_expectation, log_mean_power, tricomi_u)
+from .special import (FoxHSpec, MeijerGSpec, TruncationError, contour_integral,
+                      contour_integrals, gamma_expectation, log_mean_power, tricomi_u)
+from .special import fox_h  # noqa: F401  bench/spans.py traces calls through rates.fox_h
 from .sumfit import fit_sum
 
 LN2 = math.log(2.0)
@@ -93,10 +94,13 @@ def rate_exact_foxh(link, rho):
                        (mu, 1), (A, alpha/2) ]
     in the fitted sum parameters.  rho is a scalar (giving a float) or a
     sequence (giving an array; one node set per contour serves it all).
-    H comes from the strip midpoint.  Where E > 1/2 the line Re s = 1/alpha
-    right of the pole at s = 0 gives E - 1 instead (the residue is the 1),
-    so a small 1 - E keeps its digits.  Raises TruncationError where the
-    rate's estimated relative error exceeds 1e-12.
+    H comes from the line FoxHSpec.contour_abscissa picks: the strip
+    midpoint, or a line nearer the saddle where the midpoint's sum would
+    cancel away digits (high SNR with large fitted mu and A).  Where
+    E > 1/2 the line Re s = 1/alpha right of the pole at s = 0 gives E - 1
+    instead (the residue is the 1), so a small 1 - E keeps its digits.
+    Raises TruncationError where the rate's estimated relative error
+    exceeds 1e-12.
     """
     rhos = _rho_vector(rho)
     p = link.fit.fitted
@@ -106,7 +110,7 @@ def rate_exact_foxh(link, rho):
     spec = FoxHSpec(m=2, n=1, upper_pairs=((1.0, half_alpha),),
                     lower_pairs=((p.mu, 1.0), (a_qos, half_alpha)))
     log_k = math.log(half_alpha) - math.lgamma(a_qos) - math.lgamma(p.mu)
-    log_scale, scaled, err = contour_integral(spec, spec.contour_abscissa(), log_z)
+    log_scale, scaled, err = contour_integrals(spec, log_z)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_e = log_k + log_scale + np.log(scaled)
         low = ~(log_e < -LN2)
@@ -157,10 +161,13 @@ def rate_exact_meijerg(link, rho, cap=25):
     with P = alpha sqrt(k) l^(A-1) (n_t/(rho beta))^(alpha mu/2)
              (2 pi)^(3/2 - l - k/2) / (Gamma(A) Gamma(mu)).
 
-    If no admissible (l, k) exists the Fox H route is used instead, with a
-    warning.
+    rho is a scalar (giving a float) or a sequence (giving an array): the
+    strip is finite, so one node set per contour line serves every rho.
+    Raises TruncationError where G's estimated relative error exceeds
+    1e-12.  If no admissible (l, k) exists the Fox H route is used
+    instead, with a warning.
     """
-    _rho_vector(rho)
+    rhos = _rho_vector(rho)
     p = link.fit.fitted
     a_qos = link.delay_a
     try:
@@ -178,22 +185,26 @@ def rate_exact_meijerg(link, rho, cap=25):
         n=l,
         uppers=_delta_block(l, 1.0 - amu2),
         lowers=_delta_block(k, 0.0) + _delta_block(l, a_qos - amu2),
-    )
-    x = math.exp(l * math.log(link.n_t / rho) - k * (0.5 * alpha * math.log(beta) + math.log(k)))
-    g = fox_h(spec.as_fox_h(), x)
-    if g <= 0:
-        raise ArithmeticError("rate_exact_meijerg: contour integral returned %r" % (g,))
+    ).as_fox_h()
+    log_ratio = np.log(link.n_t / rhos)
+    log_x = l * log_ratio - k * (0.5 * alpha * math.log(beta) + math.log(k))
+    log_scale, scaled, err = contour_integrals(spec, log_x)
+    for e, g, r in zip(err.tolist(), scaled.tolist(), rhos.tolist()):
+        if not e <= 1e-12:
+            raise TruncationError("rate_exact_meijerg: error %g at rho=%r exceeds 1e-12" % (e, r))
+        if not g > 0:
+            raise ArithmeticError("rate_exact_meijerg: contour integral returned %r" % (g,))
     log_p = (
         math.log(alpha)
         + 0.5 * math.log(k)
         + (a_qos - 1.0) * math.log(l)
-        + amu2 * math.log(link.n_t / (rho * beta))
+        + amu2 * (log_ratio - math.log(beta))
         + (1.5 - l - 0.5 * k) * math.log(2.0 * math.pi)
         - math.lgamma(a_qos)
         - math.lgamma(params.mu)
     )
-    log_e = log_p + math.log(g) - LN2
-    return -log_e / (a_qos * LN2)
+    log_e = log_p + log_scale + np.log(scaled) - LN2
+    return _like_rho(rho, -log_e / (a_qos * LN2))
 
 
 def rate_nakagami(m, omega, n_t, delay_a, rho):

@@ -5,14 +5,16 @@ integrals (Fox H, and Meijer G through its Fox H form), and expectations
 over a Gamma weight, which also give the Tricomi confluent hypergeometric
 function U(a;b;z).  Everything is evaluated in log space so
 that gamma-function products with large arguments neither overflow nor lose
-precision before the final exponentiation.
+precision before the final exponentiation.  The complex log-gamma under the
+contour kernel is computed here with numpy alone (the Lanczos approximation
+in real arithmetic), so the package needs no scipy at run time.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import loggamma as _scipy_loggamma
 
 
 class ContourError(ValueError):
@@ -21,6 +23,90 @@ class ContourError(ValueError):
 
 class TruncationError(ArithmeticError):
     """A contour integral or quadrature did not reach its tolerance."""
+
+
+# Lanczos, SIAM J. Numer. Anal. 1 (1964), with g = 7 and nine terms (Godfrey's
+# coefficients): Gamma(z) = sqrt(2 pi) t^(z - 1/2) e^-t A(z), t = z + g - 1/2,
+# A(z) = c_0 + sum_k c_k / (z + k - 1), relative error about 1e-15 for Re z >= 1/2.
+_LANCZOS_G = 7.0
+_LANCZOS_C0 = 0.99999999999980993
+_LANCZOS_C = np.array([
+    676.5203681218851, -1259.1392167224028, 771.32342877765313, -176.61502916214059,
+    12.507343278686905, -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7,
+])[:, None]
+_LANCZOS_K = np.arange(8.0)[:, None]
+_LANCZOS_OFFSET = 0.5 * math.log(2.0 * math.pi) - _LANCZOS_G
+_SHIFT_MAX = 16.0  # left of Re z = -_SHIFT_MAX the reflection formula replaces the shift
+
+
+def _lanczos(x, y):
+    """(Re, Im) of log Gamma(x + iy) for 1-d arrays with x >= 1/2.
+
+    Real arithmetic throughout: numpy's complex log runs many times slower
+    than its real log and arctan2.
+    """
+    t = x + (_LANCZOS_G - 0.5)
+    y2 = y * y
+    xk = x + _LANCZOS_K
+    q = _LANCZOS_C / (xk * xk + y2)
+    ar = _LANCZOS_C0 + (q * xk).sum(0)
+    minus_ai = y * q.sum(0)  # A(z) = ar - i minus_ai
+    # (z - 1/2) log t - t = (z - 1/2)(log t - 1) - g keeps the cancellation
+    # to one constant
+    log_t, arg_t = np.log(np.hypot(t, y)) - 1.0, np.arctan2(y, t)
+    xm = x - 0.5
+    re = _LANCZOS_OFFSET + xm * log_t - y * arg_t + np.log(np.hypot(ar, minus_ai))
+    return re, xm * arg_t + y * log_t - np.arctan2(minus_ai, ar)
+
+
+def _loggamma(z):
+    """Principal branch of log Gamma, elementwise on a complex array.
+
+    Positive real arguments go to math.lgamma.  Otherwise z is shifted right
+    by log Gamma(z) = log Gamma(z + n) - sum_k log(z + k) until Re z >= 1/2:
+    with principal logs the identity keeps the principal branch, since both
+    sides are analytic off the negative real axis and agree on the positive
+    one.  Far left the reflection formula, in the form continuous on the
+    upper half-plane, takes over:
+
+        log Gamma(z) = log 2 pi - log Gamma(1 - z) + i pi (z - 1/2) - log(1 - e^(2 pi i z)),
+
+    and log Gamma(conj z) = conj log Gamma(z) below.  On the negative real
+    axis the sign of the zero imaginary part picks the side, as in numpy's
+    log.  Poles give infinities or nan.
+    """
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real.ravel(), z.imag.ravel()
+    real = (y == 0) & (x > 0)
+    if real.all():
+        return np.array([math.lgamma(v) for v in x.tolist()], dtype=complex).reshape(z.shape)
+    far = x < -_SHIFT_MAX
+    n = np.fmax(np.where(far, 0.0, np.ceil(0.5 - x)), 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        re, im = _lanczos(x + n, y)
+        for k in range(int(n.max(initial=0.0))):
+            i = np.flatnonzero(n > k)
+            xk, yk = x[i] + k, y[i]
+            re[i] -= 0.5 * np.log(xk * xk + yk * yk)
+            im[i] -= np.arctan2(yk, xk)
+        if far.any():
+            i = np.flatnonzero(far)
+            below = np.signbit(y[i])
+            xf, yf = x[i], np.abs(y[i])
+            re_r, im_r = _lanczos(1.0 - xf, -yf)
+            # 1 - e^(2 pi i z) as -expm1, with x reduced to the nearest integer
+            turn = math.pi * (xf - np.round(xf))
+            one_re = 2.0 * np.sin(turn) ** 2 - np.expm1(-2.0 * math.pi * yf) * np.cos(2.0 * turn)
+            one_im = -np.exp(-2.0 * math.pi * yf) * np.sin(2.0 * turn)
+            re[i] = (math.log(2.0 * math.pi) - re_r - math.pi * yf
+                     - 0.5 * np.log(one_re * one_re + one_im * one_im))
+            im[i] = np.where(below, -1.0, 1.0) * (
+                math.pi * (xf - 0.5) - im_r - np.arctan2(one_im, one_re))
+    if real.any():
+        re[real], im[real] = [math.lgamma(v) for v in x[real].tolist()], 0.0
+    out = np.empty(x.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out.reshape(z.shape)
 
 
 def log_gamma_complex(z):
@@ -33,7 +119,7 @@ def log_gamma_complex(z):
     on_pole = (z.real <= 0) & (z.imag == 0) & (z.real == np.floor(z.real))
     if np.any(on_pole):
         raise ValueError("log_gamma_complex: argument is a non-positive integer (pole)")
-    out = _scipy_loggamma(z)
+    out = _loggamma(z)
     if out.ndim == 0:
         return complex(out)
     return out
@@ -100,6 +186,11 @@ class FoxHSpec:
             + tuple((-1, a, A) for a, A in self.upper_pairs[n:])
         )
 
+    @cached_property
+    def factor_columns(self):
+        """factors() as three (F, 1) arrays: signs, offsets, coefficients."""
+        return np.array(self.factors()).T[:, :, None]
+
     def strip(self):
         """Open interval of contour abscissas separating the pole families.
 
@@ -113,15 +204,30 @@ class FoxHSpec:
         return lo, hi
 
     def contour_abscissa(self, log_z=0.0):
-        """Abscissa c of the integration line: the strip midpoint, or on a
-        half-infinite strip the point 1, 2, 4, ... from the poles nearest the
-        saddle of |chi(c) z^-c|, where the integrand is not far larger than H.
+        """Abscissa c of the integration line for a scalar log z (giving a
+        float) or for each entry of a vector (giving an array).
+
+        Of a set of trial points, the one where log|chi(c) z^-c| is lowest,
+        so that the integrand is not far larger than H: on a half-infinite
+        strip the points 1, 2, 4, ... from the poles; on a finite strip the
+        midpoint and the points 1/2, 3/4, 7/8 and 15/16 of the way from it to
+        either edge.  The midpoint keeps the widest step, so it stays unless
+        it lies more than _SADDLE_SLACK nats higher, where its trapezoid sum
+        would cancel away more than about two digits.
         """
         lo, hi = self.strip()
         if math.isfinite(lo) and math.isfinite(hi):
-            return 0.5 * (lo + hi)
-        trial = [lo + 2.0 ** j if math.isfinite(lo) else hi - 2.0 ** j for j in range(12)]
-        return min(trial, key=lambda c: _log_chi(self, complex(c)).real - c * log_z)
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            toward = 1.0 - 0.5 ** np.arange(1, 5)
+            trial = mid + half * np.concatenate([[0.0], -toward, toward])
+        else:
+            trial = lo + 2.0 ** np.arange(12) if math.isfinite(lo) else hi - 2.0 ** np.arange(12)
+        lz = np.atleast_1d(np.asarray(log_z, dtype=float))
+        height = _log_chi(self, trial).real[:, None] - trial[:, None] * lz
+        c = trial[np.argmin(height, axis=0)]
+        if math.isfinite(lo) and math.isfinite(hi):
+            c[height[0] - height.min(axis=0) <= _SADDLE_SLACK] = mid
+        return float(c[0]) if np.ndim(log_z) == 0 else c
 
     def decay_rate(self):
         """Exponential decay rate of |chi(c+it)| as |t| grows.
@@ -133,12 +239,15 @@ class FoxHSpec:
 
 
 def _log_chi(spec, s):
-    """Log of the gamma-product kernel chi(s) of the Mellin-Barnes integrand."""
-    return sum(sign * _scipy_loggamma(x0 + k * s) for sign, x0, k in spec.factors())
+    """Log of the gamma-product kernel chi(s) at each point of a vector s, from
+    one _loggamma call on the stacked arguments of all factors."""
+    sign, x0, k = spec.factor_columns
+    return (sign * _loggamma(x0 + k * s)).sum(0)
 
 
 _MARGIN = 10.0  # nats of accuracy the step and the cut-off aim for beyond rel_tol
-_BLOCK = 1 << 14  # complex entries per block of the phase matrix exp(-i t log z)
+_SADDLE_SLACK = 4.0  # nats the midpoint of a finite strip may lie above the best trial abscissa
+_BLOCK = 1 << 14  # entries per block of a (points x nodes) matrix
 
 
 def contour_integral(spec, c, log_z, rel_tol=1e-12):
@@ -146,11 +255,12 @@ def contour_integral(spec, c, log_z, rel_tol=1e-12):
 
     The trapezoid rule on t = Im s >= 0 (conjugate symmetry folds the line)
     converges geometrically: Trefethen & Weideman, SIAM Review 56, 2014.
-    log chi is evaluated once; each z costs one row of exp(-i t log z) and
-    a dot product.  The step is the largest 2 pi a / (rise + log(1/rel_tol)
-    + margin) over half-widths a below the pole gap, rise being how far
-    log|chi(s) z^-s| climbs on the real axis at c -+ a.  Nodes stop where
-    |chi| is that far below its peak and past its Stirling turning point.
+    log chi is evaluated once; each z costs one row of the factored phase
+    matrix exp(-i t log z) (_phase_sums).  The step is the largest
+    2 pi a / (rise + log(1/rel_tol) + margin) over half-widths a below the
+    pole gap, rise being how far log|chi(s) z^-s| climbs on the real axis
+    at c -+ a.  Nodes stop where |chi| is that far below its peak and past
+    its Stirling turning point.
 
     Returns (log_scale, scaled, err): the integral is exp(log_scale) *
     scaled; err estimates its relative error from the sum on every second
@@ -169,18 +279,19 @@ def contour_integral(spec, c, log_z, rel_tol=1e-12):
     if not np.all(np.isfinite(log_z)):
         raise ValueError("fox_h: argument must be positive and finite")
     target = _MARGIN - math.log(rel_tol)
-    at_c = _log_chi(spec, complex(c)).real
-    h = 0.0
-    for a in 0.9 * gap / 2.0 ** np.arange(5):
-        below = _log_chi(spec, complex(c - a)).real - at_c + a * log_z
-        above = _log_chi(spec, complex(c + a)).real - at_c - a * log_z
-        rise = np.maximum(np.maximum(below, above), 0.0)
-        step = 2.0 * math.pi * a / (rise.max() + target)
-        if step > h:
-            h, rise_at_h = step, rise
+    a = 0.9 * gap / 2.0 ** np.arange(5)[:, None]
+    probe = _log_chi(spec, c + np.concatenate([[0.0], -a[:, 0], a[:, 0]])).real
+    at_c, below, above = probe[0], probe[1:6, None], probe[6:, None]
+    rise = np.maximum(np.maximum(below - at_c + a * log_z, above - at_c - a * log_z), 0.0)
+    steps = 2.0 * math.pi * a[:, 0] / (rise.max(axis=1) + target)
+    h, rise_at_h = steps.max(), rise[np.argmax(steps)]
     log_chi, peak = np.empty(0, dtype=complex), -math.inf
+    # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by target near t_fall +
+    # target/kappa; the first batch of nodes reaches a quarter beyond that
+    more_nodes = int(1.25 * (t_fall + target / kappa) / h) + 16
     while len(log_chi) < 1 << 20:
-        more = _log_chi(spec, c + 1j * h * np.arange(len(log_chi), 2 * len(log_chi) + 64))
+        more = _log_chi(spec, c + 1j * h * np.arange(len(log_chi), len(log_chi) + more_nodes))
+        more_nodes = len(log_chi) + len(more) + 64
         log_chi, peak = np.concatenate([log_chi, more]), max(peak, more.real.max())
         if h * (len(log_chi) - 1) >= t_fall and log_chi[-1].real < peak - target:
             break
@@ -189,17 +300,46 @@ def contour_integral(spec, c, log_z, rel_tol=1e-12):
     keep = max(np.flatnonzero(log_chi.real >= peak - target)[-1] + 2, int(t_fall / h) + 1)
     w = np.exp(log_chi[:keep] - peak)
     w[0] *= 0.5
-    full, half = np.empty(len(log_z)), np.empty(len(log_z))
-    rows = max(1, _BLOCK // keep)
-    for i in range(0, len(log_z), rows):
-        phase = np.exp(np.outer(-1j * log_z[i:i + rows], h * np.arange(keep)))
-        # einsum, not matmul: BLAS threads cost more than this product
-        full[i:i + rows] = np.einsum("ij,j->i", phase, w).real
-        half[i:i + rows] = np.einsum("ij,j->i", phase[:, ::2], w[::2]).real
+    full, half = _phase_sums(w, h, log_z)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = (full - 2.0 * half) ** 2 / (abs(full) * np.abs(w).sum() * np.exp(rise_at_h))
         err += 2.0 * abs(w[-1]) / (kappa * h * abs(full))
     return peak - c * log_z, full * (h / math.pi), err
+
+
+def _powers(base, count):
+    """Rows base^0, ..., base^(count - 1) of a complex vector, by repeated
+    multiplication: count products instead of count exponentials."""
+    out = np.empty((count, len(base)), dtype=complex)
+    out[0], out[1:] = 1.0, base
+    return np.multiply.accumulate(out, axis=0)
+
+
+def _phase_sums(w, h, log_z):
+    """Re sum_j w_j exp(-i h j log z) over all nodes j, and over the even
+    ones, for every log z.
+
+    With node j = a B + b and B even, exp(-i h j log z) = exp(-i h B a log z)
+    exp(-i h b log z), so each z costs one exponential, about 2 sqrt(len(w))
+    powers of it, and len(w) multiply-adds in a matrix product.  b has the
+    parity of j, so the half-step sum takes the even rows of the same product.
+    """
+    cols = 2 * max(1, round(0.5 * math.sqrt(len(w))))
+    blocks = -(-len(w) // cols)
+    w_ba = np.zeros(blocks * cols, dtype=complex)
+    w_ba[:len(w)] = w
+    w_ba = w_ba.reshape(blocks, cols).T.copy()
+    full, half = np.empty(len(log_z)), np.empty(len(log_z))
+    # each product has at most _BLOCK multiply-adds, well below the size at
+    # which OpenBLAS hands it to threads that spin for longer than it takes
+    rows = max(1, _BLOCK // (blocks * cols))
+    for i in range(0, len(log_z), rows):
+        by_b = _powers(np.exp(-1j * h * log_z[i:i + rows]), cols)
+        m = w_ba @ _powers(by_b[-1] * by_b[1], blocks)
+        m *= by_b
+        full[i:i + rows] = m.sum(axis=0).real
+        half[i:i + rows] = m[::2].sum(axis=0).real
+    return full, half
 
 
 def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
@@ -267,13 +407,25 @@ def log_mean_power(mu, c, p, k):
     return log_e
 
 
+def contour_integrals(spec, log_z, rel_tol=1e-12):
+    """contour_integral for each entry of a vector log z, on the line
+    spec.contour_abscissa picks for it: one node set per distinct abscissa.
+    Returns (log_scale, scaled, err) as contour_integral does."""
+    log_z = np.atleast_1d(np.asarray(log_z, dtype=float))
+    c = spec.contour_abscissa(log_z)
+    out = np.empty((3, len(log_z)))
+    for abscissa in set(c.tolist()):
+        on = c == abscissa
+        out[:, on] = contour_integral(spec, abscissa, log_z[on], rel_tol)
+    return out
+
+
 def fox_h(spec, z, rel_tol=1e-12):
     """Fox H function: contour_integral on Re s = spec.contour_abscissa(log z),
     raising TruncationError if its error estimate exceeds rel_tol."""
     if z <= 0:
         raise ValueError("fox_h: argument must be positive, got %r" % (z,))
-    log_z = math.log(z)
-    log_scale, scaled, err = contour_integral(spec, spec.contour_abscissa(log_z), log_z, rel_tol)
+    log_scale, scaled, err = contour_integrals(spec, math.log(z), rel_tol)
     if not err[0] <= rel_tol:
         raise TruncationError("fox_h: error estimate %g exceeds %g" % (err[0], rel_tol))
     return math.exp(log_scale[0]) * float(scaled[0])

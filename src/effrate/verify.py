@@ -52,11 +52,11 @@ def _check_route_agreement():
     for link in _ROUTE_LINKS:
         rq = rate_exact_quadrature(link, _ROUTE_RHOS).tolist()
         rf = rate_exact_foxh(link, _ROUTE_RHOS).tolist()
-        for q, f, rho in zip(rq, rf, _ROUTE_RHOS):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rg = rate_exact_meijerg(link, rho)
-            worst = max(worst, _rel(q, f), _rel(f, rg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rg = rate_exact_meijerg(link, _ROUTE_RHOS).tolist()
+        for q, f, g in zip(rq, rf, rg):
+            worst = max(worst, _rel(q, f), _rel(f, g))
     return worst, len(_ROUTE_LINKS) * len(_ROUTE_RHOS)
 
 

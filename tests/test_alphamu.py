@@ -8,9 +8,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special as sps, stats
 
-from effrate.alphamu import AlphaMuParams, cdf, moment, pdf, sample, special_case
+from effrate.alphamu import AlphaMuParams, _gammainc, cdf, moment, pdf, sample, special_case
 
 _P = AlphaMuParams(alpha=3.0, mu=1.5, mean_snr=2.0)
 
@@ -107,6 +107,19 @@ def test_cdf_values_and_consistency():
         np.testing.assert_allclose(cdf(_P, x), part, rtol=1e-10)
     g = np.linspace(0.0, 10.0, 50)
     assert np.all(np.diff(cdf(_P, g)) > 0)
+
+
+def test_incomplete_gamma_matches_scipy_gammainc():
+    # the numpy incomplete gamma behind cdf, with scipy as the oracle, over
+    # both sides of the series / continued-fraction switch at u = mu + 1
+    u = np.logspace(-8.0, 4.0, 400)
+    for mu in np.concatenate([np.logspace(-1.0, np.log10(200.0), 60), [1.0, 20.0]]):
+        near = mu + 1.0 + np.linspace(-4.0, 4.0, 33) * math.sqrt(mu)
+        x = np.concatenate([u, near[(near >= 1e-8) & (near <= 1e4)]])
+        got = _gammainc(mu, x)
+        want = sps.gammainc(mu, x)
+        err = np.abs(got - want)
+        assert np.all((err <= 1e-13 * want) | (err <= 1e-15)), (mu, x[np.argmax(err)])
 
 
 def test_sample_reproducible_and_consistent():

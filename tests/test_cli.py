@@ -373,15 +373,24 @@ def test_verify_pdf_check_flags_scaled_density(monkeypatch):
 
 
 def test_import_leaves_scipy_integrate_out():
+    # scipy is a test dependency only: neither the import nor a contour
+    # route nor the whole verification table may load any part of it
+    script = (
+        "import contextlib, io, sys, effrate.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "rate = 'rate --alpha 3 --mu 1.5 --nt 2 --delay-a 0.5 --snr-db 10 --method foxh'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [effrate.cli.main(rate.split()), effrate.cli.main(['verify', '--fast'])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, effrate.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:2] == ["False", "[0, 0] False"]
 
 
 # ------------------------------------------------------------- entry point

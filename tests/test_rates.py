@@ -100,16 +100,28 @@ def test_foxh_large_fitted_mu_matches_quadrature():
             assert _rel(got, rate_exact_quadrature(link, rho)) < 1e-6, (alpha, mu, rho)
 
 
+@pytest.mark.filterwarnings("ignore:rate_exact_meijerg")  # fitted alpha of n_t > 1 falls back
 def test_foxh_vector_call_matches_points():
     rhos = 10.0 ** (np.linspace(-10.0, 30.0, 121) / 10.0)
     for alpha, mu, n_t, a in ((0.8, 3.0, 4, 1.0), (3.0, 0.75, 2, 2.0), (8.0, 1.0, 1, 0.5)):
         link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
-        vec = rate_exact_foxh(link, rhos)
-        assert isinstance(vec, np.ndarray) and vec.shape == rhos.shape
-        for rho, got in zip(rhos, vec):
-            one = rate_exact_foxh(link, rho)
-            assert isinstance(one, float)
-            assert _rel(got, one) <= 1e-12, (alpha, mu, n_t, a, rho)
+        for route in (rate_exact_foxh, rate_exact_meijerg):
+            vec = route(link, rhos)
+            assert isinstance(vec, np.ndarray) and vec.shape == rhos.shape
+            for rho, got in zip(rhos, vec):
+                one = route(link, rho)
+                assert isinstance(one, float)
+                assert _rel(got, one) <= 1e-12, (route.__name__, alpha, mu, n_t, a, rho)
+
+
+def test_foxh_high_snr_large_fitted_mu_repro():
+    # fitted mu 16 and A = 4: the strip midpoint lies 9 and 13 nats above
+    # the saddle of |chi(c) z^-c| at these rho, where its sum lost 3e-12
+    # and raised TruncationError; the line nearer the saddle is exact
+    link = MisoLink(n_t=16, delay_a=4.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
+    rhos = (1e3, 1e4)
+    for got, want in zip(rate_exact_foxh(link, rhos), rate_nakagami(1.0, 1.0, 16, 4.0, rhos)):
+        assert _rel(got, want) <= 1e-12
 
 
 def test_gamma_routes_vector_call_matches_points():

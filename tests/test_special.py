@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
+from effrate import special
 from effrate.special import (
     ContourError,
     FoxHSpec,
@@ -55,6 +56,22 @@ def test_log_gamma_real_axis_matches_lgamma():
         got = log_gamma_complex(x)
         assert got.imag == 0.0
         np.testing.assert_allclose(got.real, math.lgamma(x), rtol=1e-14)
+
+
+def test_log_gamma_matches_scipy_loggamma():
+    # the box of the contour kernels, a band around the real axis and the
+    # negative real axis on both sides of its cut, against scipy as an oracle
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-30.0, 0.0, 20_000)
+    z = np.concatenate([
+        rng.uniform(-30.0, 60.0, 100_000) + 1j * rng.uniform(-200.0, 200.0, 100_000),
+        rng.uniform(-30.0, 60.0, 50_000) + 1j * rng.uniform(-1e-3, 1e-3, 50_000),
+        x[x != np.round(x)] + 0j,
+        np.conj(x[x != np.round(x)] + 0j),
+    ])
+    want = sps.loggamma(z)
+    err = np.abs(log_gamma_complex(z) - want) / np.maximum(np.abs(want), 1.0)
+    assert err.max() <= 1e-14, z[np.argmax(err)]
 
 
 def test_log_gamma_poles_raise():
@@ -213,6 +230,35 @@ def test_fox_h_rate_kernel_frozen():
         m=2, n=1, upper_pairs=((1.0, 1.0),), lower_pairs=((2.0, 1.0), (1.0, 1.0))
     )
     np.testing.assert_allclose(fox_h(spec, 1.0), 0.4036526376768059, rtol=1e-10)
+
+
+def test_phase_sums_match_direct_exponentials(monkeypatch):
+    # the factored phase matrix against one exponential per node and per
+    # log z, on the node sets of real sweeps; the scale is sum |w|, since at
+    # the ends of this log z range the sums cancel to far below it
+    seen = []
+    factored = special._phase_sums
+
+    def spy(w, h, log_z):
+        seen.append((w, h))
+        return factored(w, h, log_z)
+
+    monkeypatch.setattr(special, "_phase_sums", spy)
+    log_z = np.linspace(-60.0, 60.0, 1000)
+    for spec in (
+        FoxHSpec(m=2, n=1, upper_pairs=((1.0, 1.5),), lower_pairs=((2.0, 1.0), (0.5, 1.5))),
+        FoxHSpec(m=2, n=1, upper_pairs=((1.0, 0.4),), lower_pairs=((3.0, 1.0), (2.0, 0.4))),
+        FoxHSpec(m=1, n=1, upper_pairs=((-0.5, 1.0),), lower_pairs=((0.0, 1.0),)),
+        FoxHSpec(m=1, n=0, upper_pairs=(), lower_pairs=((0.0, 0.5),)),
+    ):
+        special.contour_integral(spec, spec.contour_abscissa(), log_z)
+    assert len(seen) == 4
+    for w, h in seen:
+        full, half = factored(w, h, log_z)
+        terms = np.exp(-1j * np.outer(log_z, h * np.arange(len(w)))) * w
+        scale = np.abs(w).sum()
+        assert np.abs(full - terms.sum(axis=1).real).max() <= 1e-13 * scale
+        assert np.abs(half - terms[:, ::2].sum(axis=1).real).max() <= 1e-13 * scale
 
 
 def test_fox_h_strip_validation():
