@@ -28,7 +28,7 @@ for snr_db in (0, 5, 10, 15, 20):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rg = rate_exact_meijerg(link, rho)
-    rn = rate_nakagami(link.branch.mu, 1.0, link.n_t, link.delay_a, rho)
+    rn = rate_nakagami(link, rho)
     est, hw = simulate_rate(link, rho, McConfig(samples=400_000, seed=snr_db))
     print("  %5d   %10.7f   %10.7f   %10.7f   %10.7f   %10.7f +- %.5f" % (
         snr_db, rq, rf, rg, rn, est, hw))

@@ -26,11 +26,9 @@ from .rates import (
 from .special import (
     ContourError,
     FoxHSpec,
-    MeijerGSpec,
     TruncationError,
     fox_h,
     log_gamma_complex,
-    meijer_g,
     tricomi_u,
 )
 from .sumfit import FitConvergenceError, SumFit, fit_sum, sum_moments
@@ -43,7 +41,6 @@ __all__ = [
     "FitConvergenceError",
     "FoxHSpec",
     "McConfig",
-    "MeijerGSpec",
     "MisoLink",
     "RationalizationError",
     "SumFit",
@@ -56,7 +53,6 @@ __all__ = [
     "gamma_expectation",
     "high_snr_validity",
     "log_gamma_complex",
-    "meijer_g",
     "moment",
     "parametric_eb_n0",
     "pdf",

@@ -44,15 +44,6 @@ METHOD_LABELS = (
     "awgn",
 )
 
-_FLAG_TO_LABEL = {
-    "foxh": "fox_h",
-    "meijerg": "meijer_g",
-    "quadrature": "quadrature",
-    "nakagami": "nakagami_closed",
-    "high-snr": "high_snr",
-}
-
-
 @dataclass(frozen=True)
 class RateCurve:
     """One sweep result: x-axis dB values, rates, and the producing method."""
@@ -137,25 +128,16 @@ def curve_to_json_obj(curve):
     }
 
 
-def _sweep_rates(link, rhos, label, mc=None):
-    """Evaluate one method over a grid of linear SNRs.  The exact routes and
-    Monte Carlo take the grid in one call, setting their kernel up (or drawing
-    the branch sums) once; the rest go point by point."""
-    if label == "monte_carlo":
-        rates, halfwidths = simulate_rate(link, rhos, mc)
-        return rates.tolist(), halfwidths.tolist()
-    if label in ("fox_h", "meijer_g", "quadrature"):
-        rate = {"fox_h": rate_exact_foxh, "meijer_g": rate_exact_meijerg,
-                "quadrature": rate_exact_quadrature}[label]
-        return rate(link, rhos).tolist(), None
-    if label == "nakagami_closed":
-        b = link.branch
-        if abs(b.alpha - 2.0) > 1e-12:
-            raise ValueError("method nakagami requires alpha = 2 (got alpha=%g)" % b.alpha)
-        return rate_nakagami(b.mu, b.mean_snr, link.n_t, link.delay_a, rhos).tolist(), None
-    if label == "awgn":
-        return [math.log2(1.0 + rho) for rho in rhos], None
-    return [rate_high_snr(link, rho) for rho in rhos], None
+def _routes():
+    """{--method flag: (CSV label, rate route)}.  Built per call, so that a
+    route replaced on this module (by a tracer, say) is the one called."""
+    return {
+        "foxh": ("fox_h", rate_exact_foxh),
+        "meijerg": ("meijer_g", rate_exact_meijerg),
+        "quadrature": ("quadrature", rate_exact_quadrature),
+        "nakagami": ("nakagami_closed", rate_nakagami),
+        "high-snr": ("high_snr", rate_high_snr),
+    }
 
 
 def _write_output(text, out):
@@ -169,7 +151,7 @@ def _write_output(text, out):
 def cmd_rate(args):
     branch = AlphaMuParams(alpha=args.alpha, mu=args.mu, mean_snr=args.mean_snr)
     link = MisoLink(n_t=args.nt, delay_a=args.delay_a, branch=branch)
-    label = _FLAG_TO_LABEL[args.method]
+    label, route = _routes()[args.method]
     if args.snr_db is not None:
         xs = (args.snr_db,)
     else:
@@ -177,8 +159,7 @@ def cmd_rate(args):
         step = (stop - start) / (points - 1)
         xs = tuple(start + i * step for i in range(points))
     rhos = [db_to_linear(x) for x in xs]
-    vals, ci = _sweep_rates(link, rhos, label)
-    curve = RateCurve(x_db=xs, rate=tuple(vals), method=label, ci_halfwidth=ci)
+    curve = RateCurve(x_db=xs, rate=tuple(route(link, rhos).tolist()), method=label)
     buf = io.StringIO()
     if args.format == "csv":
         curve_to_csv(curve, buf)
@@ -247,12 +228,12 @@ def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
     drawn = []
     for idx, (val, link) in enumerate(_figure_links(fig)):
         tag = "fig%d_%s%g" % (num, fig["family"], val)
-        vals, _ = _sweep_rates(link, rhos_fine, "fox_h")
+        vals = rate_exact_foxh(link, rhos_fine).tolist()
         _emit(out_dir, tag + "_exact", RateCurve(xs_fine, tuple(vals), "fox_h"),
               drawn, "%s=%g exact" % (fig["family"], val))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vals, _ = _sweep_rates(link, rhos_fine, "high_snr")
+            vals = rate_high_snr(link, rhos_fine).tolist()
         # the asymptote line crosses zero inside the plot window; keep its
         # visible (nonnegative) part only
         kept = [(x, v) for x, v in zip(xs_fine, vals) if v >= 0.0]
@@ -260,12 +241,12 @@ def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
               RateCurve(tuple(x for x, _ in kept), tuple(v for _, v in kept), "high_snr"),
               drawn, "%s=%g high-SNR" % (fig["family"], val), dash="6,4")
         mc = McConfig(samples=mc_samples, seed=seed + 1000 * idx, streams=8)
-        vals, ci = _sweep_rates(link, rhos_mc, "monte_carlo", mc=mc)
+        vals, ci = simulate_rate(link, rhos_mc, mc)
         _emit(out_dir, tag + "_mc",
-              RateCurve(xs_mc, tuple(vals), "monte_carlo", tuple(ci)),
+              RateCurve(xs_mc, tuple(vals.tolist()), "monte_carlo", tuple(ci.tolist())),
               drawn, "%s=%g simulated" % (fig["family"], val))
-    vals, _ = _sweep_rates(_figure_links(fig)[0][1], rhos_fine, "awgn")
-    _emit(out_dir, "fig%d_awgn" % num, RateCurve(xs_fine, tuple(vals), "awgn"),
+    awgn = tuple(math.log2(1.0 + rho) for rho in rhos_fine)
+    _emit(out_dir, "fig%d_awgn" % num, RateCurve(xs_fine, awgn, "awgn"),
           drawn, "AWGN benchmark", dash="2,3")
     svg.render(
         os.path.join(out_dir, "fig%d.svg" % num),
@@ -290,10 +271,10 @@ def _sweep_eb_n0_figure(num, fig, out_dir, seed, mc_samples):
               drawn, "A=%g wideband" % val, dash="6,4")
         mc = McConfig(samples=mc_samples, seed=seed + 1000 * idx, streams=8)
         sub = list(range(0, len(rhos), 3))
-        vals, ci = _sweep_rates(
-            link, [rhos[i] for i in sub], "monte_carlo", mc=mc)
+        vals, ci = simulate_rate(link, [rhos[i] for i in sub], mc)
         _emit(out_dir, tag + "_mc",
-              RateCurve(tuple(ebs_db[i] for i in sub), tuple(vals), "monte_carlo", tuple(ci)),
+              RateCurve(tuple(ebs_db[i] for i in sub), tuple(vals.tolist()), "monte_carlo",
+                        tuple(ci.tolist())),
               drawn, "A=%g simulated" % val)
     svg.render(
         os.path.join(out_dir, "fig%d.svg" % num),
@@ -346,7 +327,7 @@ def build_parser():
     group.add_argument("--snr-db-range", type=_parse_range, metavar="START:STOP:POINTS")
     p_rate.add_argument(
         "--method",
-        choices=("foxh", "meijerg", "quadrature", "nakagami", "high-snr"),
+        choices=tuple(_routes()),
         required=True,
     )
     p_rate.add_argument("--mean-snr", type=float, default=1.0)

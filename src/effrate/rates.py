@@ -12,6 +12,9 @@ interchangeable evaluations: a trapezoid sum in the Gamma domain, a Fox H
 contour integral, and a Meijer G form obtained by rationalizing alpha/2.
 A Tricomi-U closed form covers the Nakagami-m line, and both ends of the SNR
 axis get dedicated asymptotics.
+
+Every rate route takes (link, rho): rho is a scalar, giving a float, or a
+sequence, giving an array, and a sequence sets the route's kernel up once.
 """
 
 import math
@@ -23,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .alphamu import AlphaMuParams, moment
-from .special import (FoxHSpec, MeijerGSpec, TruncationError, contour_integral,
-                      contour_integrals, gamma_expectation, log_mean_power, tricomi_u)
+from .special import (FoxHSpec, TruncationError, contour_integral, contour_integrals,
+                      gamma_expectation, log_mean_power, tricomi_u)
 from .special import fox_h  # noqa: F401  bench/spans.py traces calls through rates.fox_h
 from .sumfit import fit_sum
 
@@ -145,8 +148,9 @@ def _rationalize_half_alpha(alpha, cap=25):
 
 
 def _delta_block(n, tau):
-    """The n-term arithmetic block tau/n, (tau+1)/n, ..., (tau+n-1)/n."""
-    return tuple((tau + j) / n for j in range(n))
+    """The n-term arithmetic block tau/n, (tau+1)/n, ..., (tau+n-1)/n, as
+    (value, 1) pairs of a unit-coefficient Fox H spec."""
+    return tuple(((tau + j) / n, 1.0) for j in range(n))
 
 
 def rate_exact_meijerg(link, rho, cap=25):
@@ -180,12 +184,12 @@ def rate_exact_meijerg(link, rho, cap=25):
     params = AlphaMuParams(alpha=alpha, mu=p.mu, mean_snr=p.mean_snr)
     beta = params.beta
     amu2 = alpha * params.mu / 2.0
-    spec = MeijerGSpec(
+    spec = FoxHSpec(
         m=k + l,
         n=l,
-        uppers=_delta_block(l, 1.0 - amu2),
-        lowers=_delta_block(k, 0.0) + _delta_block(l, a_qos - amu2),
-    ).as_fox_h()
+        upper_pairs=_delta_block(l, 1.0 - amu2),
+        lower_pairs=_delta_block(k, 0.0) + _delta_block(l, a_qos - amu2),
+    )
     log_ratio = np.log(link.n_t / rhos)
     log_x = l * log_ratio - k * (0.5 * alpha * math.log(beta) + math.log(k))
     log_scale, scaled, err = contour_integrals(spec, log_x)
@@ -207,27 +211,28 @@ def rate_exact_meijerg(link, rho, cap=25):
     return _like_rho(rho, -log_e / (a_qos * LN2))
 
 
-def rate_nakagami(m, omega, n_t, delay_a, rho):
+def rate_nakagami(link, rho):
     """Closed-form effective rate for Nakagami-m branches (alpha = 2).
 
-    The branch SNRs are Gamma distributed, their sum is exactly
-    Gamma(m n_t, omega/m), and the expectation collapses to a Tricomi U:
+    With m the branch mu and omega its mean SNR, the branch SNRs are Gamma
+    distributed, their sum is exactly Gamma(m n_t, omega/m), and the
+    expectation collapses to a Tricomi U:
 
         R = (m n_t / A) log2(omega rho / (m n_t))
             - (1/A) log2 U(m n_t; m n_t + 1 - A; m n_t / (omega rho))
           = -(1/A) log2( z^(m n_t) U(m n_t; m n_t + 1 - A; z) ),  z = m n_t / (omega rho),
 
     the second form through the log-scaled U, so no large logarithms cancel.
-    rho is a scalar or a sequence, as for rate_exact_quadrature.
+    rho is a scalar or a sequence, as for rate_exact_quadrature.  Raises
+    ValueError unless the branch alpha is 2 within 1e-12.
     """
-    if not (m > 0 and omega > 0 and delay_a > 0):
-        raise ValueError("rate_nakagami: need m, omega and delay_a > 0")
-    if n_t < 1 or n_t != int(n_t):
-        raise ValueError("rate_nakagami: n_t must be a positive integer")
-    mn = m * n_t
-    z = mn / (omega * _rho_vector(rho))
-    log_u = tricomi_u(mn, mn + 1.0 - delay_a, z, log_scaled=True)
-    return _like_rho(rho, -log_u / (delay_a * LN2))
+    b = link.branch
+    if abs(b.alpha - 2.0) > 1e-12:
+        raise ValueError("rate_nakagami: needs alpha = 2, got alpha=%g" % b.alpha)
+    mn = b.mu * link.n_t
+    z = mn / (b.mean_snr * _rho_vector(rho))
+    log_u = tricomi_u(mn, mn + 1.0 - link.delay_a, z, log_scaled=True)
+    return _like_rho(rho, -log_u / (link.delay_a * LN2))
 
 
 def high_snr_validity(link):
@@ -247,11 +252,12 @@ def rate_high_snr(link, rho):
 
         R ~ log2(beta rho / n_t) - (1/A) log2( Gamma(mu - 2A/alpha) / Gamma(mu) )
 
-    in the fitted sum parameters.  Requires A < alpha mu / 2; between that
-    bound and the conservative A < alpha mu / 2 - 1 a warning is emitted
-    because convergence becomes slow.
+    in the fitted sum parameters.  rho is a scalar or a sequence, as for
+    rate_exact_quadrature.  Requires A < alpha mu / 2; between that bound
+    and the conservative A < alpha mu / 2 - 1 a warning is emitted because
+    convergence becomes slow.
     """
-    _rho_vector(rho)
+    rhos = _rho_vector(rho)
     required, conservative = high_snr_validity(link)
     p = link.fit.fitted
     if not required:
@@ -266,7 +272,7 @@ def rate_high_snr(link, rho):
         )
     a_qos = link.delay_a
     gap = math.lgamma(p.mu - 2.0 * a_qos / p.alpha) - math.lgamma(p.mu)
-    return math.log2(p.beta * rho / link.n_t) - gap / (a_qos * LN2)
+    return _like_rho(rho, np.log2(p.beta * rhos / link.n_t) - gap / (a_qos * LN2))
 
 
 def channel_power_moments(link):
@@ -310,10 +316,10 @@ def rate_low_snr(link, eb_n0):
     return s0 * math.log2(eb_n0 / eb_min)
 
 
-def parametric_eb_n0(link, rho, rate_fn=None):
-    """Map an SNR point to the (Eb/N0, rate) plane: Eb/N0 = rho / R(rho)."""
-    fn = rate_fn or rate_exact_quadrature
-    r = fn(link, rho)
+def parametric_eb_n0(link, rho):
+    """Map an SNR point to the (Eb/N0, rate) plane: Eb/N0 = rho / R(rho),
+    with R from rate_exact_quadrature."""
+    r = rate_exact_quadrature(link, rho)
     if not np.all(np.asarray(r) > 0):
         raise ArithmeticError("parametric_eb_n0: rate is not positive at rho=%r" % (rho,))
     return (rho if np.ndim(rho) == 0 else np.asarray(rho, dtype=float)) / r, r

@@ -1,7 +1,8 @@
 """Gamma-family special functions used by the rate expressions.
 
 The workhorses are two trapezoid-rule kernels: Mellin-Barnes contour
-integrals (Fox H, and Meijer G through its Fox H form), and expectations
+integrals (Fox H, which covers Meijer G as the case with all gamma
+argument coefficients 1), and expectations
 over a Gamma weight, which also give the Tricomi confluent hypergeometric
 function U(a;b;z).  Everything is evaluated in log space so
 that gamma-function products with large arguments neither overflow nor lose
@@ -430,32 +431,3 @@ def fox_h(spec, z, rel_tol=1e-12):
         raise TruncationError("fox_h: error estimate %g exceeds %g" % (err[0], rel_tol))
     return math.exp(log_scale[0]) * float(scaled[0])
 
-
-@dataclass(frozen=True)
-class MeijerGSpec:
-    """Order and parameters of a Meijer G function G^{m,n}_{p,q}.
-
-    The Fox H special case with all gamma argument coefficients equal to 1.
-    """
-
-    m: int
-    n: int
-    uppers: tuple
-    lowers: tuple
-
-    def __post_init__(self):
-        # delegate validation to the H form
-        self.as_fox_h()
-
-    def as_fox_h(self):
-        return FoxHSpec(
-            m=self.m,
-            n=self.n,
-            upper_pairs=tuple((a, 1.0) for a in self.uppers),
-            lower_pairs=tuple((b, 1.0) for b in self.lowers),
-        )
-
-
-def meijer_g(spec, z, rel_tol=1e-12):
-    """Meijer G function, evaluated through its Fox H equivalent."""
-    return fox_h(spec.as_fox_h(), z, rel_tol=rel_tol)

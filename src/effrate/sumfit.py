@@ -117,11 +117,10 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
     alpha = 2 (within 1e-12) short-circuits to the exact sum law
     Gamma(n_t mu), where Newton would solve an ill-conditioned system for a
     known answer; its residuals are those of the two ratios at (2, n_t mu).
+    sum_moments raises ValueError unless n_t is a positive integer.
     """
-    if n_t < 1 or n_t != int(n_t):
-        raise ValueError("fit_sum: n_t must be a positive integer")
-    n_t = int(n_t)
     (t1, t2), moments = _ratio_targets(branch, n_t)
+    n_t = int(n_t)
     if n_t == 1:
         return SumFit(fitted=branch, residuals=(0.0, 0.0), exact_moments=moments)
     if abs(branch.alpha - 2.0) <= 1e-12:

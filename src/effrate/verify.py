@@ -69,7 +69,7 @@ def _check_nakagami():
             for a in (0.5, 1.0):
                 link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=2.0, mu=m))
                 rf = rate_exact_foxh(link, rhos).tolist()
-                rn = rate_nakagami(m, 1.0, n_t, a, rhos).tolist()
+                rn = rate_nakagami(link, rhos).tolist()
                 for f, n in zip(rf, rn):
                     worst = max(worst, _rel(f, n))
                     count += 1

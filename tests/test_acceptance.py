@@ -90,7 +90,7 @@ def test_criterion_2_nakagami_reduction():
                 link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(2.0, m))
                 for rho in (1.0, 10.0):
                     rf = rate_exact_foxh(link, rho)
-                    rn = rate_nakagami(m, 1.0, n_t, a, rho)
+                    rn = rate_nakagami(link, rho)
                     worst = max(worst, _rel(rf, rn))
                     assert _rel(rf, rn) <= 1e-8, (m, n_t, a, rho)
     _report(2, "Nakagami closed form", "worst rel %.2e over 32 points" % worst)

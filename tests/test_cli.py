@@ -337,6 +337,47 @@ def test_sweep_respects_out_dir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "env_out" / "fig3.svg").exists()
 
 
+# --------------------------------------------------------------- tracing
+
+
+def test_bench_trace_targets_resolve():
+    # the benchmark's span recorder replaces each (module, attribute) it
+    # names and stops on one that is missing
+    import importlib
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, attr, _, _ in spans.PATCHES:
+        assert hasattr(importlib.import_module("effrate." + mod), attr), (mod, attr)
+
+
+def test_routes_replaced_on_cli_see_every_call(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rate_exact_foxh", "simulate_rate"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    code, _, err = _run(
+        ["rate", "--alpha", "2", "--mu", "1", "--nt", "1", "--delay-a", "1",
+         "--snr-db-range", "0:10:3", "--method", "foxh"],
+        capsys,
+    )
+    assert code == 0, err
+    assert calls == ["rate_exact_foxh"]
+    code, _, err = _run(_fig_args(1, tmp_path), capsys)
+    assert code == 0, err
+    assert calls[1:] == ["rate_exact_foxh", "simulate_rate"] * 4
+
+
 # ----------------------------------------------------------------- verify
 
 

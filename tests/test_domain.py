@@ -48,7 +48,7 @@ def test_routes_agree_or_raise_typed_errors(alpha, mu, n_t, delay_a, log10_rho):
     link = MisoLink(n_t=n_t, delay_a=delay_a, branch=AlphaMuParams(alpha=alpha, mu=mu))
     routes = [lambda: rate_exact_quadrature(link, rho), lambda: rate_exact_foxh(link, rho)]
     if alpha == 2.0:
-        routes.append(lambda: rate_nakagami(mu, 1.0, n_t, delay_a, rho))
+        routes.append(lambda: rate_nakagami(link, rho))
     got = [_outcome(fn) for fn in routes]
     if all(isinstance(r, Exception) for r in got[:2]):
         return

@@ -42,7 +42,7 @@ def test_rayleigh_point_all_routes():
     np.testing.assert_allclose(rate_exact_quadrature(_EXP_LINK, 1.0), ref, rtol=1e-12)
     np.testing.assert_allclose(rate_exact_foxh(_EXP_LINK, 1.0), ref, rtol=1e-10)
     np.testing.assert_allclose(rate_exact_meijerg(_EXP_LINK, 1.0), ref, rtol=1e-10)
-    np.testing.assert_allclose(rate_nakagami(1.0, 1.0, 1, 1.0, 1.0), ref, rtol=1e-12)
+    np.testing.assert_allclose(rate_nakagami(_EXP_LINK, 1.0), ref, rtol=1e-12)
 
 
 def test_routes_agree_on_mixed_grid():
@@ -72,7 +72,7 @@ def test_foxh_early_stop_repro():
     rho = 2.4129581672712884e-05
     rf = rate_exact_foxh(link, rho)
     assert _rel(rf, rate_exact_quadrature(link, rho)) < 1e-6
-    assert _rel(rf, rate_nakagami(2.0, 1.0, 1, 0.5, rho)) < 1e-6
+    assert _rel(rf, rate_nakagami(link, rho)) < 1e-6
 
 
 def test_foxh_narrow_strips_match_quadrature():
@@ -120,7 +120,7 @@ def test_foxh_high_snr_large_fitted_mu_repro():
     # and raised TruncationError; the line nearer the saddle is exact
     link = MisoLink(n_t=16, delay_a=4.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
     rhos = (1e3, 1e4)
-    for got, want in zip(rate_exact_foxh(link, rhos), rate_nakagami(1.0, 1.0, 16, 4.0, rhos)):
+    for got, want in zip(rate_exact_foxh(link, rhos), rate_nakagami(link, rhos)):
         assert _rel(got, want) <= 1e-12
 
 
@@ -128,17 +128,18 @@ def test_gamma_routes_vector_call_matches_points():
     rhos = 10.0 ** (np.linspace(-50.0, 40.0, 91) / 10.0)
     for alpha, mu, n_t, a in ((0.8, 3.0, 4, 1.0), (2.0, 0.75, 2, 2.0), (8.0, 1.0, 16, 0.5)):
         link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
-        routes = [lambda r: rate_exact_quadrature(link, r),
-                  lambda r: ergodic_capacity_quadrature(link, r)]
+        routes = [rate_exact_quadrature, ergodic_capacity_quadrature]
         if alpha == 2.0:
-            routes.append(lambda r: rate_nakagami(mu, 1.0, n_t, a, r))
+            routes.append(rate_nakagami)
+        if high_snr_validity(link)[0]:
+            routes.append(rate_high_snr)
         for route in routes:
-            vec = route(rhos)
+            vec = route(link, rhos)
             assert isinstance(vec, np.ndarray) and vec.shape == rhos.shape
             for rho, got in zip(rhos, vec):
-                one = route(rho)
+                one = route(link, rho)
                 assert isinstance(one, float)
-                assert _rel(got, one) <= 1e-12, (alpha, mu, n_t, a, rho)
+                assert _rel(got, one) <= 1e-12, (route.__name__, alpha, mu, n_t, a, rho)
 
 
 def test_routes_match_nakagami_where_newton_failed():
@@ -148,7 +149,7 @@ def test_routes_match_nakagami_where_newton_failed():
     for mu in (3.013, 3.594):
         for a in (0.5, 1.0, 2.0):
             link = MisoLink(n_t=16, delay_a=a, branch=AlphaMuParams(alpha=2.0, mu=mu))
-            closed = rate_nakagami(mu, 1.0, 16, a, rhos)
+            closed = rate_nakagami(link, rhos)
             for route in (rate_exact_foxh, rate_exact_quadrature):
                 worst = np.max(np.abs(route(link, rhos) / closed - 1.0))
                 assert worst <= 1e-12, (mu, a, route.__name__, worst)
@@ -201,7 +202,7 @@ def test_rate_rejects_bad_snr():
     with pytest.raises(ValueError):
         rate_exact_quadrature(_EXP_LINK, [1.0, -2.0])
     with pytest.raises(ValueError):
-        rate_nakagami(1.0, 1.0, 1, 1.0, [0.0, 1.0])
+        rate_nakagami(_EXP_LINK, [0.0, 1.0])
 
 
 # ----------------------------------------------------------- Nakagami forms
@@ -217,7 +218,8 @@ _NAKAGAMI_REF = [
 
 def test_nakagami_frozen_values():
     for m, n_t, a, rho, ref in _NAKAGAMI_REF:
-        np.testing.assert_allclose(rate_nakagami(m, 1.0, n_t, a, rho), ref, rtol=1e-12)
+        link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=2.0, mu=m))
+        np.testing.assert_allclose(rate_nakagami(link, rho), ref, rtol=1e-12)
 
 
 def test_nakagami_agrees_with_contour_route():
@@ -226,16 +228,22 @@ def test_nakagami_agrees_with_contour_route():
             link = MisoLink(n_t=n_t, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=m))
             for rho in (1.0, 10.0):
                 np.testing.assert_allclose(
-                    rate_nakagami(m, 1.0, n_t, 1.0, rho),
+                    rate_nakagami(link, rho),
                     rate_exact_foxh(link, rho),
                     rtol=1e-8,
                 )
 
 
+def test_nakagami_needs_alpha_two():
+    link = MisoLink(n_t=2, delay_a=1.0, branch=AlphaMuParams(alpha=3.0, mu=2.0))
+    with pytest.raises(ValueError, match="alpha"):
+        rate_nakagami(link, 10.0)
+
+
 def test_nakagami_scale_parameter():
     # omega is the per-branch mean SNR; doubling it must match doubling rho
-    r1 = rate_nakagami(2.0, 2.0, 2, 0.5, 5.0)
-    r2 = rate_nakagami(2.0, 1.0, 2, 0.5, 10.0)
+    r1 = rate_nakagami(MisoLink(2, 0.5, AlphaMuParams(2.0, 2.0, mean_snr=2.0)), 5.0)
+    r2 = rate_nakagami(MisoLink(2, 0.5, AlphaMuParams(2.0, 2.0, mean_snr=1.0)), 10.0)
     np.testing.assert_allclose(r1, r2, rtol=1e-12)
 
 
