@@ -9,6 +9,7 @@ sweep-figures.
 """
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -129,7 +130,8 @@ def curve_to_json_obj(curve):
 
 
 def _routes():
-    """{--method flag: (CSV label, rate route)}.  Built per call, so that a
+    """{--method flag: (CSV label, rate route)}.  The parser, built once per
+    process, takes only the keys; `cmd_rate` builds the table per call, so a
     route replaced on this module (by a tracer, say) is the one called."""
     return {
         "foxh": ("fox_h", rate_exact_foxh),
@@ -358,9 +360,22 @@ def build_parser():
     return parser
 
 
+# main() reuses one parser per process: parse_args fills a fresh Namespace on
+# every call and leaves the parser as it was.  build_parser() still returns a
+# new parser, so a caller that edits the one it gets cannot reach main().
+_parser = functools.cache(build_parser)
+
+
+def _one_line_warning(message, category, filename, lineno, line=None):
+    return "warning: %s\n" % message
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # warnings still go through the filters and any catch_warnings of the
+    # caller; only their stderr text becomes one line without a source path
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
     try:
         return args.func(args)
     except FitConvergenceError as err:
@@ -372,6 +387,8 @@ def main(argv=None):
     except OSError as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -83,6 +83,37 @@ def test_rate_sweep_lets_no_warning_escape(capsys):
             assert [str(w.message) for w in caught] == [], (alpha, mu, n_t, a, method)
 
 
+def test_rate_warnings_reach_stderr_as_one_line(capsys):
+    # the fallback and slow-convergence warnings print as one "warning:" line
+    # with no source path, still pass through a caller's catch_warnings, and
+    # leave stdout as it was
+    for argv, prefix in (
+        ("rate --alpha 3 --mu 1.5 --nt 2 --delay-a 0.5 --snr-db 10 --method meijerg",
+         "rate_exact_meijerg: "),
+        ("rate --alpha 2 --mu 1 --nt 1 --delay-a 0.6 --snr-db 10 --method high-snr",
+         "rate_high_snr: "),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "effrate.cli", *argv.split()],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("warning: " + prefix), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "rates.py" not in proc.stderr
+        assert os.path.dirname(effrate.alphamu.__file__) not in proc.stderr
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(argv.split(), capsys)
+        assert warnings.formatwarning is formatwarning
+        assert code == 0 and err == ""
+        assert [str(w.message).startswith(prefix) for w in caught] == [True]
+        assert proc.stdout == out
+
+
 def test_rate_json_format(capsys):
     import json
 
@@ -337,6 +368,63 @@ def test_sweep_respects_out_dir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "env_out" / "fig3.svg").exists()
 
 
+# ------------------------------------------------------------ parser reuse
+
+
+def test_parser_is_built_once_and_help_is_unchanged(capsys):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rate", "--help"])
+    assert exc.value.code == 0
+    via_main = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["rate", "--help"])
+    assert exc.value.code == 0
+    assert via_main == capsys.readouterr().out
+    assert via_main.startswith("usage: effrate rate ")
+
+
+def test_no_argument_carries_between_calls(tmp_path, capsys):
+    rate = ["rate", "--alpha", "2", "--mu", "1.5", "--nt", "2", "--delay-a", "1",
+            "--snr-db-range", "0:10:3", "--method", "nakagami"]
+    out_file = tmp_path / "curve.json"
+    code, out, err = _run(rate + ["--format", "json", "--out", str(out_file)], capsys)
+    assert code == 0 and out == "" and err == ""
+    with open(out_file) as fh:
+        assert fh.read().startswith("{")
+    code, csv_out, err = _run(rate, capsys)
+    assert code == 0 and err == ""
+    assert csv_out.startswith("snr_db,rate,method,ci_halfwidth\n")
+
+    # a --seed given once does not become the default of the next call
+    dirs = {name: tmp_path / name for name in ("seed9", "unseeded", "seed0")}
+    for name, extra in (("seed9", ("--seed", "9")), ("unseeded", ()), ("seed0", ("--seed", "0"))):
+        code, _, err = _run(_fig_args(3, dirs[name], extra=extra), capsys)
+        assert code == 0, err
+    names = sorted(p.name for p in dirs["seed0"].iterdir())
+
+    def contents(name):
+        return [(dirs[name] / n).read_bytes() for n in names]
+
+    assert sorted(p.name for p in dirs["unseeded"].iterdir()) == names
+    assert contents("unseeded") == contents("seed0")
+    assert contents("seed9") != contents("seed0")
+
+    # neither another subcommand nor a rejected argv leaves state behind
+    code, _, _ = _run(["fit-sum", "--alpha", "3", "--mu", "1.5", "--nt", "4"], capsys)
+    assert code == 0
+    code, first, _ = _run(rate, capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(rate[:-4] + ["--snr-db-range", "1:0:3", "--method", "nakagami"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, last, err = _run(rate, capsys)
+    assert code == 0 and err == ""
+    assert last == first == csv_out
+
+
 # --------------------------------------------------------------- tracing
 
 
@@ -356,6 +444,9 @@ def test_bench_trace_targets_resolve():
 
 
 def test_routes_replaced_on_cli_see_every_call(tmp_path, capsys, monkeypatch):
+    # the parser exists before the wrappers go in; the route table does not
+    code, _, err = _run(["fit-sum", "--alpha", "3", "--mu", "1.5", "--nt", "4"], capsys)
+    assert code == 0, err
     calls = []
 
     def counting(name, fn):

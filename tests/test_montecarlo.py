@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from effrate.alphamu import AlphaMuParams
-from effrate.montecarlo import McConfig, simulate_ergodic_capacity, simulate_rate
+from effrate.montecarlo import McConfig, _branch_sum, simulate_ergodic_capacity, simulate_rate
 from effrate.rates import MisoLink, ergodic_capacity_quadrature, rate_exact_quadrature
 
 _RAYLEIGH = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
@@ -50,6 +50,16 @@ def test_vector_call_rows_equal_scalar_calls():
             assert (rates[j], halfwidths[j]) == simulate_rate(link, rho, cfg)
         ergodic = simulate_ergodic_capacity(link, rhos, cfg)
         assert ergodic.tolist() == [simulate_ergodic_capacity(link, rho, cfg) for rho in rhos]
+
+
+def test_branch_sum_is_the_row_reduction_bit_for_bit():
+    # the column adds below 8 branches, and the reduction from 8 on, leave
+    # every estimate as the row sums made it
+    rng = np.random.default_rng(5)
+    for n_t in range(1, 21):
+        for count in (1, 7, 12_500):
+            draws = rng.gamma(0.7, size=(count, n_t)) * rng.uniform(0.1, 10.0)
+            assert np.array_equal(_branch_sum(draws), draws.sum(axis=1)), (n_t, count)
 
 
 def test_interval_shrinks_with_samples():
