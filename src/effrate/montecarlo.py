@@ -45,16 +45,9 @@ def _stream_plan(cfg):
 
 
 def _branch_sum(draws):
-    """Row sums of a (count, n_t) block of branch draws, bit for bit
-    draws.sum(axis=1).
-
-    numpy adds a row of fewer than 8 entries in order, which one in-place add
-    per column reproduces at a tenth to a quarter of the cost of the
-    reduction along the short axis; from 8 entries on it keeps eight partial
-    sums, so wider blocks take the reduction itself.
-    """
-    if draws.shape[1] >= 8:
-        return draws.sum(axis=1)
+    """Row sums of a (count, n_t) block of branch draws, by one in-place add
+    per branch column: a tenth to a quarter of the cost of draws.sum(axis=1)
+    along the short axis."""
     total = draws[:, 0].copy()
     for k in range(1, draws.shape[1]):
         total += draws[:, k]
