@@ -6,7 +6,7 @@ array with independent alpha-mu branches.
 """
 
 from .alphamu import AlphaMuParams, cdf, moment, pdf, sample, special_case
-from .montecarlo import McConfig, simulate_ergodic_capacity, simulate_rate
+from .montecarlo import McConfig, simulate_ergodic_capacity, simulate_rate, simulate_rates
 from .rates import (
     MisoLink,
     RationalizationError,
@@ -65,6 +65,7 @@ __all__ = [
     "sample",
     "simulate_ergodic_capacity",
     "simulate_rate",
+    "simulate_rates",
     "special_case",
     "sum_moments",
     "tricomi_u",

@@ -160,9 +160,18 @@ def moment(params, n):
 
 
 def sample(params, rng, size=None):
-    """Draw SNR realizations: beta * W^(2/alpha) with W ~ Gamma(mu, 1)."""
-    w = rng.gamma(shape=params.mu, scale=1.0, size=size)
-    return params.beta * w ** (2.0 / params.alpha)
+    """Draw SNR realizations: beta * W^(2/alpha) with W ~ Gamma(mu, 1).
+
+    params is one AlphaMuParams, giving one array, or a sequence of them
+    that share mu, giving an iterator of arrays, one per entry, all from one
+    draw of W; each array is made when the iterator reaches it.
+    """
+    if isinstance(params, AlphaMuParams):
+        return next(sample([params], rng, size))
+    if len({p.mu for p in params}) != 1:
+        raise ValueError("sample: need one or more branches that share mu")
+    w = rng.gamma(shape=params[0].mu, scale=1.0, size=size)
+    return (p.beta * w ** (2.0 / p.alpha) for p in params)
 
 
 def special_case(params, tol=1e-12):

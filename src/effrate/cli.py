@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from . import svg
 from .alphamu import AlphaMuParams
-from .montecarlo import McConfig, simulate_rate
+from .montecarlo import McConfig, simulate_rates
+from .montecarlo import simulate_rate  # noqa: F401  bench/spans.py traces cli.simulate_rate
 from .rates import (
     MisoLink,
     parametric_eb_n0,
@@ -227,8 +228,12 @@ def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
     xs_mc = tuple(0.0 + 2.0 * i for i in range(11))
     rhos_fine = [db_to_linear(x) for x in xs_fine]
     rhos_mc = [db_to_linear(x) for x in xs_mc]
+    links = _figure_links(fig)
+    # one set of draws serves every curve that shares mu (common random numbers)
+    mc = simulate_rates([link for _, link in links], rhos_mc,
+                        McConfig(samples=mc_samples, seed=seed, streams=8))
     drawn = []
-    for idx, (val, link) in enumerate(_figure_links(fig)):
+    for (val, link), (mc_rates, mc_ci) in zip(links, mc):
         tag = "fig%d_%s%g" % (num, fig["family"], val)
         vals = rate_exact_foxh(link, rhos_fine).tolist()
         _emit(out_dir, tag + "_exact", RateCurve(xs_fine, tuple(vals), "fox_h"),
@@ -242,10 +247,8 @@ def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
         _emit(out_dir, tag + "_asymptote",
               RateCurve(tuple(x for x, _ in kept), tuple(v for _, v in kept), "high_snr"),
               drawn, "%s=%g high-SNR" % (fig["family"], val), dash="6,4")
-        mc = McConfig(samples=mc_samples, seed=seed + 1000 * idx, streams=8)
-        vals, ci = simulate_rate(link, rhos_mc, mc)
         _emit(out_dir, tag + "_mc",
-              RateCurve(xs_mc, tuple(vals.tolist()), "monte_carlo", tuple(ci.tolist())),
+              RateCurve(xs_mc, tuple(mc_rates.tolist()), "monte_carlo", tuple(mc_ci.tolist())),
               drawn, "%s=%g simulated" % (fig["family"], val))
     awgn = tuple(math.log2(1.0 + rho) for rho in rhos_fine)
     _emit(out_dir, "fig%d_awgn" % num, RateCurve(xs_fine, awgn, "awgn"),
@@ -261,22 +264,23 @@ def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
 
 def _sweep_eb_n0_figure(num, fig, out_dir, seed, mc_samples):
     rhos = [10.0 ** (-4.0 + 6.0 * i / 27.0) for i in range(28)]
+    sub = list(range(0, len(rhos), 3))
+    links = _figure_links(fig)
+    mc = simulate_rates([link for _, link in links], [rhos[i] for i in sub],
+                        McConfig(samples=mc_samples, seed=seed, streams=8))
     drawn = []
-    for idx, (val, link) in enumerate(_figure_links(fig)):
+    for (val, link), (mc_rates, mc_ci) in zip(links, mc):
         tag = "fig%d_%s%g" % (num, fig["family"], val)
         ebs, rates = parametric_eb_n0(link, rhos)
         ebs_db = tuple(linear_to_db(eb) for eb in ebs.tolist())
         _emit(out_dir, tag + "_exact", RateCurve(ebs_db, tuple(rates.tolist()), "quadrature"),
               drawn, "A=%g exact" % val)
-        approx = tuple(rate_low_snr(link, db_to_linear(x)) for x in ebs_db)
+        approx = tuple(rate_low_snr(link, [db_to_linear(x) for x in ebs_db]).tolist())
         _emit(out_dir, tag + "_wideband", RateCurve(ebs_db, approx, "low_snr_wideband"),
               drawn, "A=%g wideband" % val, dash="6,4")
-        mc = McConfig(samples=mc_samples, seed=seed + 1000 * idx, streams=8)
-        sub = list(range(0, len(rhos), 3))
-        vals, ci = simulate_rate(link, [rhos[i] for i in sub], mc)
         _emit(out_dir, tag + "_mc",
-              RateCurve(tuple(ebs_db[i] for i in sub), tuple(vals.tolist()), "monte_carlo",
-                        tuple(ci.tolist())),
+              RateCurve(tuple(ebs_db[i] for i in sub), tuple(mc_rates.tolist()), "monte_carlo",
+                        tuple(mc_ci.tolist())),
               drawn, "A=%g simulated" % val)
     svg.render(
         os.path.join(out_dir, "fig%d.svg" % num),

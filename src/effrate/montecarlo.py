@@ -5,7 +5,8 @@ agreement with the analytic pipeline checks the fitted approximation and the
 contour integrals at once.  Draws are partitioned into independent streams
 with fixed per-stream seeds and reduced in stream order, which makes every
 estimate bit-reproducible for a given (seed, streams) pair no matter how the
-work is scheduled.
+work is scheduled.  Links that share mu and n_t, simulated together, share
+their draws: the curves of a figure are compared on common random numbers.
 """
 
 import math
@@ -54,64 +55,86 @@ def _branch_sum(draws):
     return total
 
 
-def _accumulate(link, rhos, cfg, term_fn):
-    """Stream-ordered mean/variance accumulation of term_fn over SNR sums.
+def _accumulate(links, rhos, cfg, term_fn):
+    """Stream-ordered (mean, variance) of term_fn(link, log1p(rho S / n_t),
+    out) for every link and rho: one list of pairs per link.
 
-    Each stream's branch draws are summed once and serve every rho; the
-    totals of each rho still accumulate in stream order, so the estimate at
-    rhos[j] is the one a call with that rho alone gives.
+    Links that share (branch.mu, n_t) share one stream plan and one unit
+    Gamma block per stream (common random numbers across the links of a
+    figure).  Each distinct branch reduces the block to S / n_t once, each
+    rho costs one log1p per branch, and each link one term_fn call.  The
+    totals of each (link, rho) still accumulate in stream order, so every
+    row is the one a call with that link, or that rho, alone gives.
     """
-    totals = [0.0] * len(rhos)
-    totals_sq = [0.0] * len(rhos)
-    n = 0
-    for rng, count in _stream_plan(cfg):
-        if count == 0:
-            continue
-        draws = sample(link.branch, rng, size=(count, link.n_t))
-        snr_sum = _branch_sum(draws)
-        for j, rho in enumerate(rhos):
-            terms = term_fn(rho * snr_sum / link.n_t)
-            totals[j] += float(terms.sum())
-            totals_sq[j] += float(np.square(terms).sum())
-        n += count
+    totals = [[0.0] * len(rhos) for _ in links]
+    totals_sq = [[0.0] * len(rhos) for _ in links]
+    groups = {}
+    for i, link in enumerate(links):
+        groups.setdefault((link.branch.mu, link.n_t), {}).setdefault(link.branch, []).append(i)
+    for (_, n_t), by_branch in groups.items():
+        for rng, count in _stream_plan(cfg):
+            log1p_x, terms = np.empty(count), np.empty(count)
+            for indices, draws in zip(by_branch.values(),
+                                      sample(list(by_branch), rng, size=(count, n_t))):
+                s_avg = _branch_sum(draws)
+                s_avg /= n_t
+                for j, rho in enumerate(rhos):
+                    np.log1p(np.multiply(s_avg, rho, out=log1p_x), out=log1p_x)
+                    for i in indices:
+                        term_fn(links[i], log1p_x, terms)
+                        totals[i][j] += float(terms.sum())
+                        totals_sq[i][j] += float(np.square(terms, out=terms).sum())
+    n = cfg.samples
     stats = []
-    for total, total_sq in zip(totals, totals_sq):
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
-        stats.append((mean, var))
-    return stats, n
+    for link_totals, link_totals_sq in zip(totals, totals_sq):
+        means = [total / n for total in link_totals]
+        stats.append([(mean, max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1))
+                      for mean, total_sq in zip(means, link_totals_sq)])
+    return stats
 
 
-def simulate_rate(link, rho, cfg):
-    """Monte Carlo effective rate with a delta-method 95% interval.
+def _decay_term(link, log1p_x, out):
+    return np.exp(np.multiply(log1p_x, -link.delay_a, out=out), out=out)
+
+
+def _log_term(link, log1p_x, out):
+    return np.divide(log1p_x, LN2, out=out)
+
+
+def simulate_rates(links, rho, cfg):
+    """Monte Carlo effective rates of several links with a delta-method 95%
+    interval each: [simulate_rate(link, rho, cfg) for link in links], bit
+    for bit, with the draws of links that share (branch.mu, n_t) made once.
 
     Estimates X = E{(1 + rho S / n_t)^-A} by the sample mean, maps it through
     R = -(1/A) log2 X, and propagates the standard error through the log:
     halfwidth = 1.96 sd(X) / (sqrt(M) A ln2 X).
 
-    Returns (rate, ci_halfwidth): floats for a scalar rho, arrays for a
-    sequence.  One set of branch draws serves every rho of a sequence (common
-    random numbers), so the errors of its points are correlated, while each
-    row is bit-for-bit the scalar call at that rho.
+    Returns one (rate, ci_halfwidth) pair per link: floats for a scalar rho,
+    arrays for a sequence.  One set of branch draws serves every rho of a
+    sequence and every link of a (mu, n_t) group (common random numbers), so
+    the errors of those points are correlated.
     """
-    rhos = _rho_vector(rho).tolist()
-    a_qos = link.delay_a
+    links = list(links)
+    if not links:
+        raise ValueError("simulate_rates: need at least one link")
+    n = cfg.samples
+    out = []
+    for link, row in zip(links, _accumulate(links, _rho_vector(rho).tolist(), cfg, _decay_term)):
+        a_ln2 = link.delay_a * LN2
+        rate = np.array([-math.log(mean) / a_ln2 for mean, _ in row])
+        halfwidth = np.array([1.96 * math.sqrt(var / n) / (a_ln2 * mean) for mean, var in row])
+        out.append((_like_rho(rho, rate), _like_rho(rho, halfwidth)))
+    return out
 
-    def decay_term(x):
-        return np.exp(-a_qos * np.log1p(x))
 
-    stats, n = _accumulate(link, rhos, cfg, decay_term)
-    rate = np.array([-math.log(mean) / (a_qos * LN2) for mean, _ in stats])
-    halfwidth = np.array([1.96 * math.sqrt(var / n) / (a_qos * LN2 * mean) for mean, var in stats])
-    return _like_rho(rho, rate), _like_rho(rho, halfwidth)
+def simulate_rate(link, rho, cfg):
+    """Monte Carlo effective rate of one link: simulate_rates([link], rho, cfg)[0]."""
+    return simulate_rates([link], rho, cfg)[0]
 
 
 def simulate_ergodic_capacity(link, rho, cfg):
     """Monte Carlo E{log2(1 + rho S / n_t)}, the no-QoS ceiling; rho is a
     scalar or a sequence, with one set of draws serving every rho."""
-
-    def log_term(x):
-        return np.log1p(x) / LN2
-
-    stats, _ = _accumulate(link, _rho_vector(rho).tolist(), cfg, log_term)
-    return _like_rho(rho, np.array([mean for mean, _ in stats]))
+    (row,) = _accumulate([link], _rho_vector(rho).tolist(), cfg, _log_term)
+    return _like_rho(rho, np.array([mean for mean, _ in row]))

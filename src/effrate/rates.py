@@ -304,16 +304,20 @@ def wideband_metrics(link):
 def rate_low_snr(link, eb_n0):
     """Wideband approximation R ~ S0 log2(eb_n0 / eb_n0_min).
 
-    Below the minimum energy per bit no positive rate is supportable; the
-    value is clamped to 0 and a warning raised.
+    eb_n0 is a scalar (giving a float) or a sequence (giving an array), as
+    rho is for the other routes.  Below the minimum energy per bit no
+    positive rate is supportable; such values are clamped to 0 and one
+    warning is raised.
     """
-    if not eb_n0 > 0:
+    if not np.all(np.asarray(eb_n0) > 0):
         raise ValueError("rate_low_snr: eb_n0 must be > 0")
+    ebs = np.atleast_1d(np.asarray(eb_n0, dtype=float)).tolist()
     eb_min, s0 = wideband_metrics(link)
-    if eb_n0 <= eb_min:
+    if min(ebs) <= eb_min:
         warnings.warn("rate_low_snr: eb_n0 at or below the minimum, rate clamped to 0")
-        return 0.0
-    return s0 * math.log2(eb_n0 / eb_min)
+    # math.log2 per point keeps libm's rounding, which numpy's may not match
+    return _like_rho(eb_n0, np.array([s0 * math.log2(eb / eb_min) if eb > eb_min else 0.0
+                                      for eb in ebs]))
 
 
 def parametric_eb_n0(link, rho):

@@ -265,8 +265,9 @@ def contour_integral(spec, c, log_z, rel_tol=1e-12):
 
     Returns (log_scale, scaled, err): the integral is exp(log_scale) *
     scaled; err estimates its relative error from the sum on every second
-    node (halving the step squares the error) plus the tail bound.  Off
-    spec.strip(), the result differs from H by the residues crossed.
+    node (halving the step squares the error), the tail bound and the
+    rounding of the sum.  Off spec.strip(), the result differs from H by
+    the residues crossed.
     """
     kappa = spec.decay_rate()
     if kappa <= 0:
@@ -302,9 +303,12 @@ def contour_integral(spec, c, log_z, rel_tol=1e-12):
     w = np.exp(log_chi[:keep] - peak)
     w[0] *= 0.5
     full, half = _phase_sums(w, h, log_z)
+    size = np.abs(w).sum()
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = (full - 2.0 * half) ** 2 / (abs(full) * np.abs(w).sum() * np.exp(rise_at_h))
+        err = (full - 2.0 * half) ** 2 / (abs(full) * size * np.exp(rise_at_h))
         err += 2.0 * abs(w[-1]) / (kappa * h * abs(full))
+        # rounding: a sum that cancels keeps about eps sum|w| / |sum w| of itself
+        err += 2.2e-16 * size / abs(full)
     return peak - c * log_z, full * (h / math.pi), err
 
 

@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 
 from .alphamu import AlphaMuParams, moment, pdf
-from .montecarlo import McConfig, simulate_rate
+from .montecarlo import McConfig, simulate_rates
+from .montecarlo import simulate_rate  # noqa: F401  bench/spans.py traces verify.simulate_rate
 from .rates import (
     LN2,
     MisoLink,
@@ -133,9 +134,8 @@ def _check_mc(samples, seed):
     rhos = (1.0, 10.0, 100.0)
     worst_ratio = 0.0
     count = 0
-    for i, link in enumerate(_FIG1_LINKS):
-        cfg = McConfig(samples=samples, seed=seed + 1000 * i, streams=8)
-        est, hw = simulate_rate(link, rhos, cfg)
+    mc = simulate_rates(_FIG1_LINKS, rhos, McConfig(samples=samples, seed=seed, streams=8))
+    for link, (est, hw) in zip(_FIG1_LINKS, mc):
         exact = rate_exact_foxh(link, rhos)
         allowance = np.maximum(1.5 * hw, 0.02 * exact)
         worst_ratio = max(worst_ratio, float(np.max(np.abs(est - exact) / allowance)))

@@ -130,6 +130,18 @@ def test_sample_reproducible_and_consistent():
     assert np.isscalar(scalar) or np.ndim(scalar) == 0
 
 
+def test_sample_group_shares_one_gamma_draw():
+    # branches that share mu transform one block of W, each as if drawn alone
+    group = [_P, AlphaMuParams(alpha=0.8, mu=1.5), AlphaMuParams(alpha=2.0, mu=1.5, mean_snr=4.0)]
+    blocks = list(sample(group, np.random.default_rng(123), size=(500, 3)))
+    assert len(blocks) == len(group)
+    for p, block in zip(group, blocks):
+        np.testing.assert_array_equal(block, sample(p, np.random.default_rng(123), size=(500, 3)))
+    for bad in ([], [_P, AlphaMuParams(alpha=3.0, mu=2.5)]):
+        with pytest.raises(ValueError):
+            sample(bad, np.random.default_rng(0), size=10)
+
+
 def test_sample_moments():
     rng = np.random.default_rng(2024)
     n = 200_000

@@ -334,19 +334,23 @@ def test_sweep_figure3_outputs(tmp_path, capsys):
 
 
 def test_sweep_mc_curve_is_one_call_per_link(tmp_path, capsys):
-    # one set of branch draws per link, seeded seed + 1000 * idx, serves
-    # every SNR point of the curve
-    code, _, err = _run(_fig_args(1, tmp_path, extra=("--seed", "4")), capsys)
-    assert code == 0, err
+    # the curves of a figure share draws, yet each one is bit for bit the
+    # single-link call at the command's seed
     xs_mc = tuple(2.0 * i for i in range(11))
-    rhos_mc = [cli.db_to_linear(x) for x in xs_mc]
-    for idx, (val, link) in enumerate(cli._figure_links(cli._FIG1)):
-        with open(tmp_path / ("fig1_alpha%g_mc.csv" % val)) as fh:
-            (curve,) = cli.curves_from_csv(fh)
-        rates, halfwidths = simulate_rate(link, rhos_mc, McConfig(2000, 4 + 1000 * idx, 8))
-        assert curve.x_db == xs_mc
-        assert curve.rate == tuple(rates.tolist())
-        assert curve.ci_halfwidth == tuple(halfwidths.tolist())
+    rhos_fig3 = [10.0 ** (-4.0 + 6.0 * i / 27.0) for i in range(0, 28, 3)]
+    for num, fig in ((1, cli._FIG1), (2, cli._FIG2), (3, cli._FIG3)):
+        out_dir = tmp_path / str(num)
+        code, _, err = _run(_fig_args(num, out_dir, extra=("--seed", "4")), capsys)
+        assert code == 0, err
+        rhos = rhos_fig3 if num == 3 else [cli.db_to_linear(x) for x in xs_mc]
+        for val, link in cli._figure_links(fig):
+            with open(out_dir / ("fig%d_%s%g_mc.csv" % (num, fig["family"], val))) as fh:
+                (curve,) = cli.curves_from_csv(fh)
+            rates, halfwidths = simulate_rate(link, rhos, McConfig(2000, 4, 8))
+            if num != 3:
+                assert curve.x_db == xs_mc
+            assert curve.rate == tuple(rates.tolist()), (num, val)
+            assert curve.ci_halfwidth == tuple(halfwidths.tolist()), (num, val)
 
 
 def test_sweep_outputs_byte_identical(tmp_path, capsys):
@@ -455,7 +459,7 @@ def test_routes_replaced_on_cli_see_every_call(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("rate_exact_foxh", "simulate_rate"):
+    for name in ("rate_exact_foxh", "simulate_rates"):
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     code, _, err = _run(
         ["rate", "--alpha", "2", "--mu", "1", "--nt", "1", "--delay-a", "1",
@@ -466,7 +470,7 @@ def test_routes_replaced_on_cli_see_every_call(tmp_path, capsys, monkeypatch):
     assert calls == ["rate_exact_foxh"]
     code, _, err = _run(_fig_args(1, tmp_path), capsys)
     assert code == 0, err
-    assert calls[1:] == ["rate_exact_foxh", "simulate_rate"] * 4
+    assert calls[1:] == ["simulate_rates"] + ["rate_exact_foxh"] * 4
 
 
 # ----------------------------------------------------------------- verify

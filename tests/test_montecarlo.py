@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from effrate.alphamu import AlphaMuParams
-from effrate.montecarlo import McConfig, _branch_sum, simulate_ergodic_capacity, simulate_rate
+from effrate.alphamu import sample
+from effrate.montecarlo import (McConfig, _branch_sum, _stream_plan, simulate_ergodic_capacity,
+                                simulate_rate, simulate_rates)
 from effrate.rates import MisoLink, ergodic_capacity_quadrature, rate_exact_quadrature
 
 _RAYLEIGH = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
@@ -50,6 +52,50 @@ def test_vector_call_rows_equal_scalar_calls():
             assert (rates[j], halfwidths[j]) == simulate_rate(link, rho, cfg)
         ergodic = simulate_ergodic_capacity(link, rhos, cfg)
         assert ergodic.tolist() == [simulate_ergodic_capacity(link, rho, cfg) for rho in rhos]
+
+
+def test_simulate_rates_rows_are_single_link_calls():
+    # two mu values, one branch under two values of A, n_t 1 and 3: links
+    # that share (mu, n_t) share draws, yet each row is its own call
+    cfg = McConfig(samples=10_007, seed=13, streams=8)
+    shared = AlphaMuParams(alpha=1.5, mu=0.8)
+    links = [
+        MisoLink(n_t=3, delay_a=0.7, branch=shared),
+        MisoLink(n_t=1, delay_a=2.0, branch=AlphaMuParams(alpha=4.0, mu=2.0)),
+        MisoLink(n_t=3, delay_a=2.5, branch=shared),
+        MisoLink(n_t=3, delay_a=0.7, branch=AlphaMuParams(alpha=0.8, mu=0.8)),
+        MisoLink(n_t=1, delay_a=0.7, branch=shared),
+    ]
+
+    def hexes(*values):
+        return [v.hex() for v in np.hstack(values).tolist()]
+
+    for rho in (10.0, [1e-3, 1.0, 10.0, 1e3]):
+        rows = simulate_rates(links, rho, cfg)
+        assert len(rows) == len(links)
+        for link, row in zip(links, rows):
+            single = simulate_rate(link, rho, cfg)
+            assert type(row[0]) is type(single[0])
+            assert hexes(*row) == hexes(*single), (link, rho)
+    with pytest.raises(ValueError):
+        simulate_rates([], 1.0, cfg)
+
+
+def test_ergodic_estimate_is_the_stream_ordered_mean():
+    # the parent estimator, written out: each stream's row sums, then
+    # log2(1 + rho S / n_t) summed per stream and in stream order
+    cfg = McConfig(samples=10_007, seed=13, streams=8)
+    rhos = [1e-3, 1.0, 1e3]
+    for n_t, alpha, mu in ((1, 1.5, 0.8), (2, 4.0, 2.0)):
+        link = MisoLink(n_t=n_t, delay_a=0.7, branch=AlphaMuParams(alpha=alpha, mu=mu))
+        totals = [0.0] * len(rhos)
+        for rng, count in _stream_plan(cfg):
+            snr_sum = sample(link.branch, rng, size=(count, n_t)).sum(axis=1)
+            for j, rho in enumerate(rhos):
+                totals[j] += float((np.log1p(rho * snr_sum / n_t) / math.log(2.0)).sum())
+        want = [total / cfg.samples for total in totals]
+        assert simulate_ergodic_capacity(link, rhos, cfg).tolist() == want
+        assert simulate_ergodic_capacity(link, rhos[1], cfg) == want[1]
 
 
 def test_branch_sum_matches_the_row_reduction():

@@ -26,6 +26,7 @@ from effrate.rates import (
     rate_nakagami,
     wideband_metrics,
 )
+from effrate.special import FoxHSpec, contour_integral
 
 _EXP_LINK = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
 
@@ -122,6 +123,23 @@ def test_foxh_high_snr_large_fitted_mu_repro():
     rhos = (1e3, 1e4)
     for got, want in zip(rate_exact_foxh(link, rhos), rate_nakagami(link, rhos)):
         assert _rel(got, want) <= 1e-12
+
+
+def test_contour_estimate_covers_rounding_on_the_strip_midpoint():
+    # on the link above the midpoint's trapezoid sum cancels; its error
+    # estimate must still reach half of the true error of E = 2^(-A R)
+    link = MisoLink(n_t=16, delay_a=4.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
+    p, a_qos = link.fit.fitted, link.delay_a
+    half_alpha = 0.5 * p.alpha
+    spec = FoxHSpec(m=2, n=1, upper_pairs=((1.0, half_alpha),),
+                    lower_pairs=((p.mu, 1.0), (a_qos, half_alpha)))
+    rhos = np.array([1e3, 1e4])
+    log_z = half_alpha * np.log(link.n_t / (rhos * p.beta))
+    log_scale, scaled, err = contour_integral(spec, 0.5 * sum(spec.strip()), log_z)
+    log_k = math.log(half_alpha) - math.lgamma(a_qos) - math.lgamma(p.mu)
+    e = np.exp(log_k + log_scale) * scaled
+    true_err = np.abs(e / np.exp2(-a_qos * rate_nakagami(link, rhos)) - 1.0)
+    assert np.all(err >= 0.5 * true_err), (err, true_err)
 
 
 def test_gamma_routes_vector_call_matches_points():
@@ -363,6 +381,21 @@ def test_low_snr_rate_shape():
         assert rate_low_snr(link, eb_min) == 0.0
     with pytest.raises(ValueError):
         rate_low_snr(link, 0.0)
+
+
+def test_low_snr_rate_takes_a_sequence():
+    link = MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=3.0, mu=1.5))
+    eb_min, _ = wideband_metrics(link)
+    ebs = [eb_min * f for f in (1.001, 1.5, 2.0, 10.0, 1e3)]
+    vec = rate_low_snr(link, ebs)
+    assert isinstance(vec, np.ndarray) and vec.shape == (len(ebs),)
+    assert vec.tolist() == [rate_low_snr(link, eb) for eb in ebs]
+    with pytest.warns(UserWarning, match="clamped") as record:
+        clamped = rate_low_snr(link, [0.5 * eb_min, eb_min, 2.0 * eb_min])
+    assert len(record) == 1
+    assert clamped.tolist() == [0.0, 0.0, rate_low_snr(link, 2.0 * eb_min)]
+    with pytest.raises(ValueError):
+        rate_low_snr(link, [1.0, 0.0])
 
 
 def test_parametric_curve_hits_intercept():
