@@ -5,13 +5,13 @@ Run:  python3 demos/01_fading_family.py
 
 import numpy as np
 
-from effrate import AlphaMuParams, moment, pdf, sample, special_case
+from effrate import AlphaMuParams, moment, pdf, sample
 
 print("Classical fading laws inside the family")
 print("---------------------------------------")
-for alpha, mu in ((2.0, 1.0), (2.0, 0.5), (2.0, 3.0), (3.5, 1.0), (0.8, 2.0)):
-    p = AlphaMuParams(alpha=alpha, mu=mu)
-    print("  alpha=%-4g mu=%-4g -> %s" % (alpha, mu, special_case(p)))
+for alpha, mu, law in ((2.0, 1.0, "rayleigh"), (2.0, 0.5, "one-sided-gaussian"),
+                       (2.0, 3.0, "nakagami-m"), (3.5, 1.0, "weibull"), (0.8, 2.0, "general")):
+    print("  alpha=%-4g mu=%-4g -> %s" % (alpha, mu, law))
 
 print()
 print("Density of the SNR for a few shapes (unit mean)")

@@ -5,7 +5,7 @@ Monte Carlo verification of the delay-QoS constrained rate of a transmit
 array with independent alpha-mu branches.
 """
 
-from .alphamu import AlphaMuParams, cdf, moment, pdf, sample, special_case
+from .alphamu import AlphaMuParams, moment, pdf, sample
 from .montecarlo import McConfig, simulate_ergodic_capacity, simulate_rate, simulate_rates
 from .rates import (
     MisoLink,
@@ -45,7 +45,6 @@ __all__ = [
     "RationalizationError",
     "SumFit",
     "TruncationError",
-    "cdf",
     "channel_power_moments",
     "ergodic_capacity_quadrature",
     "fit_sum",
@@ -66,7 +65,6 @@ __all__ = [
     "simulate_ergodic_capacity",
     "simulate_rate",
     "simulate_rates",
-    "special_case",
     "sum_moments",
     "tricomi_u",
     "wideband_metrics",

@@ -31,12 +31,16 @@ class AlphaMuParams:
     mean_snr: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0, got %r" % (self.alpha,))
-        if not self.mu > 0:
-            raise ValueError("mu must be > 0, got %r" % (self.mu,))
-        if not self.mean_snr > 0:
-            raise ValueError("mean_snr must be > 0, got %r" % (self.mean_snr,))
+        for name in ("alpha", "mu", "mean_snr"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and > 0, got %r" % (name, getattr(self, name)))
+        try:
+            beta = self.beta
+        except OverflowError:
+            beta = math.inf
+        if not 0 < beta < math.inf:
+            raise ValueError("power scale beta = %r out of range at alpha=%r, mu=%r, mean_snr=%r"
+                             % (beta, self.alpha, self.mu, self.mean_snr))
 
     @property
     def beta(self):
@@ -44,11 +48,6 @@ class AlphaMuParams:
         return self.mean_snr * math.exp(
             math.lgamma(self.mu) - math.lgamma(self.mu + 2.0 / self.alpha)
         )
-
-    @property
-    def r_hat(self):
-        """alpha-root mean of the underlying envelope, sqrt(mu^(2/alpha) beta)."""
-        return math.sqrt(self.mu ** (2.0 / self.alpha) * self.beta)
 
 
 def pdf(params, gamma):
@@ -86,66 +85,6 @@ def pdf(params, gamma):
     return out
 
 
-def cdf(params, gamma):
-    """Distribution function, a regularized lower incomplete gamma in disguise."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("cdf: gamma must be >= 0")
-    out = _gammainc(params.mu, (g / params.beta) ** (params.alpha / 2.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _gammainc(a, x):
-    """Regularized lower incomplete gamma P(a, x) for a > 0 and an array x >= 0.
-
-    Below x = a + 1 the power series of P, above it the continued fraction
-    of Q = 1 - P by the modified Lentz method (Numerical Recipes, section
-    6.2).  Both carry the factor x^a e^-x / Gamma(a + 1), whose logarithm
-    is formed as a log(x/a) - (x - a) - (lgamma(a + 1) - a log a + a), with
-    log1p for log(x/a) near x = a and the last bracket from Stirling's series
-    for large a, so that the large terms a log x and lgamma(a + 1) never
-    cancel.
-    """
-    x = np.asarray(x, dtype=float)
-    if a < 20.0:
-        stirling = math.lgamma(a + 1.0) - a * math.log(a) + a
-    else:
-        inv2 = 1.0 / (a * a)
-        stirling = 0.5 * math.log(2.0 * math.pi * a) + (
-            1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(abs(x - a) < 0.5 * a, np.log1p((x - a) / a), np.log(x / a))
-        factor = np.exp(a * log_ratio - (x - a) - stirling)
-    out = np.where(np.isnan(x), np.nan, np.where(x == np.inf, 1.0, 0.0))
-    low = np.flatnonzero((x > 0) & (x < a + 1.0))
-    if low.size:
-        xs = x.flat[low]
-        term, total, n = np.ones(low.size), np.ones(low.size), a
-        while np.any(term > 1e-17 * total):
-            n += 1.0
-            term *= xs / n
-            total += term
-        out.flat[low] = factor.flat[low] * total
-    high = np.flatnonzero((x >= a + 1.0) & (x < np.inf))
-    if high.size:
-        xs = x.flat[high]
-        b = xs + 1.0 - a
-        c, d = np.full(high.size, 1e300), 1.0 / b
-        frac, i = d.copy(), 0.0
-        while True:
-            i += 1.0
-            b += 2.0
-            d = 1.0 / (b - i * (i - a) * d)
-            c = b - i * (i - a) / c
-            frac *= d * c
-            if np.all(np.abs(d * c - 1.0) <= 1e-15):
-                break
-        out.flat[high] = 1.0 - a * factor.flat[high] * frac
-    return out
-
-
 def moment(params, n):
     """E{gamma^n} = beta^n Gamma(mu + 2n/alpha) / Gamma(mu).
 
@@ -173,22 +112,3 @@ def sample(params, rng, size=None):
     w = rng.gamma(shape=params[0].mu, scale=1.0, size=size)
     return (p.beta * w ** (2.0 / p.alpha) for p in params)
 
-
-def special_case(params, tol=1e-12):
-    """Name the classical fading law this parameter point reduces to.
-
-    Returns one of "rayleigh", "one-sided-gaussian", "nakagami-m", "weibull",
-    or "general".
-    """
-    a, mu = params.alpha, params.mu
-    alpha_is_2 = math.isclose(a, 2.0, rel_tol=0.0, abs_tol=tol)
-    mu_is_1 = math.isclose(mu, 1.0, rel_tol=0.0, abs_tol=tol)
-    if alpha_is_2 and mu_is_1:
-        return "rayleigh"
-    if alpha_is_2 and math.isclose(mu, 0.5, rel_tol=0.0, abs_tol=tol):
-        return "one-sided-gaussian"
-    if alpha_is_2:
-        return "nakagami-m"
-    if mu_is_1:
-        return "weibull"
-    return "general"

@@ -231,7 +231,7 @@ def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
     links = _figure_links(fig)
     # one set of draws serves every curve that shares mu (common random numbers)
     mc = simulate_rates([link for _, link in links], rhos_mc,
-                        McConfig(samples=mc_samples, seed=seed, streams=8))
+                        McConfig(samples=mc_samples, seed=seed))
     drawn = []
     for (val, link), (mc_rates, mc_ci) in zip(links, mc):
         tag = "fig%d_%s%g" % (num, fig["family"], val)
@@ -267,7 +267,7 @@ def _sweep_eb_n0_figure(num, fig, out_dir, seed, mc_samples):
     sub = list(range(0, len(rhos), 3))
     links = _figure_links(fig)
     mc = simulate_rates([link for _, link in links], [rhos[i] for i in sub],
-                        McConfig(samples=mc_samples, seed=seed, streams=8))
+                        McConfig(samples=mc_samples, seed=seed))
     drawn = []
     for (val, link), (mc_rates, mc_ci) in zip(links, mc):
         tag = "fig%d_%s%g" % (num, fig["family"], val)

@@ -4,8 +4,8 @@ Sampling happens at the branch level (no moment matching anywhere), so
 agreement with the analytic pipeline checks the fitted approximation and the
 contour integrals at once.  Draws are partitioned into independent streams
 with fixed per-stream seeds and reduced in stream order, which makes every
-estimate bit-reproducible for a given (seed, streams) pair no matter how the
-work is scheduled.  Links that share mu and n_t, simulated together, share
+estimate bit-reproducible for a given seed no matter how the work is
+scheduled.  Links that share mu and n_t, simulated together, share
 their draws: the curves of a figure are compared on common random numbers.
 """
 
@@ -18,6 +18,7 @@ from .alphamu import sample
 from .rates import _like_rho, _rho_vector
 
 LN2 = math.log(2.0)
+_STREAMS = 8  # independent streams the draws of one estimate are split into
 
 
 @dataclass(frozen=True)
@@ -26,23 +27,20 @@ class McConfig:
 
     samples: int = 1_000_000
     seed: int = 0
-    streams: int = 8
 
     def __post_init__(self):
         if self.samples < 1000:
             raise ValueError("McConfig: need at least 1000 samples")
-        if self.streams < 1 or self.streams > self.samples:
-            raise ValueError("McConfig: streams must be in [1, samples]")
 
 
 def _stream_plan(cfg):
     """Deterministic (rng, count) pairs, one per stream."""
     base = np.random.SeedSequence(cfg.seed)
-    children = base.spawn(cfg.streams)
-    counts = [cfg.samples // cfg.streams] * cfg.streams
-    for i in range(cfg.samples % cfg.streams):
+    children = base.spawn(_STREAMS)
+    counts = [cfg.samples // _STREAMS] * _STREAMS
+    for i in range(cfg.samples % _STREAMS):
         counts[i] += 1
-    return [(np.random.default_rng(children[i]), counts[i]) for i in range(cfg.streams)]
+    return [(np.random.default_rng(children[i]), counts[i]) for i in range(_STREAMS)]
 
 
 def _branch_sum(draws):

@@ -53,8 +53,8 @@ class MisoLink:
     def __post_init__(self):
         if self.n_t < 1 or self.n_t != int(self.n_t):
             raise ValueError("n_t must be a positive integer, got %r" % (self.n_t,))
-        if not self.delay_a > 0:
-            raise ValueError("delay_a must be > 0, got %r" % (self.delay_a,))
+        if not 0 < self.delay_a < math.inf:
+            raise ValueError("delay_a must be finite and > 0, got %r" % (self.delay_a,))
 
     @cached_property
     def fit(self):
@@ -62,10 +62,11 @@ class MisoLink:
 
 
 def _rho_vector(rho):
-    """rho as a 1-d array, after checking that every entry is > 0."""
-    if not np.all(np.asarray(rho) > 0):
-        raise ValueError("rho must be > 0, got %r" % (rho,))
-    return np.atleast_1d(np.asarray(rho, dtype=float))
+    """rho as a 1-d array, after checking that every entry is finite and > 0."""
+    rhos = np.atleast_1d(np.asarray(rho, dtype=float))
+    if not np.all((rhos > 0) & (rhos < math.inf)):
+        raise ValueError("rho must be finite and > 0, got %r" % (rho,))
+    return rhos
 
 
 def _like_rho(rho, values):

@@ -37,7 +37,6 @@ _LANCZOS_C = np.array([
 ])[:, None]
 _LANCZOS_K = np.arange(8.0)[:, None]
 _LANCZOS_OFFSET = 0.5 * math.log(2.0 * math.pi) - _LANCZOS_G
-_SHIFT_MAX = 16.0  # left of Re z = -_SHIFT_MAX the reflection formula replaces the shift
 
 
 def _lanczos(x, y):
@@ -64,15 +63,10 @@ def _loggamma(z):
     """Principal branch of log Gamma, elementwise on a complex array.
 
     Positive real arguments go to math.lgamma.  Otherwise z is shifted right
-    by log Gamma(z) = log Gamma(z + n) - sum_k log(z + k) until Re z >= 1/2:
-    with principal logs the identity keeps the principal branch, since both
-    sides are analytic off the negative real axis and agree on the positive
-    one.  Far left the reflection formula, in the form continuous on the
-    upper half-plane, takes over:
-
-        log Gamma(z) = log 2 pi - log Gamma(1 - z) + i pi (z - 1/2) - log(1 - e^(2 pi i z)),
-
-    and log Gamma(conj z) = conj log Gamma(z) below.  On the negative real
+    by log Gamma(z) = log Gamma(z + n) - sum_k log(z + k) until Re z >= 1/2,
+    one vector pass per unit of shift: with principal logs the identity
+    keeps the principal branch, since both sides are analytic off the
+    negative real axis and agree on the positive one.  On the negative real
     axis the sign of the zero imaginary part picks the side, as in numpy's
     log.  Poles give infinities or nan.
     """
@@ -81,8 +75,7 @@ def _loggamma(z):
     real = (y == 0) & (x > 0)
     if real.all():
         return np.array([math.lgamma(v) for v in x.tolist()], dtype=complex).reshape(z.shape)
-    far = x < -_SHIFT_MAX
-    n = np.fmax(np.where(far, 0.0, np.ceil(0.5 - x)), 0.0)
+    n = np.fmax(np.ceil(0.5 - x), 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         re, im = _lanczos(x + n, y)
         for k in range(int(n.max(initial=0.0))):
@@ -90,19 +83,6 @@ def _loggamma(z):
             xk, yk = x[i] + k, y[i]
             re[i] -= 0.5 * np.log(xk * xk + yk * yk)
             im[i] -= np.arctan2(yk, xk)
-        if far.any():
-            i = np.flatnonzero(far)
-            below = np.signbit(y[i])
-            xf, yf = x[i], np.abs(y[i])
-            re_r, im_r = _lanczos(1.0 - xf, -yf)
-            # 1 - e^(2 pi i z) as -expm1, with x reduced to the nearest integer
-            turn = math.pi * (xf - np.round(xf))
-            one_re = 2.0 * np.sin(turn) ** 2 - np.expm1(-2.0 * math.pi * yf) * np.cos(2.0 * turn)
-            one_im = -np.exp(-2.0 * math.pi * yf) * np.sin(2.0 * turn)
-            re[i] = (math.log(2.0 * math.pi) - re_r - math.pi * yf
-                     - 0.5 * np.log(one_re * one_re + one_im * one_im))
-            im[i] = np.where(below, -1.0, 1.0) * (
-                math.pi * (xf - 0.5) - im_r - np.arctan2(one_im, one_re))
     if real.any():
         re[real], im[real] = [math.lgamma(v) for v in x[real].tolist()], 0.0
     out = np.empty(x.shape, dtype=complex)
@@ -246,19 +226,21 @@ def _log_chi(spec, s):
     return (sign * _loggamma(x0 + k * s)).sum(0)
 
 
-_MARGIN = 10.0  # nats of accuracy the step and the cut-off aim for beyond rel_tol
+_MARGIN = 10.0  # nats of accuracy the step and the cut-off aim for beyond 1e-12
+_TARGET = _MARGIN - math.log(1e-12)  # nats below its peak an integrand is resolved to
 _SADDLE_SLACK = 4.0  # nats the midpoint of a finite strip may lie above the best trial abscissa
 _BLOCK = 1 << 14  # entries per block of a (points x nodes) matrix
+_MAX_NODES = 1 << 22  # node cap of gamma_expectation, 32 MB per array of nodes
 
 
-def contour_integral(spec, c, log_z, rel_tol=1e-12):
+def contour_integral(spec, c, log_z):
     """(1/2 pi i) int chi(s) z^-s ds on Re s = c, for a vector of log z.
 
     The trapezoid rule on t = Im s >= 0 (conjugate symmetry folds the line)
     converges geometrically: Trefethen & Weideman, SIAM Review 56, 2014.
     log chi is evaluated once; each z costs one row of the factored phase
     matrix exp(-i t log z) (_phase_sums).  The step is the largest
-    2 pi a / (rise + log(1/rel_tol) + margin) over half-widths a below the
+    2 pi a / (rise + log(1/1e-12) + margin) over half-widths a below the
     pole gap, rise being how far log|chi(s) z^-s| climbs on the real axis
     at c -+ a.  Nodes stop where |chi| is that far below its peak and past
     its Stirling turning point.
@@ -280,26 +262,25 @@ def contour_integral(spec, c, log_z, rel_tol=1e-12):
     log_z = np.atleast_1d(np.asarray(log_z, dtype=float))
     if not np.all(np.isfinite(log_z)):
         raise ValueError("fox_h: argument must be positive and finite")
-    target = _MARGIN - math.log(rel_tol)
     a = 0.9 * gap / 2.0 ** np.arange(5)[:, None]
     probe = _log_chi(spec, c + np.concatenate([[0.0], -a[:, 0], a[:, 0]])).real
     at_c, below, above = probe[0], probe[1:6, None], probe[6:, None]
     rise = np.maximum(np.maximum(below - at_c + a * log_z, above - at_c - a * log_z), 0.0)
-    steps = 2.0 * math.pi * a[:, 0] / (rise.max(axis=1) + target)
+    steps = 2.0 * math.pi * a[:, 0] / (rise.max(axis=1) + _TARGET)
     h, rise_at_h = steps.max(), rise[np.argmax(steps)]
     log_chi, peak = np.empty(0, dtype=complex), -math.inf
-    # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by target near t_fall +
-    # target/kappa; the first batch of nodes reaches a quarter beyond that
-    more_nodes = int(1.25 * (t_fall + target / kappa) / h) + 16
+    # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by _TARGET near t_fall +
+    # _TARGET/kappa; the first batch of nodes reaches a quarter beyond that
+    more_nodes = int(1.25 * (t_fall + _TARGET / kappa) / h) + 16
     while len(log_chi) < 1 << 20:
         more = _log_chi(spec, c + 1j * h * np.arange(len(log_chi), len(log_chi) + more_nodes))
         more_nodes = len(log_chi) + len(more) + 64
         log_chi, peak = np.concatenate([log_chi, more]), max(peak, more.real.max())
-        if h * (len(log_chi) - 1) >= t_fall and log_chi[-1].real < peak - target:
+        if h * (len(log_chi) - 1) >= t_fall and log_chi[-1].real < peak - _TARGET:
             break
     else:
         raise TruncationError("fox_h: |chi| still above the cut-off at t = %g" % (h * len(log_chi)))
-    keep = max(np.flatnonzero(log_chi.real >= peak - target)[-1] + 2, int(t_fall / h) + 1)
+    keep = max(np.flatnonzero(log_chi.real >= peak - _TARGET)[-1] + 2, int(t_fall / h) + 1)
     w = np.exp(log_chi[:keep] - peak)
     w[0] *= 0.5
     full, half = _phase_sums(w, h, log_z)
@@ -360,23 +341,27 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
     the envelope's rise cos(d)^-m off the real axis by d <= acos(1 - 5/m);
     the step is 2 pi d / (log(1/1e-12) + margin + log rise).  Nodes run
     from 45/mu left of the knee -log(max c)/p (or of 0), where the weight
-    falls as e^(mu x), to where the envelope is as far below its peak.
-    The sum on every second node and the two tail bounds give an error
-    estimate; above 1e-12 relative, TruncationError is raised.
+    falls as e^(mu x), to where the envelope is as far below its peak;
+    more than _MAX_NODES of them raise TruncationError.  The sum on every
+    second node and the two tail bounds give an error estimate; above 1e-12
+    relative, TruncationError is raised.
     """
     if not mu > 0:
         raise ValueError("gamma_expectation: need mu > 0, got mu=%r" % (mu,))
     log_c = np.log(np.atleast_1d(np.asarray(c, dtype=float)))
-    target = _MARGIN - math.log(1e-12)
     m = mu + p * growth  # |integrand| <= const u^m e^-u on the right
     d = min(0.25 * math.pi, 0.5 * math.pi / p, math.acos(max(1.0 - 5.0 / m, -1.0)))
     rise = -m * math.log(math.cos(d))
-    h = 2.0 * math.pi * d / (target + rise)
+    h = 2.0 * math.pi * d / (_TARGET + rise)
     right = max(math.log(m), 0.0) + 1.0
-    while m * right - math.exp(right) > m * math.log(m) - m - target:
+    while m * right - math.exp(right) > m * math.log(m) - m - _TARGET:
         right += 1.0
     left = min(0.0, -log_c.max() / p) - 45.0 / mu
-    x = left + h * np.arange(math.ceil((right - left) / h) + 1)
+    nodes = math.ceil((right - left) / h) + 1
+    if nodes > _MAX_NODES:
+        raise TruncationError("gamma_expectation: %g nodes needed, more than %d"
+                              % (nodes, _MAX_NODES))
+    x = left + h * np.arange(nodes)
     w = np.exp(mu * x - np.exp(x) - math.lgamma(mu))
     sums = np.empty((6, len(log_c)))
     rows = max(1, _BLOCK // len(x))
@@ -412,7 +397,7 @@ def log_mean_power(mu, c, p, k):
     return log_e
 
 
-def contour_integrals(spec, log_z, rel_tol=1e-12):
+def contour_integrals(spec, log_z):
     """contour_integral for each entry of a vector log z, on the line
     spec.contour_abscissa picks for it: one node set per distinct abscissa.
     Returns (log_scale, scaled, err) as contour_integral does."""
@@ -421,17 +406,17 @@ def contour_integrals(spec, log_z, rel_tol=1e-12):
     out = np.empty((3, len(log_z)))
     for abscissa in set(c.tolist()):
         on = c == abscissa
-        out[:, on] = contour_integral(spec, abscissa, log_z[on], rel_tol)
+        out[:, on] = contour_integral(spec, abscissa, log_z[on])
     return out
 
 
-def fox_h(spec, z, rel_tol=1e-12):
+def fox_h(spec, z):
     """Fox H function: contour_integral on Re s = spec.contour_abscissa(log z),
-    raising TruncationError if its error estimate exceeds rel_tol."""
+    raising TruncationError if its error estimate exceeds 1e-12."""
     if z <= 0:
         raise ValueError("fox_h: argument must be positive, got %r" % (z,))
-    log_scale, scaled, err = contour_integrals(spec, math.log(z), rel_tol)
-    if not err[0] <= rel_tol:
-        raise TruncationError("fox_h: error estimate %g exceeds %g" % (err[0], rel_tol))
+    log_scale, scaled, err = contour_integrals(spec, math.log(z))
+    if not err[0] <= 1e-12:
+        raise TruncationError("fox_h: error estimate %g exceeds 1e-12" % (err[0],))
     return math.exp(log_scale[0]) * float(scaled[0])
 

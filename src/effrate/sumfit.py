@@ -59,27 +59,26 @@ def _log_m4_over_m2sq(alpha, mu):
     )
 
 
-def _ratio_targets(branch, n_t):
-    """Left-hand sides of the two matching equations, plus raw sum moments.
+def _ratio_targets(branch, n_t, moments):
+    """Left-hand sides of the two matching equations, from the raw sum moments.
 
     First equation: E^2{S} / (E{S^2} - E^2{S}).  The denominator is N_t times
     the branch variance, which expm1 gives without cancellation.
     Second equation: E^2{S^2} / (E{S^4} - E^2{S^2}), formed from the exact
     convolved moments.
     """
-    m1 = sum_moments(branch, n_t, 1)
-    m2 = sum_moments(branch, n_t, 2)
-    m3 = sum_moments(branch, n_t, 3)
-    m4 = sum_moments(branch, n_t, 4)
+    m1, m2, _, m4 = moments
     # Var(S) = n_t * m1_branch^2 * (m2/m1^2 - 1), exact and cancellation free
     b1 = moment(branch, 1)
     var_s = n_t * b1 * b1 * math.expm1(_log_m2_over_m1sq(branch.alpha, branch.mu))
+    if not var_s > 0:
+        raise ValueError("fit_sum: branch variance is non-positive")
     t1 = m1 * m1 / var_s
     d2 = m4 - m2 * m2
     if d2 <= 0:
         raise ValueError("fit_sum: fourth-moment spread is non-positive")
     t2 = m2 * m2 / d2
-    return (t1, t2), (m1, m2, m3, m4)
+    return t1, t2
 
 
 def _ratio_values(alpha, mu):
@@ -106,7 +105,11 @@ class FitConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
+_TOL = 1e-12  # residual norm at which the Newton iteration stops
+_MAX_ITER = 60
+
+
+def fit_sum(branch, n_t):
     """Fit (alpha, mu, mean_snr) of a single alpha-mu law to an i.i.d. sum.
 
     Solves the two scale-free ratio equations with a damped Newton iteration
@@ -119,10 +122,11 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
     known answer; its residuals are those of the two ratios at (2, n_t mu).
     sum_moments raises ValueError unless n_t is a positive integer.
     """
-    (t1, t2), moments = _ratio_targets(branch, n_t)
+    moments = tuple(sum_moments(branch, n_t, q) for q in range(1, 5))
     n_t = int(n_t)
     if n_t == 1:
         return SumFit(fitted=branch, residuals=(0.0, 0.0), exact_moments=moments)
+    t1, t2 = _ratio_targets(branch, n_t, moments)
     if abs(branch.alpha - 2.0) <= 1e-12:
         return _fit_result(2.0, n_t * branch.mu, moments, t1, t2)
 
@@ -133,10 +137,13 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
         return (math.log(r1) - lt1, math.log(r2) - lt2)
 
     x = [math.log(branch.alpha), math.log(n_t * branch.mu)]
-    fx = f(x)
+    try:
+        fx = f(x)
+    except (ArithmeticError, ValueError) as err:
+        raise FitConvergenceError("fit_sum: start point failed: %s" % err, (math.nan, math.nan))
     norm = max(abs(fx[0]), abs(fx[1]))
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(_MAX_ITER):
+        if norm <= _TOL:
             break
         # forward-difference Jacobian
         h = 1e-7
@@ -175,7 +182,7 @@ def fit_sum(branch, n_t, tol=1e-12, max_iter=60):
     else:
         raise FitConvergenceError(
             "fit_sum: no convergence after %d iterations, residuals %r"
-            % (max_iter, fx),
+            % (_MAX_ITER, fx),
             fx,
         )
 

@@ -134,7 +134,7 @@ def _check_mc(samples, seed):
     rhos = (1.0, 10.0, 100.0)
     worst_ratio = 0.0
     count = 0
-    mc = simulate_rates(_FIG1_LINKS, rhos, McConfig(samples=samples, seed=seed, streams=8))
+    mc = simulate_rates(_FIG1_LINKS, rhos, McConfig(samples=samples, seed=seed))
     for link, (est, hw) in zip(_FIG1_LINKS, mc):
         exact = rate_exact_foxh(link, rhos)
         allowance = np.maximum(1.5 * hw, 0.02 * exact)

@@ -346,7 +346,7 @@ def test_sweep_mc_curve_is_one_call_per_link(tmp_path, capsys):
         for val, link in cli._figure_links(fig):
             with open(out_dir / ("fig%d_%s%g_mc.csv" % (num, fig["family"], val))) as fh:
                 (curve,) = cli.curves_from_csv(fh)
-            rates, halfwidths = simulate_rate(link, rhos, McConfig(2000, 4, 8))
+            rates, halfwidths = simulate_rate(link, rhos, McConfig(2000, 4))
             if num != 3:
                 assert curve.x_db == xs_mc
             assert curve.rate == tuple(rates.tolist()), (num, val)
@@ -445,6 +445,30 @@ def test_bench_trace_targets_resolve():
     spec.loader.exec_module(spans)
     for mod, attr, _, _ in spans.PATCHES:
         assert hasattr(importlib.import_module("effrate." + mod), attr), (mod, attr)
+
+
+def test_demo_imports_resolve():
+    # every name a demo imports from effrate exists, read off the source
+    # instead of running the demos
+    import ast
+    import importlib
+    import importlib.util
+    import pathlib
+
+    demos = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "effrate":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    name = "%s.%s" % (node.module, alias.name)
+                    assert (hasattr(module, alias.name)
+                            or importlib.util.find_spec(name)), (path.name, name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "effrate":
+                        importlib.import_module(alias.name)
 
 
 def test_routes_replaced_on_cli_see_every_call(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from effrate import montecarlo
 from effrate.alphamu import AlphaMuParams
 from effrate.alphamu import sample
 from effrate.montecarlo import (McConfig, _branch_sum, _stream_plan, simulate_ergodic_capacity,
@@ -28,13 +29,14 @@ def test_estimate_matches_analytic_multiantenna():
     assert abs(est - exact) <= 2.0 * hw
 
 
-def test_bit_reproducible():
-    cfg = McConfig(samples=50_000, seed=99, streams=8)
+def test_bit_reproducible(monkeypatch):
+    cfg = McConfig(samples=50_000, seed=99)
     a = simulate_rate(_RAYLEIGH, 3.0, cfg)
     b = simulate_rate(_RAYLEIGH, 3.0, cfg)
     assert a == b
     # a different stream split is a different (equally valid) estimate
-    c = simulate_rate(_RAYLEIGH, 3.0, McConfig(samples=50_000, seed=99, streams=5))
+    monkeypatch.setattr(montecarlo, "_STREAMS", 5)
+    c = simulate_rate(_RAYLEIGH, 3.0, cfg)
     assert c != a
     assert abs(c[0] - a[0]) < 5.0 * (a[1] + c[1])
 
@@ -42,7 +44,7 @@ def test_bit_reproducible():
 def test_vector_call_rows_equal_scalar_calls():
     # one set of draws serves every rho, yet each row is the scalar call;
     # 10_007 samples split unevenly over the 8 streams
-    cfg = McConfig(samples=10_007, seed=13, streams=8)
+    cfg = McConfig(samples=10_007, seed=13)
     rhos = [1e-3, 1.0, 10.0, 1e3]
     for n_t in (1, 3):
         link = MisoLink(n_t=n_t, delay_a=0.7, branch=AlphaMuParams(alpha=1.5, mu=0.8))
@@ -57,7 +59,7 @@ def test_vector_call_rows_equal_scalar_calls():
 def test_simulate_rates_rows_are_single_link_calls():
     # two mu values, one branch under two values of A, n_t 1 and 3: links
     # that share (mu, n_t) share draws, yet each row is its own call
-    cfg = McConfig(samples=10_007, seed=13, streams=8)
+    cfg = McConfig(samples=10_007, seed=13)
     shared = AlphaMuParams(alpha=1.5, mu=0.8)
     links = [
         MisoLink(n_t=3, delay_a=0.7, branch=shared),
@@ -84,7 +86,7 @@ def test_simulate_rates_rows_are_single_link_calls():
 def test_ergodic_estimate_is_the_stream_ordered_mean():
     # the parent estimator, written out: each stream's row sums, then
     # log2(1 + rho S / n_t) summed per stream and in stream order
-    cfg = McConfig(samples=10_007, seed=13, streams=8)
+    cfg = McConfig(samples=10_007, seed=13)
     rhos = [1e-3, 1.0, 1e3]
     for n_t, alpha, mu in ((1, 1.5, 0.8), (2, 4.0, 2.0)):
         link = MisoLink(n_t=n_t, delay_a=0.7, branch=AlphaMuParams(alpha=alpha, mu=mu))
@@ -143,6 +145,9 @@ def test_rate_rejects_bad_snr():
         simulate_rate(_RAYLEIGH, [1.0, -2.0, 3.0], McConfig(samples=10_000, seed=0))
     with pytest.raises(ValueError):
         simulate_ergodic_capacity(_RAYLEIGH, [0.0, 1.0], McConfig(samples=10_000, seed=0))
+    for bad in (math.inf, math.nan, [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            simulate_rate(_RAYLEIGH, bad, McConfig(samples=10_000, seed=0))
 
 
 def test_ergodic_estimate():
@@ -162,7 +167,3 @@ def test_ergodic_hardens_to_awgn():
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(samples=10)
-    with pytest.raises(ValueError):
-        McConfig(samples=10_000, streams=0)
-    with pytest.raises(ValueError):
-        McConfig(samples=10_000, streams=10_001)

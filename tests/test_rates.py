@@ -26,7 +26,7 @@ from effrate.rates import (
     rate_nakagami,
     wideband_metrics,
 )
-from effrate.special import FoxHSpec, contour_integral
+from effrate.special import FoxHSpec, TruncationError, contour_integral
 
 _EXP_LINK = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
 
@@ -193,6 +193,14 @@ def test_meijerg_falls_back_for_irrational_shape():
     assert rg == rate_exact_foxh(link, 10.0)
 
 
+def test_quadrature_node_cap_raises_before_allocating():
+    # at alpha = 1e8 the nodes would start about 1.2e8 left of 0, some 9e8
+    # of them (7 GB per array); the cap raises before any array is made
+    link = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=1e8, mu=1.0))
+    with pytest.raises(TruncationError, match="nodes"):
+        rate_exact_quadrature(link, 10.0)
+
+
 def test_rate_monotone_in_snr():
     link = MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=4.0, mu=2.0))
     rhos = np.logspace(-2, 4, 13)
@@ -221,6 +229,10 @@ def test_rate_rejects_bad_snr():
         rate_exact_quadrature(_EXP_LINK, [1.0, -2.0])
     with pytest.raises(ValueError):
         rate_nakagami(_EXP_LINK, [0.0, 1.0])
+    for route in (rate_exact_quadrature, rate_exact_foxh, rate_nakagami):
+        for bad in (math.inf, math.nan, [1.0, math.inf]):
+            with pytest.raises(ValueError):
+                route(_EXP_LINK, bad)
 
 
 # ----------------------------------------------------------- Nakagami forms
@@ -421,3 +433,6 @@ def test_link_validation():
         MisoLink(n_t=0, delay_a=1.0, branch=branch)
     with pytest.raises(ValueError):
         MisoLink(n_t=2, delay_a=0.0, branch=branch)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MisoLink(n_t=2, delay_a=bad, branch=branch)

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from effrate.alphamu import AlphaMuParams, cdf, moment, sample
+from effrate import sumfit
+from effrate.alphamu import AlphaMuParams, moment, sample
 from effrate.sumfit import FitConvergenceError, SumFit, fit_sum, sum_moments
 
 
@@ -104,7 +105,9 @@ def test_fit_distribution_distance():
             branch = AlphaMuParams(alpha=alpha, mu=mu)
             fit = fit_sum(branch, 2)
             draws = sample(branch, rng, size=(100_000, 2)).sum(axis=1)
-            res = stats.kstest(draws, lambda g: cdf(fit.fitted, g))
+            p = fit.fitted
+            res = stats.kstest(
+                draws, lambda g: special.gammainc(p.mu, (g / p.beta) ** (p.alpha / 2)))
             assert res.statistic <= 0.01, (alpha, mu, res.statistic)
             if alpha == 2.0:
                 assert res.pvalue > 0.01, (mu, res)
@@ -117,10 +120,11 @@ def test_fit_mean_is_exact():
     np.testing.assert_allclose(fit.exact_moments[0], 15.0, rtol=1e-12)
 
 
-def test_fit_exhausted_budget_raises():
+def test_fit_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(sumfit, "_MAX_ITER", 1)
     branch = AlphaMuParams(alpha=4.0, mu=1.0)
     with pytest.raises(FitConvergenceError) as err:
-        fit_sum(branch, 2, max_iter=1)
+        fit_sum(branch, 2)
     assert len(err.value.residuals) == 2
 
 
@@ -136,3 +140,15 @@ def test_fit_input_validation():
     branch = AlphaMuParams(alpha=2.0, mu=1.0)
     with pytest.raises(ValueError):
         fit_sum(branch, 0)
+    # at alpha = 1e20 the branch variance rounds to 0
+    with pytest.raises(ValueError, match="variance"):
+        fit_sum(AlphaMuParams(alpha=1e20, mu=1.0), 2)
+    # at alpha = 1e8 the ratios at the start point divide by 0 (n_t = 2) or
+    # take the log of a non-positive number (n_t = 4)
+    for n_t in (2, 4):
+        with pytest.raises(FitConvergenceError) as err:
+            fit_sum(AlphaMuParams(alpha=1e8, mu=1.0), n_t)
+        assert len(err.value.residuals) == 2
+    # a single branch needs no fit, whatever its moments round to
+    huge = AlphaMuParams(alpha=1e15, mu=1.0)
+    assert fit_sum(huge, 1).fitted == huge
