@@ -11,6 +11,7 @@ sweep-figures.
 import argparse
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -69,11 +70,13 @@ class RateCurve:
 
 
 def db_to_linear(db):
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * math.log10(x)
+    try:
+        rho = 10.0 ** (db / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not 0.0 < rho < math.inf:
+        raise ValueError("SNR of %r dB has no positive finite linear value" % (db,))
+    return rho
 
 
 def curve_to_csv(curve, fh):
@@ -88,34 +91,17 @@ def curves_from_csv(fh):
     header = fh.readline().strip()
     if header != "snr_db,rate,method,ci_halfwidth":
         raise ValueError("unexpected CSV header: %r" % (header,))
+
+    def row(line):
+        x, r, method, h = line.split(",")
+        return method, float(x), float(r), float(h) if h else None
+
     curves = []
-    rows = []
-    method = None
-
-    def flush():
-        if not rows:
-            return
-        has_ci = any(h is not None for _, _, h in rows)
-        curves.append(
-            RateCurve(
-                x_db=tuple(x for x, _, _ in rows),
-                rate=tuple(r for _, r, _ in rows),
-                method=method,
-                ci_halfwidth=tuple(h for _, _, h in rows) if has_ci else None,
-            )
-        )
-
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        x, r, meth, h = line.split(",")
-        if meth != method:
-            flush()
-            rows = []
-            method = meth
-        rows.append((float(x), float(r), float(h) if h else None))
-    flush()
+    rows = [row(line) for line in map(str.strip, fh) if line]
+    for method, group in itertools.groupby(rows, key=lambda fields: fields[0]):
+        _, xs, rates, cis = zip(*group)
+        has_ci = any(h is not None for h in cis)
+        curves.append(RateCurve(xs, rates, method, cis if has_ci else None))
     return curves
 
 
@@ -143,14 +129,6 @@ def _routes():
     }
 
 
-def _write_output(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_rate(args):
     branch = AlphaMuParams(alpha=args.alpha, mu=args.mu, mean_snr=args.mean_snr)
     link = MisoLink(n_t=args.nt, delay_a=args.delay_a, branch=branch)
@@ -169,7 +147,11 @@ def cmd_rate(args):
     else:
         json.dump(curve_to_json_obj(curve), buf, indent=2)
         buf.write("\n")
-    _write_output(buf.getvalue(), args.out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
     return 0
 
 
@@ -202,10 +184,7 @@ _FIG3 = dict(family="delay_a", values=(0.5, 1.0, 2.0), n_t=2, alpha=2.0, mu=2.0)
 def _figure_links(fig):
     links = []
     for v in fig["values"]:
-        kw = dict(fig)
-        kw.pop("family")
-        kw.pop("values")
-        kw[fig["family"]] = v
+        kw = {**fig, fig["family"]: v}
         branch = AlphaMuParams(alpha=kw["alpha"], mu=kw["mu"], mean_snr=1.0)
         links.append((v, MisoLink(n_t=kw["n_t"], delay_a=kw["delay_a"], branch=branch)))
     return links
@@ -215,12 +194,7 @@ def _emit(out_dir, name, curve, collect, label, dash=None):
     path = os.path.join(out_dir, name + ".csv")
     with open(path, "w") as fh:
         curve_to_csv(curve, fh)
-    entry = {"label": label, "x": curve.x_db, "y": curve.rate}
-    if curve.ci_halfwidth:
-        entry["ci"] = curve.ci_halfwidth
-    if dash:
-        entry["dash"] = dash
-    collect.append(entry)
+    collect.append((curve, label, dash))
 
 
 def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
@@ -253,13 +227,7 @@ def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
     awgn = tuple(math.log2(1.0 + rho) for rho in rhos_fine)
     _emit(out_dir, "fig%d_awgn" % num, RateCurve(xs_fine, awgn, "awgn"),
           drawn, "AWGN benchmark", dash="2,3")
-    svg.render(
-        os.path.join(out_dir, "fig%d.svg" % num),
-        drawn,
-        title="Effective rate vs transmit SNR (figure %d layout)" % num,
-        xlabel="SNR [dB]",
-        ylabel="effective rate [bit/s/Hz]",
-    )
+    return drawn
 
 
 def _sweep_eb_n0_figure(num, fig, out_dir, seed, mc_samples):
@@ -272,7 +240,7 @@ def _sweep_eb_n0_figure(num, fig, out_dir, seed, mc_samples):
     for (val, link), (mc_rates, mc_ci) in zip(links, mc):
         tag = "fig%d_%s%g" % (num, fig["family"], val)
         ebs, rates = parametric_eb_n0(link, rhos)
-        ebs_db = tuple(linear_to_db(eb) for eb in ebs.tolist())
+        ebs_db = tuple(10.0 * math.log10(eb) for eb in ebs.tolist())
         _emit(out_dir, tag + "_exact", RateCurve(ebs_db, tuple(rates.tolist()), "quadrature"),
               drawn, "A=%g exact" % val)
         approx = tuple(rate_low_snr(link, [db_to_linear(x) for x in ebs_db]).tolist())
@@ -282,24 +250,29 @@ def _sweep_eb_n0_figure(num, fig, out_dir, seed, mc_samples):
               RateCurve(tuple(ebs_db[i] for i in sub), tuple(mc_rates.tolist()), "monte_carlo",
                         tuple(mc_ci.tolist())),
               drawn, "A=%g simulated" % val)
-    svg.render(
-        os.path.join(out_dir, "fig%d.svg" % num),
-        drawn,
-        title="Effective rate vs energy per bit (figure %d layout)" % num,
-        xlabel="Eb/N0 [dB]",
-        ylabel="effective rate [bit/s/Hz]",
-    )
+    return drawn
+
+
+# --figure: (definition, sweep writing the CSVs, SVG title, x-axis label)
+_FIGURES = {
+    1: (_FIG1, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]"),
+    2: (_FIG2, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]"),
+    3: (_FIG3, _sweep_eb_n0_figure, "Effective rate vs energy per bit", "Eb/N0 [dB]"),
+}
 
 
 def cmd_sweep_figures(args):
     out_dir = args.out_dir or os.environ.get("EFFRATE_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
-    if args.figure == 1:
-        _sweep_snr_figure(1, _FIG1, out_dir, args.seed, args.mc_samples)
-    elif args.figure == 2:
-        _sweep_snr_figure(2, _FIG2, out_dir, args.seed, args.mc_samples)
-    else:
-        _sweep_eb_n0_figure(3, _FIG3, out_dir, args.seed, args.mc_samples)
+    num = args.figure
+    fig, sweep, title, xlabel = _FIGURES[num]
+    svg.render(
+        os.path.join(out_dir, "fig%d.svg" % num),
+        sweep(num, fig, out_dir, args.seed, args.mc_samples),
+        title="%s (figure %d layout)" % (title, num),
+        xlabel=xlabel,
+        ylabel="effective rate [bit/s/Hz]",
+    )
     return 0
 
 
@@ -356,7 +329,7 @@ def build_parser():
     p_ver.set_defaults(func=cmd_verify)
 
     p_fig = sub.add_parser("sweep-figures", help="emit CSV and SVG for a figure layout")
-    p_fig.add_argument("--figure", type=int, choices=(1, 2, 3), required=True)
+    p_fig.add_argument("--figure", type=int, choices=tuple(_FIGURES), required=True)
     p_fig.add_argument("--out-dir", default=None)
     p_fig.add_argument("--seed", type=int, default=0)
     p_fig.add_argument("--mc-samples", type=int, default=100_000)
@@ -385,10 +358,7 @@ def main(argv=None):
     except FitConvergenceError as err:
         sys.stderr.write("error: %s\n" % err)
         return 3
-    except (ValueError, ArithmeticError) as err:
-        sys.stderr.write("error: %s\n" % err)
-        return 2
-    except OSError as err:
+    except (ValueError, ArithmeticError, OSError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
     finally:

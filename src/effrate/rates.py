@@ -32,6 +32,8 @@ from .special import fox_h  # noqa: F401  bench/spans.py traces calls through ra
 from .sumfit import fit_sum
 
 LN2 = math.log(2.0)
+# cap on l and k of alpha/2 = l/k: the Meijer G blocks hold k + 2 l gamma factors
+_MAX_BLOCK = 25
 
 
 class RationalizationError(ValueError):
@@ -130,20 +132,21 @@ def rate_exact_foxh(link, rho):
     return _like_rho(rho, -log_e / (a_qos * LN2))
 
 
-def _rationalize_half_alpha(alpha, cap=25):
-    """Represent alpha/2 as l/k with positive integers and k <= cap.
+def _rationalize_half_alpha(alpha):
+    """Represent alpha/2 as l/k with positive integers l, k <= _MAX_BLOCK.
 
-    Integer alpha keeps the conventional unreduced pair (l, k) = (alpha, 2);
-    otherwise a continued-fraction approximation is accepted only when it
-    reproduces alpha/2 to within 1e-9 relative.
+    Integer alpha up to _MAX_BLOCK keeps the conventional unreduced pair
+    (l, k) = (alpha, 2); otherwise a continued-fraction approximation is
+    accepted only when it reproduces alpha/2 to within 1e-9 relative.
     """
-    if abs(alpha - round(alpha)) <= 1e-12 * alpha and round(alpha) >= 1:
+    if abs(alpha - round(alpha)) <= 1e-12 * alpha and 1 <= round(alpha) <= _MAX_BLOCK:
         return int(round(alpha)), 2
-    frac = Fraction(alpha / 2.0).limit_denominator(cap)
+    frac = Fraction(alpha / 2.0).limit_denominator(_MAX_BLOCK)
     l, k = frac.numerator, frac.denominator
-    if l < 1 or abs(l / k - alpha / 2.0) > 1e-9 * (alpha / 2.0):
+    if not 1 <= l <= _MAX_BLOCK or abs(l / k - alpha / 2.0) > 1e-9 * (alpha / 2.0):
         raise RationalizationError(
-            "alpha/2 = %r has no l/k with k <= %d within 1e-9 relative" % (alpha / 2.0, cap)
+            "alpha/2 = %r has no l/k with l, k <= %d within 1e-9 relative"
+            % (alpha / 2.0, _MAX_BLOCK)
         )
     return l, k
 
@@ -154,7 +157,7 @@ def _delta_block(n, tau):
     return tuple(((tau + j) / n, 1.0) for j in range(n))
 
 
-def rate_exact_meijerg(link, rho, cap=25):
+def rate_exact_meijerg(link, rho):
     """Effective rate through the Meijer G form of the contour integral.
 
     Requires alpha/2 = l/k rational; the gamma factors are split by the
@@ -176,7 +179,7 @@ def rate_exact_meijerg(link, rho, cap=25):
     p = link.fit.fitted
     a_qos = link.delay_a
     try:
-        l, k = _rationalize_half_alpha(p.alpha, cap=cap)
+        l, k = _rationalize_half_alpha(p.alpha)
     except RationalizationError as err:
         warnings.warn("rate_exact_meijerg: %s; falling back to the Fox H route" % err)
         return rate_exact_foxh(link, rho)

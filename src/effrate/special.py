@@ -343,8 +343,8 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
     from 45/mu left of the knee -log(max c)/p (or of 0), where the weight
     falls as e^(mu x), to where the envelope is as far below its peak;
     more than _MAX_NODES of them raise TruncationError.  The sum on every
-    second node and the two tail bounds give an error estimate; above 1e-12
-    relative, TruncationError is raised.
+    second node, the two tail bounds and the rounding of a sum that cancels
+    give an error estimate; above 1e-12 relative, TruncationError is raised.
     """
     if not mu > 0:
         raise ValueError("gamma_expectation: need mu > 0, got mu=%r" % (mu,))
@@ -376,6 +376,8 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
         slope = np.fmin(np.log(second / first) / h, mu - math.exp(x[0]))
         tails = np.where(slope > 0, first / slope, np.inf) + last / (math.exp(x[-1]) - m)
         err = ((full - 2.0 * half) ** 2 / (size * math.exp(rise)) + tails / h) / abs(full)
+        # rounding: a sum that cancels keeps about eps sum|f| / |sum f| of itself
+        err += 2.2e-16 * size / abs(full)
     if not np.all(err <= 1e-12):
         i = int(np.argmax(~(err <= 1e-12)))
         raise TruncationError("gamma_expectation: error %g at c=%r exceeds 1e-12"

@@ -14,13 +14,20 @@ _PALETTE = (
 
 _W, _H = 960, 600
 _ML, _MR, _MT, _MB = 72, 24, 44, 58
+_TICKS = 8  # about this many ticks per axis
+
+# element templates; the last field takes further attributes, each with a leading space
+_LINE = '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="%s"%s/>'
+_TEXT = '<text x="%g" y="%g" font-size="%d"%s>%s</text>'
+_MIDDLE = ' text-anchor="middle"'
+_GRID = "#dddddd"
 
 
-def _nice_ticks(lo, hi, target=8):
-    """Round tick positions covering [lo, hi]."""
+def _nice_ticks(lo, hi):
+    """Round tick positions inside [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -32,7 +39,7 @@ def _nice_ticks(lo, hi, target=8):
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
-    return ticks
+    return [t for t in ticks if lo <= t <= hi]
 
 
 def _fmt(v):
@@ -42,22 +49,22 @@ def _fmt(v):
 def render(path, curves, title="", xlabel="", ylabel=""):
     """Write an SVG overlay of the given curves.
 
-    Each curve is a dict with keys label, x, y and optionally ci (same
-    length as y, drawn as vertical error bars) and dash (stroke dash
-    pattern, e.g. "6,4" for asymptotes).
+    Each entry of curves is a (curve, label, dash) triple.  curve is a
+    RateCurve: its x_db and rate make the polyline, and its ci_halfwidth,
+    when set, is drawn as vertical error bars.  label is the legend text,
+    and dash a stroke dash pattern (e.g. "6,4" for asymptotes) or None for
+    a solid line.
     """
-    xs = [v for c in curves for v in c["x"]]
-    ys = [v for c in curves for v in c["y"]]
-    for c in curves:
-        if c.get("ci"):
-            ys.extend(v + h for v, h in zip(c["y"], c["ci"]))
-            ys.extend(v - h for v, h in zip(c["y"], c["ci"]))
+    xs = [v for c, _, _ in curves for v in c.x_db]
+    ys = [v for c, _, _ in curves for v in c.rate]
+    for c, _, _ in curves:
+        for v, h in zip(c.rate, c.ci_halfwidth or ()):
+            ys += (v + h, v - h)
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(0.0, min(ys)), max(ys)
     x_pad = 0.02 * (x_hi - x_lo or 1.0)
-    y_pad = 0.05 * (y_hi - y_lo or 1.0)
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo, y_hi + y_pad
+    y_hi += 0.05 * (y_hi - y_lo or 1.0)
 
     def px(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
@@ -65,93 +72,50 @@ def render(path, curves, title="", xlabel="", ylabel=""):
     def py(y):
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
-    out = []
-    out.append(
+    out = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %d %d" '
-        'font-family="sans-serif">' % (_W, _H)
-    )
-    out.append('<rect width="%d" height="%d" fill="white"/>' % (_W, _H))
+        'font-family="sans-serif">' % (_W, _H),
+        '<rect width="%d" height="%d" fill="white"/>' % (_W, _H),
+    ]
     if title:
-        out.append(
-            '<text x="%g" y="24" font-size="17" text-anchor="middle">%s</text>'
-            % ((_ML + _W - _MR) / 2, title)
-        )
+        out.append(_TEXT % ((_ML + _W - _MR) / 2, 24, 17, _MIDDLE, title))
     # gridlines and ticks
     for t in _nice_ticks(x_lo, x_hi):
-        if t < x_lo or t > x_hi:
-            continue
-        out.append(
-            '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="#dddddd"/>'
-            % (px(t), py(y_lo), px(t), py(y_hi))
-        )
-        out.append(
-            '<text x="%g" y="%g" font-size="12" text-anchor="middle">%s</text>'
-            % (px(t), _H - _MB + 18, _fmt(t))
-        )
+        out.append(_LINE % (px(t), py(y_lo), px(t), py(y_hi), _GRID, ""))
+        out.append(_TEXT % (px(t), _H - _MB + 18, 12, _MIDDLE, _fmt(t)))
     for t in _nice_ticks(y_lo, y_hi):
-        if t < y_lo or t > y_hi:
-            continue
-        out.append(
-            '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="#dddddd"/>'
-            % (px(x_lo), py(t), px(x_hi), py(t))
-        )
-        out.append(
-            '<text x="%g" y="%g" font-size="12" text-anchor="end">%s</text>'
-            % (_ML - 8, py(t) + 4, _fmt(t))
-        )
+        out.append(_LINE % (px(x_lo), py(t), px(x_hi), py(t), _GRID, ""))
+        out.append(_TEXT % (_ML - 8, py(t) + 4, 12, ' text-anchor="end"', _fmt(t)))
     # axes
     out.append(
         '<rect x="%g" y="%g" width="%g" height="%g" fill="none" stroke="black"/>'
         % (px(x_lo), py(y_hi), px(x_hi) - px(x_lo), py(y_lo) - py(y_hi))
     )
     if xlabel:
-        out.append(
-            '<text x="%g" y="%g" font-size="14" text-anchor="middle">%s</text>'
-            % ((_ML + _W - _MR) / 2, _H - 14, xlabel)
-        )
+        out.append(_TEXT % ((_ML + _W - _MR) / 2, _H - 14, 14, _MIDDLE, xlabel))
     if ylabel:
-        out.append(
-            '<text x="18" y="%g" font-size="14" text-anchor="middle" '
-            'transform="rotate(-90 18 %g)">%s</text>'
-            % ((_MT + _H - _MB) / 2, (_MT + _H - _MB) / 2, ylabel)
-        )
-    # curves
-    for i, c in enumerate(curves):
-        color = c.get("color", _PALETTE[i % len(_PALETTE)])
-        dash = ' stroke-dasharray="%s"' % c["dash"] if c.get("dash") else ""
-        pts = " ".join("%g,%g" % (px(x), py(y)) for x, y in zip(c["x"], c["y"]))
-        out.append(
-            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1.8"%s/>'
-            % (pts, color, dash)
-        )
-        if c.get("ci"):
-            for x, y, h in zip(c["x"], c["y"], c["ci"]):
-                out.append(
-                    '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="%s"/>'
-                    % (px(x), py(y - h), px(x), py(y + h), color)
-                )
-                for yy in (y - h, y + h):
-                    out.append(
-                        '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="%s"/>'
-                        % (px(x) - 3, py(yy), px(x) + 3, py(yy), color)
-                    )
-    # legend
+        mid = (_MT + _H - _MB) / 2
+        out.append(_TEXT % (18, mid, 14, _MIDDLE + ' transform="rotate(-90 18 %g)"' % mid,
+                            ylabel))
+    # curves, and their legend entries drawn over them afterwards
     lx, ly = _ML + 14, _MT + 10
-    out.append(
+    legend = [
         '<rect x="%g" y="%g" width="220" height="%g" fill="white" '
         'stroke="#999999" opacity="0.92"/>' % (lx - 6, ly - 4, 18 * len(curves) + 8)
-    )
-    for i, c in enumerate(curves):
-        color = c.get("color", _PALETTE[i % len(_PALETTE)])
-        dash = ' stroke-dasharray="%s"' % c["dash"] if c.get("dash") else ""
+    ]
+    for i, (c, label, dash) in enumerate(curves):
+        color = _PALETTE[i % len(_PALETTE)]
+        stroke = ' stroke-width="1.8"' + (' stroke-dasharray="%s"' % dash if dash else "")
+        pts = " ".join("%g,%g" % (px(x), py(y)) for x, y in zip(c.x_db, c.rate))
+        out.append('<polyline points="%s" fill="none" stroke="%s"%s/>' % (pts, color, stroke))
+        for x, y, h in zip(c.x_db, c.rate, c.ci_halfwidth or ()):
+            out.append(_LINE % (px(x), py(y - h), px(x), py(y + h), color, ""))
+            for yy in (y - h, y + h):
+                out.append(_LINE % (px(x) - 3, py(yy), px(x) + 3, py(yy), color, ""))
         y = ly + 18 * i + 8
-        out.append(
-            '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="%s" stroke-width="1.8"%s/>'
-            % (lx, y, lx + 26, y, color, dash)
-        )
-        out.append(
-            '<text x="%g" y="%g" font-size="12">%s</text>' % (lx + 32, y + 4, c["label"])
-        )
+        legend.append(_LINE % (lx, y, lx + 26, y, color, stroke))
+        legend.append(_TEXT % (lx + 32, y + 4, 12, "", label))
+    out.extend(legend)
     out.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")

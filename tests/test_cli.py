@@ -150,15 +150,19 @@ def test_rate_writes_file(tmp_path, capsys):
 
 
 def test_rate_invalid_delay_exits_2(capsys):
-    code, out, err = _run(
-        [
-            "rate", "--alpha", "2", "--mu", "1", "--nt", "1", "--delay-a", "-1",
-            "--snr-db", "0", "--method", "quadrature",
-        ],
-        capsys,
-    )
-    assert code == 2
-    assert err.startswith("error:") and err.count("\n") == 1
+    # a negative A, and SNRs whose linear value overflows or underflows
+    for delay_a, snr_db, named in (("-1", "0", "delay_a"), ("1", "4000", "4000.0 dB"),
+                                   ("1", "-4000", "-4000.0 dB")):
+        code, out, err = _run(
+            [
+                "rate", "--alpha", "2", "--mu", "1", "--nt", "1", "--delay-a", delay_a,
+                "--snr-db", snr_db, "--method", "quadrature",
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err, err
 
 
 def test_rate_nakagami_needs_alpha_two(capsys):
@@ -281,6 +285,17 @@ def test_csv_round_trip_exact():
     cli.curve_to_csv(curve, buf)
     buf.seek(0)
     assert cli.curves_from_csv(buf) == [curve]
+    # consecutive rows of one method form one curve; a blank line splits none
+    second = cli.RateCurve(x_db=(-1.0, 7.5), rate=(0.0, 2.0 ** -40), method="fox_h")
+    buf = io.StringIO()
+    cli.curve_to_csv(curve, buf)
+    cli.curve_to_csv(second, buf)
+    text = buf.getvalue().replace("\nsnr_db,rate,method,ci_halfwidth\n", "\n\n")
+    assert cli.curves_from_csv(io.StringIO(text)) == [curve, second]
+    for bad in ("0.0\n", "0.0,1.0,fox_h\n", "0.0,1.0,fox_h,,\n", "0.0,x,fox_h,\n",
+                "0.0,1.0,exact,\n"):
+        with pytest.raises(ValueError):
+            cli.curves_from_csv(io.StringIO(text + bad))
 
 
 # ---------------------------------------------------------- sweep-figures
@@ -361,6 +376,21 @@ def test_sweep_outputs_byte_identical(tmp_path, capsys):
     for name in sorted(p.name for p in dir_a.iterdir()):
         with open(dir_a / name, "rb") as fa, open(dir_b / name, "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+def test_sweep_reproduces_demo_output(tmp_path, capsys):
+    # the committed figures are the output of these three commands
+    import pathlib
+
+    demo = pathlib.Path(__file__).resolve().parents[1] / "demo_output"
+    for num in (1, 2, 3):
+        code, _, err = _run(["sweep-figures", "--figure", str(num), "--out-dir", str(tmp_path),
+                             "--seed", "0", "--mc-samples", "100000"], capsys)
+        assert code == 0, err
+    names = sorted(p.name for p in demo.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
 
 
 def test_sweep_respects_out_dir_env(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,8 @@ import pytest
 from effrate.alphamu import AlphaMuParams
 from effrate.rates import (
     MisoLink,
+    RationalizationError,
+    _rationalize_half_alpha,
     channel_power_moments,
     ergodic_capacity_quadrature,
     high_snr_validity,
@@ -185,12 +187,16 @@ def test_meijerg_uses_genuine_rational_path():
 
 
 def test_meijerg_falls_back_for_irrational_shape():
-    # fitting a multi-antenna sum moves alpha off every small rational, so
+    # fitting a multi-antenna sum moves alpha off every small rational, and
+    # alpha = 1e8 = 2 * 5e7/1 would build blocks of 5e7 gamma factors, so
     # the G route must warn and agree with the H route exactly
-    link = MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=0.8, mu=1.0))
-    with pytest.warns(UserWarning, match="falling back"):
-        rg = rate_exact_meijerg(link, 10.0)
-    assert rg == rate_exact_foxh(link, 10.0)
+    with pytest.raises(RationalizationError):
+        _rationalize_half_alpha(1e8)
+    for alpha, n_t in ((0.8, 2), (1e8, 1)):
+        link = MisoLink(n_t=n_t, delay_a=0.5, branch=AlphaMuParams(alpha=alpha, mu=1.0))
+        with pytest.warns(UserWarning, match="falling back"):
+            rg = rate_exact_meijerg(link, 10.0)
+        assert rg == rate_exact_foxh(link, 10.0)
 
 
 def test_quadrature_node_cap_raises_before_allocating():

@@ -195,6 +195,19 @@ def test_gamma_expectation_flags_short_node_range():
         gamma_expectation(0.0, np.log1p, [1.0])
 
 
+def test_gamma_expectation_estimate_covers_rounding():
+    # log1p(u) - 0.5963 changes sign at u = 0.81; its mean under Gamma(1, 1),
+    # e E1(1) - 0.5963 = 4.7e-5, is 1/7300 of the mean of its magnitude, so
+    # the sum keeps about 2.7e-12 of rounding error.  The estimate must reach
+    # half of that, which raises; the sum is read off the raising frame
+    with pytest.raises(TruncationError) as info:
+        gamma_expectation(1.0, lambda t: np.log1p(t) - 0.5963, [1.0], 1.0, growth=1.0)
+    kernel = info.traceback[-1].frame.f_locals
+    true_err = abs(kernel["h"] * kernel["full"][0] / 4.7362323194022114e-05 - 1.0)
+    assert true_err > 1e-12
+    assert kernel["err"][0] >= 0.5 * true_err, (kernel["err"][0], true_err)
+
+
 # -------------------------------------------------------------------- Fox H
 
 
