@@ -27,8 +27,9 @@ import numpy as np
 
 from .alphamu import AlphaMuParams, moment
 from .special import (FoxHSpec, TruncationError, contour_integral, contour_integrals,
-                      gamma_expectation, log_mean_power, tricomi_u)
-from .special import fox_h  # noqa: F401  bench/spans.py traces calls through rates.fox_h
+                      gamma_expectation, log_mean_power)
+# unused here: bench/spans.py traces calls through rates.fox_h and rates.tricomi_u
+from .special import fox_h, tricomi_u  # noqa: F401
 from .sumfit import fit_sum
 
 LN2 = math.log(2.0)
@@ -227,15 +228,18 @@ def rate_nakagami(link, rho):
           = -(1/A) log2( z^(m n_t) U(m n_t; m n_t + 1 - A; z) ),  z = m n_t / (omega rho),
 
     the second form through the log-scaled U, so no large logarithms cancel.
-    rho is a scalar or a sequence, as for rate_exact_quadrature.  Raises
-    ValueError unless the branch alpha is 2 within 1e-12.
+    That is log E[(1 + V/z)^-A], V ~ Gamma(m n_t, 1), which log_mean_power
+    gives with -A itself as the exponent: forming b = m n_t + 1 - A first
+    would round A away next to a large m n_t.  rho is a scalar or a
+    sequence, as for rate_exact_quadrature.  Raises ValueError unless the
+    branch alpha is 2 within 1e-12.
     """
     b = link.branch
     if abs(b.alpha - 2.0) > 1e-12:
         raise ValueError("rate_nakagami: needs alpha = 2, got alpha=%g" % b.alpha)
     mn = b.mu * link.n_t
     z = mn / (b.mean_snr * _rho_vector(rho))
-    log_u = tricomi_u(mn, mn + 1.0 - link.delay_a, z, log_scaled=True)
+    log_u = log_mean_power(mn, 1.0 / z, 1.0, -link.delay_a)
     return _like_rho(rho, -log_u / (link.delay_a * LN2))
 
 

@@ -106,6 +106,46 @@ def log_gamma_complex(z):
     return out
 
 
+def _stirling_tail(x):
+    """Stirling's series for log Gamma(x) past its 1/(12 x) term: the sum of
+    B_2n / (2n (2n - 1) x^(2n - 1)) for n = 2..6.  From x = 12 on, the
+    terms left out move a second difference by under 1e-15 of itself."""
+    v = 1.0 / (x * x)
+    return v / x * (-1.0 / 360 + v * (1.0 / 1260 + v * (-1.0 / 1680 + v * (
+        1.0 / 1188 - v * 691.0 / 360360))))
+
+
+def lgamma_second_difference(x, d):
+    """lgamma(x) - 2 lgamma(x + d) + lgamma(x + 2 d) for x, d > 0, to within
+    about 1e-14 of itself, where the three lgamma values nearly cancel.
+
+    Below x = 12 the recurrence lgamma(x) = lgamma(x + 1) - log x moves x
+    up, each step adding the second difference of -log x, -log1p(-e^2)
+    with e = d / (x + d).  From there Stirling's series: the second
+    difference of (x - 1/2) log x - x is (x - 1/2) log1p(-e^2) + 2 d log1p(e),
+    that of 1/(12 x) is d^2 / (6 x (x + d) (x + 2 d)), and that of
+    _stirling_tail is formed directly, or for d < 1e-3, where that would
+    cancel, as d^2 times its second derivative at x + d (the sum of
+    B_2n / (x + d)^(2n + 1)), which is within d^2 / x^2 of it.
+    """
+    total = 0.0
+    while x < 12.0:
+        w = (d / (x + d)) ** 2
+        # 1 - w = x (x + 2 d) / (x + d)^2; the product keeps its digits as w nears 1
+        total -= math.log1p(-w) if w < 0.5 else math.log(x * (x + 2.0 * d) / (x + d) ** 2)
+        x += 1.0
+    if d < 1e-3:
+        c = x + d
+        v = 1.0 / (c * c)
+        tail = d * d * v * v / c * (-1.0 / 30 + v * (1.0 / 42 + v * (-1.0 / 30 + v * (
+            5.0 / 66 - v * 691.0 / 2730))))
+    else:
+        tail = _stirling_tail(x) - 2.0 * _stirling_tail(x + d) + _stirling_tail(x + 2.0 * d)
+    e = d / (x + d)
+    return (total + (x - 0.5) * math.log1p(-e * e) + 2.0 * d * math.log1p(e)
+            + d * d / (6.0 * x * (x + d) * (x + 2.0 * d)) + tail)
+
+
 def tricomi_u(a, b, z, log_scaled=False):
     """Tricomi confluent hypergeometric U(a;b;z) for a > 0, z > 0 and real b.
 
@@ -272,14 +312,16 @@ def contour_integral(spec, c, log_z):
     # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by _TARGET near t_fall +
     # _TARGET/kappa; the first batch of nodes reaches a quarter beyond that
     more_nodes = int(1.25 * (t_fall + _TARGET / kappa) / h) + 16
-    while len(log_chi) < 1 << 20:
+    # every batch, the first one too, is checked against the node budget before it is made
+    while len(log_chi) + more_nodes <= 1 << 20:
         more = _log_chi(spec, c + 1j * h * np.arange(len(log_chi), len(log_chi) + more_nodes))
         more_nodes = len(log_chi) + len(more) + 64
         log_chi, peak = np.concatenate([log_chi, more]), max(peak, more.real.max())
         if h * (len(log_chi) - 1) >= t_fall and log_chi[-1].real < peak - _TARGET:
             break
     else:
-        raise TruncationError("fox_h: |chi| still above the cut-off at t = %g" % (h * len(log_chi)))
+        raise TruncationError("fox_h: |chi| not below the cut-off within %d nodes (t = %g)"
+                              % (1 << 20, h * (len(log_chi) + more_nodes)))
     keep = max(np.flatnonzero(log_chi.real >= peak - _TARGET)[-1] + 2, int(t_fall / h) + 1)
     w = np.exp(log_chi[:keep] - peak)
     w[0] *= 0.5

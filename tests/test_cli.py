@@ -188,6 +188,17 @@ def test_rate_high_snr_validity_exits_2(capsys):
     assert code == 2 and "delay_a" in err
 
 
+def test_rate_foxh_node_budget_exits_2(capsys):
+    # the contour route's node budget is a named error, not numpy's "Maximum
+    # allowed size exceeded"; quadrature answers on the same link
+    argv = ["rate", "--alpha", "3", "--mu", "1.5", "--nt", "2", "--delay-a", "1e-300",
+            "--snr-db", "10", "--method"]
+    code, _, err = _run(argv + ["foxh"], capsys)
+    assert code == 2 and err.startswith("error: fox_h:") and "nodes" in err, err
+    code, out, _ = _run(argv + ["quadrature"], capsys)
+    assert code == 0 and abs(float(out.split()[-1].split(",")[1]) - 3.36488) < 1e-5, out
+
+
 def test_rate_bad_range_spec(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(

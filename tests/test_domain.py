@@ -1,9 +1,9 @@
 """Property tests over the documented domain.
 
 Every input must give either a rate on which the independent routes agree,
-or a typed error from each of them.  Hypothesis is not a declared
-dependency, so the module is skipped where it is not installed; the search
-is derandomized, so every run draws the same examples.
+or a typed error from each of them.  Hypothesis comes with the `test`
+extra; where it is not installed the module is skipped.  The search is
+derandomized, so every run draws the same examples.
 """
 
 import pytest

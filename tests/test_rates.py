@@ -6,6 +6,7 @@ canonical single-antenna Rayleigh point at 0 dB with unit delay exponent is
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -207,6 +208,18 @@ def test_quadrature_node_cap_raises_before_allocating():
         rate_exact_quadrature(link, 10.0)
 
 
+def test_foxh_node_budget_raises_before_allocating():
+    # at A = 1e-6 the first batch of contour nodes would hold about 1.7e8
+    # entries; the 2^20-node budget raises before any of them is made, and
+    # quadrature still gives the rate
+    link = MisoLink(n_t=2, delay_a=1e-6, branch=AlphaMuParams(alpha=3.0, mu=1.5))
+    start = time.process_time()
+    with pytest.raises(TruncationError, match="nodes"):
+        rate_exact_foxh(link, 10.0)
+    assert time.process_time() - start < 1.0
+    assert abs(rate_exact_quadrature(link, 10.0) - 3.36488) < 1e-5
+
+
 def test_rate_monotone_in_snr():
     link = MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=4.0, mu=2.0))
     rhos = np.logspace(-2, 4, 13)
@@ -256,6 +269,16 @@ def test_nakagami_frozen_values():
     for m, n_t, a, rho, ref in _NAKAGAMI_REF:
         link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=2.0, mu=m))
         np.testing.assert_allclose(rate_nakagami(link, rho), ref, rtol=1e-12)
+
+
+def test_nakagami_keeps_a_small_delay_exponent():
+    # m n_t = 3 at 10 dB: b = m n_t + 1 - A, formed first, rounds A away
+    # (6.1e-9 off at A = 1e-8, -0.0 at A = 1e-17).  References: 120-digit
+    # mpmath -(1/A) log2(z^3 U(3; 4 - A; z)), z = 0.3, checked by quadrature
+    for a, ref in ((1e-4, 3.2616081639723434), (1e-8, 3.2616291139010719),
+                   (1e-13, 3.2616291159962417), (1e-17, 3.2616291159962626)):
+        link = MisoLink(n_t=2, delay_a=a, branch=AlphaMuParams(alpha=2.0, mu=1.5))
+        np.testing.assert_allclose(rate_nakagami(link, 10.0), ref, rtol=1e-12, err_msg=str(a))
 
 
 def test_nakagami_agrees_with_contour_route():

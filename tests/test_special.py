@@ -38,6 +38,29 @@ def test_log_gamma_frozen_values():
         np.testing.assert_allclose(got.imag, ref.imag, rtol=1e-13, atol=1e-13)
 
 
+# (x, d, lgamma(x) - 2 lgamma(x + d) + lgamma(x + 2 d)) at 200 digits: through
+# the recurrence, from 12 on, with d < 1e-3, and where direct lgamma values
+# would cancel all but a few digits
+_LGAMMA_D2_REF = [
+    (1e-12, 0.5, 26.486291230081921),
+    (0.3, 8.0, 11.54872332282746),
+    (2.5, 0.25, 0.027400717202990208),
+    (11.75, 0.5, 0.021270188436763075),
+    (12.5, 0.0625, 0.00032365061757680464),
+    (24.88, 0.125, 0.00063753930289970958),
+    (5.0, 2e-4, 8.8525279316248343e-9),
+    (400.0, 0.5, 0.00062499983723988851),
+    (1e5, 400.0, 1.5936376503795863),
+    (3e7, 1e-6, 3.3333333888887781e-20),
+]
+
+
+def test_lgamma_second_difference_frozen_values():
+    for x, d, ref in _LGAMMA_D2_REF:
+        np.testing.assert_allclose(special.lgamma_second_difference(x, d), ref, rtol=1e-14,
+                                   err_msg=str((x, d)))
+
+
 def test_log_gamma_recurrence():
     # log Gamma(z+1) = log Gamma(z) + log z, exactly continuable in the
     # right half-plane so no branch jumps can hide here

@@ -129,7 +129,8 @@ def test_fit_exhausted_budget_raises(monkeypatch):
 
 
 def test_fit_zero_division_is_a_convergence_error():
-    # trial steps on these links drove 1/expm1(...) to a ZeroDivisionError
+    # trial steps of the damped Newton solver once drove 1/expm1(...) to a
+    # ZeroDivisionError here; no alpha-mu law matches both ratios of these sums
     for alpha, mu, n_t in ((0.5515, 1.648, 16), (0.5914, 3.236, 8)):
         with pytest.raises(FitConvergenceError) as err:
             fit_sum(AlphaMuParams(alpha=alpha, mu=mu), n_t)
@@ -140,11 +141,12 @@ def test_fit_input_validation():
     branch = AlphaMuParams(alpha=2.0, mu=1.0)
     with pytest.raises(ValueError):
         fit_sum(branch, 0)
-    # at alpha = 1e20 the branch variance rounds to 0
+    # at alpha = 1e20 the sum moments round to powers of the mean, so the
+    # variance of the squared sum is 0
     with pytest.raises(ValueError, match="variance"):
         fit_sum(AlphaMuParams(alpha=1e20, mu=1.0), 2)
-    # at alpha = 1e8 the ratios at the start point divide by 0 (n_t = 2) or
-    # take the log of a non-positive number (n_t = 4)
+    # at alpha = 1e8 that variance is rounding noise, and no law matches the
+    # ratio it gives
     for n_t in (2, 4):
         with pytest.raises(FitConvergenceError) as err:
             fit_sum(AlphaMuParams(alpha=1e8, mu=1.0), n_t)
@@ -152,3 +154,52 @@ def test_fit_input_validation():
     # a single branch needs no fit, whatever its moments round to
     huge = AlphaMuParams(alpha=1e15, mu=1.0)
     assert fit_sum(huge, 1).fitted == huge
+
+
+_PROBE_GRID = [
+    (alpha, mu, n_t)
+    for alpha in (0.5, 0.8, 1.5, 2.0, 3.0, 4.0, 8.0)
+    for mu in (0.5, 1.0, 1.5, 3.0)
+    for n_t in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
+]
+
+
+def test_fit_probe_grid_converges_or_raises():
+    # each of the 364 fits converges or raises the typed error.  Of the 56
+    # that raise, 52 have no alpha-mu law matching both ratios (the 40-digit
+    # solve of bench/reference.py finds no sign change either) and 4 have one
+    # with alpha below 0.014 and mu above 3e4, whose power scale underflows
+    converged = 0
+    for alpha, mu, n_t in _PROBE_GRID:
+        try:
+            fit = fit_sum(AlphaMuParams(alpha=alpha, mu=mu), n_t)
+        except FitConvergenceError:
+            continue
+        assert max(fit.residuals) <= 1e-10, (alpha, mu, n_t, fit.residuals)
+        converged += 1
+    assert converged == 308
+
+
+# (alpha, mu, n_t, fitted alpha, fitted mu): the moment-matched law of the
+# sum, solved in 40-digit arithmetic by surrogate() of bench/reference.py
+_SURROGATE_REF = [
+    (0.8, 2.0, 2, 0.65265734430827756, 5.778338823391522),
+    (4.0, 2.0, 2, 3.8757455821403525, 4.1482147436001052),
+    (8.0, 2.0, 2, 7.6224216723536336, 4.1261474443439368),
+    (4.0, 1.0, 2, 3.7765882931868984, 2.1444485802778167),
+    (4.0, 4.0, 2, 3.9364758980442615, 8.1413977886615437),
+    (1.5, 0.75, 4, 1.4366685334653283, 3.2220828598251472),
+    (8.0, 3.0, 4, 7.6617414775054544, 12.235997252560363),
+    (0.5, 0.5, 8, 0.36237678967544447, 5.1146714960997294),
+    (3.0, 1.5, 4, 2.9108537702195754, 6.2439667836540152),
+]
+
+
+def test_fit_matches_40_digit_surrogates():
+    for alpha, mu, n_t, alpha_f, mu_f in _SURROGATE_REF:
+        p = fit_sum(AlphaMuParams(alpha=alpha, mu=mu), n_t).fitted
+        np.testing.assert_allclose((p.alpha, p.mu), (alpha_f, mu_f), rtol=1e-10,
+                                   err_msg=str((alpha, mu, n_t)))
+    # the 40-digit solve finds no law for this sum, so neither may the fit
+    with pytest.raises(FitConvergenceError, match="no sign change"):
+        fit_sum(AlphaMuParams(alpha=0.8, mu=1.0), 16)
