@@ -9,14 +9,12 @@ from .alphamu import AlphaMuParams, moment, pdf, sample
 from .montecarlo import McConfig, simulate_ergodic_capacity, simulate_rate, simulate_rates
 from .rates import (
     MisoLink,
-    RationalizationError,
     channel_power_moments,
     ergodic_capacity_quadrature,
     gamma_expectation,
     high_snr_validity,
     parametric_eb_n0,
     rate_exact_foxh,
-    rate_exact_meijerg,
     rate_exact_quadrature,
     rate_high_snr,
     rate_low_snr,
@@ -42,7 +40,6 @@ __all__ = [
     "FoxHSpec",
     "McConfig",
     "MisoLink",
-    "RationalizationError",
     "SumFit",
     "TruncationError",
     "channel_power_moments",
@@ -56,7 +53,6 @@ __all__ = [
     "parametric_eb_n0",
     "pdf",
     "rate_exact_foxh",
-    "rate_exact_meijerg",
     "rate_exact_quadrature",
     "rate_high_snr",
     "rate_low_snr",

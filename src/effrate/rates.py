@@ -7,11 +7,10 @@ bandwidth over ln 2), the effective rate is
     R(rho) = -(1/A) log2 E{ (1 + rho * S / n_t)^-A },
 
 where S is the sum of the branch SNRs.  S is replaced by its moment-matched
-alpha-mu proxy (exact for alpha = 2), after which the expectation has three
-interchangeable evaluations: a trapezoid sum in the Gamma domain, a Fox H
-contour integral, and a Meijer G form obtained by rationalizing alpha/2.
-A Tricomi-U closed form covers the Nakagami-m line, and both ends of the SNR
-axis get dedicated asymptotics.
+alpha-mu proxy (exact for alpha = 2), after which the expectation has two
+interchangeable evaluations: a trapezoid sum in the Gamma domain and a Fox H
+contour integral.  A Tricomi-U closed form covers the Nakagami-m line, and
+both ends of the SNR axis get dedicated asymptotics.
 
 Every rate route takes (link, rho): rho is a scalar, giving a float, or a
 sequence, giving an array, and a sequence sets the route's kernel up once.
@@ -20,7 +19,6 @@ sequence, giving an array, and a sequence sets the route's kernel up once.
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -33,12 +31,6 @@ from .special import fox_h, tricomi_u  # noqa: F401
 from .sumfit import fit_sum
 
 LN2 = math.log(2.0)
-# cap on l and k of alpha/2 = l/k: the Meijer G blocks hold k + 2 l gamma factors
-_MAX_BLOCK = 25
-
-
-class RationalizationError(ValueError):
-    """alpha/2 has no rational form l/k with small enough k."""
 
 
 @dataclass(frozen=True)
@@ -133,89 +125,6 @@ def rate_exact_foxh(link, rho):
     return _like_rho(rho, -log_e / (a_qos * LN2))
 
 
-def _rationalize_half_alpha(alpha):
-    """Represent alpha/2 as l/k with positive integers l, k <= _MAX_BLOCK.
-
-    Integer alpha up to _MAX_BLOCK keeps the conventional unreduced pair
-    (l, k) = (alpha, 2); otherwise a continued-fraction approximation is
-    accepted only when it reproduces alpha/2 to within 1e-9 relative.
-    """
-    if abs(alpha - round(alpha)) <= 1e-12 * alpha and 1 <= round(alpha) <= _MAX_BLOCK:
-        return int(round(alpha)), 2
-    frac = Fraction(alpha / 2.0).limit_denominator(_MAX_BLOCK)
-    l, k = frac.numerator, frac.denominator
-    if not 1 <= l <= _MAX_BLOCK or abs(l / k - alpha / 2.0) > 1e-9 * (alpha / 2.0):
-        raise RationalizationError(
-            "alpha/2 = %r has no l/k with l, k <= %d within 1e-9 relative"
-            % (alpha / 2.0, _MAX_BLOCK)
-        )
-    return l, k
-
-
-def _delta_block(n, tau):
-    """The n-term arithmetic block tau/n, (tau+1)/n, ..., (tau+n-1)/n, as
-    (value, 1) pairs of a unit-coefficient Fox H spec."""
-    return tuple(((tau + j) / n, 1.0) for j in range(n))
-
-
-def rate_exact_meijerg(link, rho):
-    """Effective rate through the Meijer G form of the contour integral.
-
-    Requires alpha/2 = l/k rational; the gamma factors are split by the
-    multiplication theorem into unit-coefficient blocks, giving
-
-        E = P/2 * G^{k+l,l}_{l,k+l}[ (n_t/rho)^l / (beta^(alpha/2) k)^k |
-              Delta(l, 1 - alpha mu/2);  Delta(k, 0), Delta(l, A - alpha mu/2) ]
-
-    with P = alpha sqrt(k) l^(A-1) (n_t/(rho beta))^(alpha mu/2)
-             (2 pi)^(3/2 - l - k/2) / (Gamma(A) Gamma(mu)).
-
-    rho is a scalar (giving a float) or a sequence (giving an array): the
-    strip is finite, so one node set per contour line serves every rho.
-    Raises TruncationError where G's estimated relative error exceeds
-    1e-12.  If no admissible (l, k) exists the Fox H route is used
-    instead, with a warning.
-    """
-    rhos = _rho_vector(rho)
-    p = link.fit.fitted
-    a_qos = link.delay_a
-    try:
-        l, k = _rationalize_half_alpha(p.alpha)
-    except RationalizationError as err:
-        warnings.warn("rate_exact_meijerg: %s; falling back to the Fox H route" % err)
-        return rate_exact_foxh(link, rho)
-    # snap to the exactly rational exponent so blocks, argument and prefactor agree
-    alpha = 2.0 * l / k
-    params = AlphaMuParams(alpha=alpha, mu=p.mu, mean_snr=p.mean_snr)
-    beta = params.beta
-    amu2 = alpha * params.mu / 2.0
-    spec = FoxHSpec(
-        m=k + l,
-        n=l,
-        upper_pairs=_delta_block(l, 1.0 - amu2),
-        lower_pairs=_delta_block(k, 0.0) + _delta_block(l, a_qos - amu2),
-    )
-    log_ratio = np.log(link.n_t / rhos)
-    log_x = l * log_ratio - k * (0.5 * alpha * math.log(beta) + math.log(k))
-    log_scale, scaled, err = contour_integrals(spec, log_x)
-    for e, g, r in zip(err.tolist(), scaled.tolist(), rhos.tolist()):
-        if not e <= 1e-12:
-            raise TruncationError("rate_exact_meijerg: error %g at rho=%r exceeds 1e-12" % (e, r))
-        if not g > 0:
-            raise ArithmeticError("rate_exact_meijerg: contour integral returned %r" % (g,))
-    log_p = (
-        math.log(alpha)
-        + 0.5 * math.log(k)
-        + (a_qos - 1.0) * math.log(l)
-        + amu2 * (log_ratio - math.log(beta))
-        + (1.5 - l - 0.5 * k) * math.log(2.0 * math.pi)
-        - math.lgamma(a_qos)
-        - math.lgamma(params.mu)
-    )
-    log_e = log_p + log_scale + np.log(scaled) - LN2
-    return _like_rho(rho, -log_e / (a_qos * LN2))
-
-
 def rate_nakagami(link, rho):
     """Closed-form effective rate for Nakagami-m branches (alpha = 2).
 
@@ -248,7 +157,9 @@ def high_snr_validity(link):
 
     The leading term exists iff A < alpha mu / 2 in the fitted parameters;
     the conservative margin A < alpha mu / 2 - 1 additionally keeps the
-    next-order correction integrable.
+    next-order correction integrable.  Both test against the surrogate's
+    diversity order d_f = alpha_f mu_f / 2, not the link's
+    d = n_t alpha mu / 2 (see rate_high_snr).
     """
     p = link.fit.fitted
     half = p.alpha * p.mu / 2.0
@@ -263,7 +174,9 @@ def rate_high_snr(link, rho):
     in the fitted sum parameters.  rho is a scalar or a sequence, as for
     rate_exact_quadrature.  Requires A < alpha mu / 2; between that bound
     and the conservative A < alpha mu / 2 - 1 a warning is emitted because
-    convergence becomes slow.
+    convergence becomes slow.  A second warning fires where A lies between
+    the link's diversity order d = n_t alpha mu / 2 (branch parameters) and
+    the surrogate's: there the link's rate grows with slope d/A, not 1.
     """
     rhos = _rho_vector(rho)
     required, conservative = high_snr_validity(link)
@@ -277,6 +190,13 @@ def rate_high_snr(link, rho):
         warnings.warn(
             "rate_high_snr: delay_a is within one unit of alpha*mu/2; "
             "the asymptote converges slowly here"
+        )
+    d = link.n_t * link.branch.alpha * link.branch.mu / 2.0
+    if d < link.delay_a:
+        warnings.warn(
+            "rate_high_snr: delay_a = %g exceeds the link's diversity order %g "
+            "but not the surrogate's %g; the link's slope is %g, not 1"
+            % (link.delay_a, d, p.alpha * p.mu / 2.0, d / link.delay_a)
         )
     a_qos = link.delay_a
     gap = math.lgamma(p.mu - 2.0 * a_qos / p.alpha) - math.lgamma(p.mu)

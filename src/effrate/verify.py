@@ -20,13 +20,14 @@ from .rates import (
     MisoLink,
     parametric_eb_n0,
     rate_exact_foxh,
-    rate_exact_meijerg,
     rate_exact_quadrature,
     rate_high_snr,
     rate_nakagami,
     wideband_metrics,
 )
 from .special import FoxHSpec, fox_h, tricomi_u
+
+rate_exact_meijerg = None  # bench/spans.py traces this name; the route is gone
 
 _ROUTE_LINKS = [
     MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
@@ -53,11 +54,8 @@ def _check_route_agreement():
     for link in _ROUTE_LINKS:
         rq = rate_exact_quadrature(link, _ROUTE_RHOS).tolist()
         rf = rate_exact_foxh(link, _ROUTE_RHOS).tolist()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rg = rate_exact_meijerg(link, _ROUTE_RHOS).tolist()
-        for q, f, g in zip(rq, rf, rg):
-            worst = max(worst, _rel(q, f), _rel(f, g))
+        for q, f in zip(rq, rf):
+            worst = max(worst, _rel(q, f))
     return worst, len(_ROUTE_LINKS) * len(_ROUTE_RHOS)
 
 

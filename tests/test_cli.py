@@ -84,12 +84,10 @@ def test_rate_sweep_lets_no_warning_escape(capsys):
 
 
 def test_rate_warnings_reach_stderr_as_one_line(capsys):
-    # the fallback and slow-convergence warnings print as one "warning:" line
-    # with no source path, still pass through a caller's catch_warnings, and
-    # leave stdout as it was
+    # the slow-convergence warning prints as one "warning:" line with no
+    # source path, still passes through a caller's catch_warnings, and
+    # leaves stdout as it was
     for argv, prefix in (
-        ("rate --alpha 3 --mu 1.5 --nt 2 --delay-a 0.5 --snr-db 10 --method meijerg",
-         "rate_exact_meijerg: "),
         ("rate --alpha 2 --mu 1 --nt 1 --delay-a 0.6 --snr-db 10 --method high-snr",
          "rate_high_snr: "),
     ):
@@ -120,13 +118,13 @@ def test_rate_json_format(capsys):
     code, out, _ = _run(
         [
             "rate", "--alpha", "4", "--mu", "1", "--nt", "1", "--delay-a", "2",
-            "--snr-db", "10", "--method", "meijerg", "--format", "json",
+            "--snr-db", "10", "--method", "foxh", "--format", "json",
         ],
         capsys,
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["method"] == "meijer_g"
+    assert doc["method"] == "fox_h"
     assert len(doc["points"]) == 1
     assert doc["points"][0]["ci_halfwidth"] is None
 
@@ -209,6 +207,19 @@ def test_rate_bad_range_spec(capsys):
         )
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_rate_meijerg_method_is_gone(capsys):
+    # the Meijer G route ran the Fox H contour kernel a second time
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            [
+                "rate", "--alpha", "4", "--mu", "1", "--nt", "1", "--delay-a", "2",
+                "--snr-db", "10", "--method", "meijerg",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "invalid choice: 'meijerg'" in capsys.readouterr().err
 
 
 def test_rate_and_fit_sum_take_no_seed(capsys):

@@ -1,0 +1,64 @@
+"""Import hygiene of the package source, read with ast (no linter is assumed).
+
+A module-level import that its module never uses fails, unless the import
+carries `# noqa: F401` (kept for an outside reader, such as a tracer that
+replaces the name).  The package's `__init__` must export exactly what it
+imports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "effrate"
+_MODULES = sorted(_SRC.glob("*.py"))
+
+
+def _parse(path):
+    text = path.read_text()
+    return ast.parse(text), text.splitlines()
+
+
+def _imported(tree, lines):
+    """{bound name: line} of the module-level imports without `noqa: F401`."""
+    names = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def _all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_module_import(path):
+    tree, lines = _parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _imported(tree, lines).items() if name not in used}
+    assert not unused, "%s imports names it never uses: %r" % (path.name, unused)
+
+
+def test_package_exports_what_it_imports():
+    tree, lines = _parse(_SRC / "__init__.py")
+    imported = set(_imported(tree, lines))
+    exported = _all(tree)
+    assert exported is not None, "__init__.py has no __all__"
+    assert imported == exported, (
+        "imported but not in __all__: %r; in __all__ but not imported: %r"
+        % (sorted(imported - exported), sorted(exported - imported))
+    )

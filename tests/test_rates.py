@@ -15,21 +15,18 @@ import pytest
 from effrate.alphamu import AlphaMuParams
 from effrate.rates import (
     MisoLink,
-    RationalizationError,
-    _rationalize_half_alpha,
     channel_power_moments,
     ergodic_capacity_quadrature,
     high_snr_validity,
     parametric_eb_n0,
     rate_exact_foxh,
-    rate_exact_meijerg,
     rate_exact_quadrature,
     rate_high_snr,
     rate_low_snr,
     rate_nakagami,
     wideband_metrics,
 )
-from effrate.special import FoxHSpec, TruncationError, contour_integral
+from effrate.special import FoxHSpec, TruncationError, contour_integral, fox_h
 
 _EXP_LINK = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
 
@@ -45,7 +42,6 @@ def test_rayleigh_point_all_routes():
     ref = 0.7457751737292681
     np.testing.assert_allclose(rate_exact_quadrature(_EXP_LINK, 1.0), ref, rtol=1e-12)
     np.testing.assert_allclose(rate_exact_foxh(_EXP_LINK, 1.0), ref, rtol=1e-10)
-    np.testing.assert_allclose(rate_exact_meijerg(_EXP_LINK, 1.0), ref, rtol=1e-10)
     np.testing.assert_allclose(rate_nakagami(_EXP_LINK, 1.0), ref, rtol=1e-12)
 
 
@@ -61,11 +57,7 @@ def test_routes_agree_on_mixed_grid():
                     for rho in (0.1, 100.0):
                         rq = rate_exact_quadrature(link, rho)
                         rf = rate_exact_foxh(link, rho)
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore")
-                            rg = rate_exact_meijerg(link, rho)
                         assert _rel(rq, rf) < 1e-6, (alpha, mu, n_t, a, rho)
-                        assert _rel(rf, rg) < 1e-6, (alpha, mu, n_t, a, rho)
 
 
 def test_foxh_early_stop_repro():
@@ -104,18 +96,16 @@ def test_foxh_large_fitted_mu_matches_quadrature():
             assert _rel(got, rate_exact_quadrature(link, rho)) < 1e-6, (alpha, mu, rho)
 
 
-@pytest.mark.filterwarnings("ignore:rate_exact_meijerg")  # fitted alpha of n_t > 1 falls back
 def test_foxh_vector_call_matches_points():
     rhos = 10.0 ** (np.linspace(-10.0, 30.0, 121) / 10.0)
     for alpha, mu, n_t, a in ((0.8, 3.0, 4, 1.0), (3.0, 0.75, 2, 2.0), (8.0, 1.0, 1, 0.5)):
         link = MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
-        for route in (rate_exact_foxh, rate_exact_meijerg):
-            vec = route(link, rhos)
-            assert isinstance(vec, np.ndarray) and vec.shape == rhos.shape
-            for rho, got in zip(rhos, vec):
-                one = route(link, rho)
-                assert isinstance(one, float)
-                assert _rel(got, one) <= 1e-12, (route.__name__, alpha, mu, n_t, a, rho)
+        vec = rate_exact_foxh(link, rhos)
+        assert isinstance(vec, np.ndarray) and vec.shape == rhos.shape
+        for rho, got in zip(rhos, vec):
+            one = rate_exact_foxh(link, rho)
+            assert isinstance(one, float)
+            assert _rel(got, one) <= 1e-12, (alpha, mu, n_t, a, rho)
 
 
 def test_foxh_high_snr_large_fitted_mu_repro():
@@ -176,28 +166,35 @@ def test_routes_match_nakagami_where_newton_failed():
                 assert worst <= 1e-12, (mu, a, route.__name__, worst)
 
 
-def test_meijerg_uses_genuine_rational_path():
-    # single antenna keeps the branch alpha, so 0.8 = 2*2/5 and 4 = 2*2/1
-    # rationalize exactly and no fallback may fire
-    for alpha, n_t in ((0.8, 1), (4.0, 1), (2.0, 3)):
-        link = MisoLink(n_t=n_t, delay_a=0.7, branch=AlphaMuParams(alpha=alpha, mu=1.5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rg = rate_exact_meijerg(link, 3.0)
-        np.testing.assert_allclose(rg, rate_exact_foxh(link, 3.0), rtol=1e-9)
+def test_foxh_rate_is_a_meijer_g_for_rational_half_alpha():
+    # with alpha/2 = l/k the multiplication theorem splits each gamma factor
+    # of the Fox H integrand into unit-coefficient Delta blocks, so the rate
+    # is a Meijer G function times a closed-form prefactor:
+    #   E = P/2 G^{k+l,l}_{l,k+l}[ x | Delta(l, 1 - alpha mu/2);
+    #                                  Delta(k, 0), Delta(l, A - alpha mu/2) ],
+    #   x = (n_t/rho)^l / (beta^(alpha/2) k)^k,
+    #   P = alpha sqrt(k) l^(A-1) (n_t/(rho beta))^(alpha mu/2)
+    #       (2 pi)^(3/2 - l - k/2) / (Gamma(A) Gamma(mu)).
+    # One antenna keeps the branch law, so 0.8 = 2 * 2/5 and 4 = 2 * 2/1.
+    def delta(n, tau):
+        return tuple(((tau + j) / n, 1.0) for j in range(n))
 
-
-def test_meijerg_falls_back_for_irrational_shape():
-    # fitting a multi-antenna sum moves alpha off every small rational, and
-    # alpha = 1e8 = 2 * 5e7/1 would build blocks of 5e7 gamma factors, so
-    # the G route must warn and agree with the H route exactly
-    with pytest.raises(RationalizationError):
-        _rationalize_half_alpha(1e8)
-    for alpha, n_t in ((0.8, 2), (1e8, 1)):
-        link = MisoLink(n_t=n_t, delay_a=0.5, branch=AlphaMuParams(alpha=alpha, mu=1.0))
-        with pytest.warns(UserWarning, match="falling back"):
-            rg = rate_exact_meijerg(link, 10.0)
-        assert rg == rate_exact_foxh(link, 10.0)
+    a_qos, mu = 0.7, 1.5
+    for alpha, l, k in ((0.8, 2, 5), (4.0, 2, 1)):
+        branch = AlphaMuParams(alpha=alpha, mu=mu)
+        link = MisoLink(n_t=1, delay_a=a_qos, branch=branch)
+        amu2 = alpha * mu / 2.0
+        spec = FoxHSpec(m=k + l, n=l, upper_pairs=delta(l, 1.0 - amu2),
+                        lower_pairs=delta(k, 0.0) + delta(l, a_qos - amu2))
+        for rho in (0.1, 3.0, 100.0):
+            x = (1.0 / rho) ** l / (branch.beta ** (alpha / 2.0) * k) ** k
+            log_p = (math.log(alpha) + 0.5 * math.log(k) + (a_qos - 1.0) * math.log(l)
+                     + amu2 * math.log(1.0 / (rho * branch.beta))
+                     + (1.5 - l - 0.5 * k) * math.log(2.0 * math.pi)
+                     - math.lgamma(a_qos) - math.lgamma(mu))
+            e = 0.5 * math.exp(log_p) * fox_h(spec, x)
+            np.testing.assert_allclose(-math.log2(e) / a_qos, rate_exact_foxh(link, rho),
+                                       rtol=1e-10, err_msg=str((alpha, rho)))
 
 
 def test_quadrature_node_cap_raises_before_allocating():
@@ -343,6 +340,24 @@ def test_high_snr_validity_flags():
     assert required and not conservative
     with pytest.warns(UserWarning, match="slowly"):
         rate_high_snr(strip, 1e6)
+
+
+def test_high_snr_warns_where_the_link_has_a_lower_slope():
+    # alpha 0.8, mu 2, n_t 2: the link's diversity order is d = 1.6 and the
+    # surrogate's d_f = 1.886; for d < A < d_f the link's rate grows as d/A
+    # per doubling of rho while the surrogate asymptote grows as 1
+    def link(a):
+        return MisoLink(n_t=2, delay_a=a, branch=AlphaMuParams(alpha=0.8, mu=2.0))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rate_high_snr(link(1.75), 1e6)
+    messages = [str(w.message) for w in caught]
+    # A = 1.75 is also within one unit of d_f, so the slow-convergence warning fires too
+    assert any("diversity order 1.6 but not the surrogate's 1.88" in m for m in messages), messages
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate_high_snr(link(0.5), 1e6)
 
 
 def test_high_snr_asymptote_converges():
