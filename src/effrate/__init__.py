@@ -11,7 +11,6 @@ from .rates import (
     MisoLink,
     channel_power_moments,
     ergodic_capacity_quadrature,
-    gamma_expectation,
     high_snr_validity,
     parametric_eb_n0,
     rate_exact_foxh,
@@ -26,7 +25,7 @@ from .special import (
     FoxHSpec,
     TruncationError,
     fox_h,
-    log_gamma_complex,
+    gamma_expectation,
     tricomi_u,
 )
 from .sumfit import FitConvergenceError, SumFit, fit_sum, sum_moments
@@ -48,7 +47,6 @@ __all__ = [
     "fox_h",
     "gamma_expectation",
     "high_snr_validity",
-    "log_gamma_complex",
     "moment",
     "parametric_eb_n0",
     "pdf",

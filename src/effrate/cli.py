@@ -211,9 +211,7 @@ def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
         vals = rate_exact_foxh(link, rhos_fine).tolist()
         _emit(out_dir, tag + "_exact", RateCurve(xs_fine, tuple(vals), "fox_h"),
               drawn, "%s=%g exact" % (fig["family"], val))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals = rate_high_snr(link, rhos_fine).tolist()
+        vals = rate_high_snr(link, rhos_fine).tolist()
         # the asymptote line crosses zero inside the plot window; keep its
         # visible (nonnegative) part only
         kept = [(x, v) for x, v in zip(xs_fine, vals) if v >= 0.0]
@@ -265,13 +263,9 @@ def cmd_sweep_figures(args):
     os.makedirs(out_dir, exist_ok=True)
     num = args.figure
     fig, sweep, title, xlabel = _FIGURES[num]
-    svg.render(
-        os.path.join(out_dir, "fig%d.svg" % num),
-        sweep(num, fig, out_dir, args.seed, args.mc_samples),
-        title="%s (figure %d layout)" % (title, num),
-        xlabel=xlabel,
-        ylabel="effective rate [bit/s/Hz]",
-    )
+    svg.render(os.path.join(out_dir, "fig%d.svg" % num),
+               sweep(num, fig, out_dir, args.seed, args.mc_samples),
+               "%s (figure %d layout)" % (title, num), xlabel)
     return 0
 
 

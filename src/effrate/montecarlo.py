@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphamu import sample
-from .rates import _like_rho, _rho_vector
+from .rates import LN2
+from .special import like_grid, positive_grid
 
-LN2 = math.log(2.0)
 _STREAMS = 8  # independent streams the draws of one estimate are split into
 
 
@@ -53,7 +53,7 @@ def _branch_sum(draws):
     return total
 
 
-def _accumulate(links, rhos, cfg, term_fn):
+def _accumulate(links, rho, cfg, term_fn):
     """Stream-ordered (mean, variance) of term_fn(link, log1p(rho S / n_t),
     out) for every link and rho: one list of pairs per link.
 
@@ -64,6 +64,7 @@ def _accumulate(links, rhos, cfg, term_fn):
     totals of each (link, rho) still accumulate in stream order, so every
     row is the one a call with that link, or that rho, alone gives.
     """
+    rhos = positive_grid(rho, "rho").tolist()
     totals = [[0.0] * len(rhos) for _ in links]
     totals_sq = [[0.0] * len(rhos) for _ in links]
     groups = {}
@@ -118,11 +119,11 @@ def simulate_rates(links, rho, cfg):
         raise ValueError("simulate_rates: need at least one link")
     n = cfg.samples
     out = []
-    for link, row in zip(links, _accumulate(links, _rho_vector(rho).tolist(), cfg, _decay_term)):
+    for link, row in zip(links, _accumulate(links, rho, cfg, _decay_term)):
         a_ln2 = link.delay_a * LN2
         rate = np.array([-math.log(mean) / a_ln2 for mean, _ in row])
         halfwidth = np.array([1.96 * math.sqrt(var / n) / (a_ln2 * mean) for mean, var in row])
-        out.append((_like_rho(rho, rate), _like_rho(rho, halfwidth)))
+        out.append((like_grid(rho, rate), like_grid(rho, halfwidth)))
     return out
 
 
@@ -134,5 +135,5 @@ def simulate_rate(link, rho, cfg):
 def simulate_ergodic_capacity(link, rho, cfg):
     """Monte Carlo E{log2(1 + rho S / n_t)}, the no-QoS ceiling; rho is a
     scalar or a sequence, with one set of draws serving every rho."""
-    (row,) = _accumulate([link], _rho_vector(rho).tolist(), cfg, _log_term)
-    return _like_rho(rho, np.array([mean for mean, _ in row]))
+    (row,) = _accumulate([link], rho, cfg, _log_term)
+    return like_grid(rho, np.array([mean for mean, _ in row]))

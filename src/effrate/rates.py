@@ -23,12 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .alphamu import AlphaMuParams, moment
+from .alphamu import AlphaMuParams
 from .special import (FoxHSpec, TruncationError, contour_integral, contour_integrals,
-                      gamma_expectation, log_mean_power)
+                      gamma_expectation, like_grid, log_mean_power, positive_grid)
 # unused here: bench/spans.py traces calls through rates.fox_h and rates.tricomi_u
 from .special import fox_h, tricomi_u  # noqa: F401
-from .sumfit import fit_sum
+from .sumfit import fit_sum, sum_moments
 
 LN2 = math.log(2.0)
 
@@ -56,19 +56,6 @@ class MisoLink:
         return fit_sum(self.branch, self.n_t)
 
 
-def _rho_vector(rho):
-    """rho as a 1-d array, after checking that every entry is finite and > 0."""
-    rhos = np.atleast_1d(np.asarray(rho, dtype=float))
-    if not np.all((rhos > 0) & (rhos < math.inf)):
-        raise ValueError("rho must be finite and > 0, got %r" % (rho,))
-    return rhos
-
-
-def _like_rho(rho, values):
-    """A float for a scalar rho, else the array of values."""
-    return float(values[0]) if np.ndim(rho) == 0 else values
-
-
 def rate_exact_quadrature(link, rho):
     """Effective rate by direct quadrature of the defining expectation.
 
@@ -80,9 +67,9 @@ def rate_exact_quadrature(link, rho):
     serves it all).
     """
     p = link.fit.fitted
-    c = _rho_vector(rho) * p.beta / link.n_t
+    c = positive_grid(rho, "rho") * p.beta / link.n_t
     log_e = log_mean_power(p.mu, c, 2.0 / p.alpha, -link.delay_a)
-    return _like_rho(rho, -log_e / (link.delay_a * LN2))
+    return like_grid(rho, -log_e / (link.delay_a * LN2))
 
 
 def rate_exact_foxh(link, rho):
@@ -101,7 +88,7 @@ def rate_exact_foxh(link, rho):
     Raises TruncationError where the rate's estimated relative error
     exceeds 1e-12.
     """
-    rhos = _rho_vector(rho)
+    rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
     a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
@@ -122,7 +109,7 @@ def rate_exact_foxh(link, rho):
     for e, r in zip(err.tolist(), rhos.tolist()):
         if not e <= 1e-12:
             raise TruncationError("rate_exact_foxh: error %g at rho=%r exceeds 1e-12" % (e, r))
-    return _like_rho(rho, -log_e / (a_qos * LN2))
+    return like_grid(rho, -log_e / (a_qos * LN2))
 
 
 def rate_nakagami(link, rho):
@@ -147,9 +134,16 @@ def rate_nakagami(link, rho):
     if abs(b.alpha - 2.0) > 1e-12:
         raise ValueError("rate_nakagami: needs alpha = 2, got alpha=%g" % b.alpha)
     mn = b.mu * link.n_t
-    z = mn / (b.mean_snr * _rho_vector(rho))
+    z = mn / (b.mean_snr * positive_grid(rho, "rho"))
     log_u = log_mean_power(mn, 1.0 / z, 1.0, -link.delay_a)
-    return _like_rho(rho, -log_u / (link.delay_a * LN2))
+    return like_grid(rho, -log_u / (link.delay_a * LN2))
+
+
+def _diversity_orders(link):
+    """(d, d_f): the link's diversity order n_t alpha mu / 2, in the branch
+    parameters, and the surrogate's alpha_f mu_f / 2, in the fitted ones."""
+    b, p = link.branch, link.fit.fitted
+    return link.n_t * b.alpha * b.mu / 2.0, p.alpha * p.mu / 2.0
 
 
 def high_snr_validity(link):
@@ -161,9 +155,8 @@ def high_snr_validity(link):
     diversity order d_f = alpha_f mu_f / 2, not the link's
     d = n_t alpha mu / 2 (see rate_high_snr).
     """
-    p = link.fit.fitted
-    half = p.alpha * p.mu / 2.0
-    return link.delay_a < half, link.delay_a < half - 1.0
+    _, d_f = _diversity_orders(link)
+    return link.delay_a < d_f, link.delay_a < d_f - 1.0
 
 
 def rate_high_snr(link, rho):
@@ -178,38 +171,34 @@ def rate_high_snr(link, rho):
     the link's diversity order d = n_t alpha mu / 2 (branch parameters) and
     the surrogate's: there the link's rate grows with slope d/A, not 1.
     """
-    rhos = _rho_vector(rho)
+    rhos = positive_grid(rho, "rho")
     required, conservative = high_snr_validity(link)
-    p = link.fit.fitted
+    d, d_f = _diversity_orders(link)
     if not required:
         raise ValueError(
             "rate_high_snr: delay_a must satisfy delay_a < alpha*mu/2 "
-            "(got %g >= %g)" % (link.delay_a, p.alpha * p.mu / 2.0)
+            "(got %g >= %g)" % (link.delay_a, d_f)
         )
     if not conservative:
         warnings.warn(
             "rate_high_snr: delay_a is within one unit of alpha*mu/2; "
             "the asymptote converges slowly here"
         )
-    d = link.n_t * link.branch.alpha * link.branch.mu / 2.0
     if d < link.delay_a:
         warnings.warn(
             "rate_high_snr: delay_a = %g exceeds the link's diversity order %g "
             "but not the surrogate's %g; the link's slope is %g, not 1"
-            % (link.delay_a, d, p.alpha * p.mu / 2.0, d / link.delay_a)
+            % (link.delay_a, d, d_f, d / link.delay_a)
         )
+    p = link.fit.fitted
     a_qos = link.delay_a
     gap = math.lgamma(p.mu - 2.0 * a_qos / p.alpha) - math.lgamma(p.mu)
-    return _like_rho(rho, np.log2(p.beta * rhos / link.n_t) - gap / (a_qos * LN2))
+    return like_grid(rho, np.log2(p.beta * rhos / link.n_t) - gap / (a_qos * LN2))
 
 
 def channel_power_moments(link):
     """First two moments of the array gain: E{S} and E{S^2} for the branch sum."""
-    m1 = moment(link.branch, 1)
-    m2 = moment(link.branch, 2)
-    first = link.n_t * m1
-    second = link.n_t * m2 + link.n_t * (link.n_t - 1) * m1 * m1
-    return first, second
+    return sum_moments(link.branch, link.n_t, 1), sum_moments(link.branch, link.n_t, 2)
 
 
 def wideband_metrics(link):
@@ -237,14 +226,12 @@ def rate_low_snr(link, eb_n0):
     positive rate is supportable; such values are clamped to 0 and one
     warning is raised.
     """
-    if not np.all(np.asarray(eb_n0) > 0):
-        raise ValueError("rate_low_snr: eb_n0 must be > 0")
-    ebs = np.atleast_1d(np.asarray(eb_n0, dtype=float)).tolist()
+    ebs = positive_grid(eb_n0, "eb_n0").tolist()
     eb_min, s0 = wideband_metrics(link)
     if min(ebs) <= eb_min:
         warnings.warn("rate_low_snr: eb_n0 at or below the minimum, rate clamped to 0")
     # math.log2 per point keeps libm's rounding, which numpy's may not match
-    return _like_rho(eb_n0, np.array([s0 * math.log2(eb / eb_min) if eb > eb_min else 0.0
+    return like_grid(eb_n0, np.array([s0 * math.log2(eb / eb_min) if eb > eb_min else 0.0
                                       for eb in ebs]))
 
 
@@ -254,7 +241,7 @@ def parametric_eb_n0(link, rho):
     r = rate_exact_quadrature(link, rho)
     if not np.all(np.asarray(r) > 0):
         raise ArithmeticError("parametric_eb_n0: rate is not positive at rho=%r" % (rho,))
-    return (rho if np.ndim(rho) == 0 else np.asarray(rho, dtype=float)) / r, r
+    return like_grid(rho, positive_grid(rho, "rho") / r), r
 
 
 def ergodic_capacity_quadrature(link, rho):
@@ -263,7 +250,7 @@ def ergodic_capacity_quadrature(link, rho):
     The A -> 0 limit of the effective rate; used as the no-QoS reference.
     rho is a scalar or a sequence, as for rate_exact_quadrature.
     """
-    rhos = _rho_vector(rho)
+    rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
     e = gamma_expectation(p.mu, np.log1p, rhos * p.beta / link.n_t, 2.0 / p.alpha, growth=1.0)
-    return _like_rho(rho, e / LN2)
+    return like_grid(rho, e / LN2)

@@ -18,6 +18,20 @@ from functools import cached_property
 import numpy as np
 
 
+def positive_grid(x, name):
+    """x, a scalar or a sequence, as a 1-d float array; raises a ValueError
+    naming x unless every entry is finite and > 0."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((xs > 0) & (xs < math.inf)):
+        raise ValueError("%s must be finite and > 0, got %r" % (name, x))
+    return xs
+
+
+def like_grid(x, values):
+    """A float for a scalar x, else the array of values."""
+    return float(values[0]) if np.ndim(x) == 0 else values
+
+
 class ContourError(ValueError):
     """No vertical contour separates the two pole families."""
 
@@ -90,22 +104,6 @@ def _loggamma(z):
     return out.reshape(z.shape)
 
 
-def log_gamma_complex(z):
-    """Principal branch of log Gamma for complex argument.
-
-    Accepts scalars or arrays.  Raises ValueError at the poles
-    (non-positive real integers), where no finite value exists.
-    """
-    z = np.asarray(z, dtype=complex)
-    on_pole = (z.real <= 0) & (z.imag == 0) & (z.real == np.floor(z.real))
-    if np.any(on_pole):
-        raise ValueError("log_gamma_complex: argument is a non-positive integer (pole)")
-    out = _loggamma(z)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 def _stirling_tail(x):
     """Stirling's series for log Gamma(x) past its 1/(12 x) term: the sum of
     B_2n / (2n (2n - 1) x^(2n - 1)) for n = 2..6.  From x = 12 on, the
@@ -146,7 +144,7 @@ def lgamma_second_difference(x, d):
             + d * d / (6.0 * x * (x + d) * (x + 2.0 * d)) + tail)
 
 
-def tricomi_u(a, b, z, log_scaled=False):
+def tricomi_u(a, b, z):
     """Tricomi confluent hypergeometric U(a;b;z) for a > 0, z > 0 and real b.
 
     Evaluated from the Laplace-type integral
@@ -155,18 +153,13 @@ def tricomi_u(a, b, z, log_scaled=False):
 
     which is smooth in b, so nothing special happens when b passes through
     an integer.  z is a scalar (giving a float) or a sequence (giving an
-    array).  log_scaled=True returns log(z^a U(a;b;z)), which keeps its
-    digits where U under- or overflows and where z^a U is close to 1.
+    array).  log(z^a U(a;b;z)), which keeps its digits where U under- or
+    overflows, is log_mean_power(a, 1/z, 1, b - a - 1).
     """
     if not a > 0:
         raise ValueError("tricomi_u: need a > 0, got a=%r" % (a,))
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.all(zs > 0):
-        raise ValueError("tricomi_u: need z > 0, got z=%r" % (z,))
-    u = log_mean_power(a, 1.0 / zs, 1.0, b - a - 1.0)
-    if not log_scaled:
-        u = np.exp(u - a * np.log(zs))
-    return float(u[0]) if np.ndim(z) == 0 else u
+    zs = positive_grid(z, "z")
+    return like_grid(z, np.exp(log_mean_power(a, 1.0 / zs, 1.0, b - a - 1.0) - a * np.log(zs)))
 
 
 @dataclass(frozen=True)

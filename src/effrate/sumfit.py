@@ -20,12 +20,14 @@ from .special import lgamma_second_difference
 
 
 def sum_moments(branch, n_t, q):
-    """Exact E{(gamma_1 + ... + gamma_{n_t})^q} for i.i.d. branches, integer q.
+    """Exact E{(gamma_1 + ... + gamma_{n_t})^q} for i.i.d. branches, integer q."""
+    return _sum_moments_to(branch, n_t, q)[-1]
 
-    Branch moments of orders 0..q are convolved binomially, one antenna at a
-    time.  Branch moments themselves are formed in log space, so large mu or
-    small alpha cannot overflow on the way in.
-    """
+
+def _sum_moments_to(branch, n_t, q):
+    """[E{S^0}, ..., E{S^q}] of the i.i.d. branch sum S: branch moments of
+    orders 0..q convolved binomially, one antenna at a time.  Branch moments
+    are formed in log space, so large mu or small alpha cannot overflow."""
     if n_t < 1 or n_t != int(n_t):
         raise ValueError("sum_moments: n_t must be a positive integer")
     if q < 0 or q != int(q):
@@ -40,7 +42,7 @@ def sum_moments(branch, n_t, q):
                 math.comb(k, j) * acc[j] * single[k - j] for j in range(k + 1)
             )
         acc = nxt
-    return acc[q]
+    return acc
 
 
 def _log_ratio(alpha, mu, k):
@@ -152,7 +154,7 @@ def fit_sum(branch, n_t):
     sum_moments raises ValueError unless n_t is a positive integer; an
     ArithmeticError or ValueError in the solve raises FitConvergenceError.
     """
-    moments = tuple(sum_moments(branch, n_t, q) for q in range(1, 5))
+    moments = tuple(_sum_moments_to(branch, n_t, 4)[1:])
     n_t = int(n_t)
     if n_t == 1:
         return SumFit(fitted=branch, residuals=(0.0, 0.0), exact_moments=moments)

@@ -21,6 +21,7 @@ _LINE = '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="%s"%s/>'
 _TEXT = '<text x="%g" y="%g" font-size="%d"%s>%s</text>'
 _MIDDLE = ' text-anchor="middle"'
 _GRID = "#dddddd"
+_YLABEL = "effective rate [bit/s/Hz]"
 
 
 def _nice_ticks(lo, hi):
@@ -46,8 +47,8 @@ def _fmt(v):
     return "%g" % (round(v, 10),)
 
 
-def render(path, curves, title="", xlabel="", ylabel=""):
-    """Write an SVG overlay of the given curves.
+def render(path, curves, title, xlabel):
+    """Write an SVG overlay of the given curves, with a title and an x-axis label.
 
     Each entry of curves is a (curve, label, dash) triple.  curve is a
     RateCurve: its x_db and rate make the polyline, and its ci_halfwidth,
@@ -77,8 +78,7 @@ def render(path, curves, title="", xlabel="", ylabel=""):
         'font-family="sans-serif">' % (_W, _H),
         '<rect width="%d" height="%d" fill="white"/>' % (_W, _H),
     ]
-    if title:
-        out.append(_TEXT % ((_ML + _W - _MR) / 2, 24, 17, _MIDDLE, title))
+    out.append(_TEXT % ((_ML + _W - _MR) / 2, 24, 17, _MIDDLE, title))
     # gridlines and ticks
     for t in _nice_ticks(x_lo, x_hi):
         out.append(_LINE % (px(t), py(y_lo), px(t), py(y_hi), _GRID, ""))
@@ -91,12 +91,9 @@ def render(path, curves, title="", xlabel="", ylabel=""):
         '<rect x="%g" y="%g" width="%g" height="%g" fill="none" stroke="black"/>'
         % (px(x_lo), py(y_hi), px(x_hi) - px(x_lo), py(y_lo) - py(y_hi))
     )
-    if xlabel:
-        out.append(_TEXT % ((_ML + _W - _MR) / 2, _H - 14, 14, _MIDDLE, xlabel))
-    if ylabel:
-        mid = (_MT + _H - _MB) / 2
-        out.append(_TEXT % (18, mid, 14, _MIDDLE + ' transform="rotate(-90 18 %g)"' % mid,
-                            ylabel))
+    out.append(_TEXT % ((_ML + _W - _MR) / 2, _H - 14, 14, _MIDDLE, xlabel))
+    mid = (_MT + _H - _MB) / 2
+    out.append(_TEXT % (18, mid, 14, _MIDDLE + ' transform="rotate(-90 18 %g)"' % mid, _YLABEL))
     # curves, and their legend entries drawn over them afterwards
     lx, ly = _ML + 14, _MT + 10
     legend = [

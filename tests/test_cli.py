@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import effrate.alphamu
+import effrate.special
 from effrate import cli, verify
 from effrate.montecarlo import McConfig, simulate_rate
 
@@ -582,6 +583,15 @@ def test_verify_pdf_check_flags_scaled_density(monkeypatch):
     orig = verify.pdf
     monkeypatch.setattr(verify, "pdf", lambda p, g: orig(p, g) * (1.0 + 1e-7))
     assert verify.run_verification(out=io.StringIO()) == ["pdf-normalization"]
+
+
+def test_verify_identities_flag_a_biased_gamma_kernel(monkeypatch):
+    # negative control: a 1e-7 relative bias in the Gamma-weight kernel must
+    # fail the special-function identities, whose Tricomi points reach it
+    orig = effrate.special.gamma_expectation
+    monkeypatch.setattr(effrate.special, "gamma_expectation",
+                        lambda *args, **kw: orig(*args, **kw) * (1.0 + 1e-7))
+    assert "special-function-identities" in verify.run_verification(out=io.StringIO())
 
 
 def test_import_leaves_scipy_integrate_out():

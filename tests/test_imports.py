@@ -2,8 +2,9 @@
 
 A module-level import that its module never uses fails, unless the import
 carries `# noqa: F401` (kept for an outside reader, such as a tracer that
-replaces the name).  The package's `__init__` must export exactly what it
-imports.
+replaces the name).  No module imports an underscore-prefixed name from
+another effrate module.  The package's `__init__` must export exactly what
+it imports.
 """
 
 import ast
@@ -51,6 +52,17 @@ def test_no_unused_module_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree, lines).items() if name not in used}
     assert not unused, "%s imports names it never uses: %r" % (path.name, unused)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_private_name_imported_from_the_package(path):
+    # a rule several modules need lives under a public name in one module
+    tree, _ = _parse(path)
+    private = [(node.lineno, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "effrate")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, "%s imports private effrate names: %r" % (path.name, private)
 
 
 def test_package_exports_what_it_imports():

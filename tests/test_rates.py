@@ -437,6 +437,12 @@ def test_low_snr_rate_shape():
         assert rate_low_snr(link, eb_min) == 0.0
     with pytest.raises(ValueError):
         rate_low_snr(link, 0.0)
+    # an infinite energy per bit is refused by name, with no clamp warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.inf, [1.0, math.inf]):
+            with pytest.raises(ValueError, match="eb_n0 must be finite"):
+                rate_low_snr(link, bad)
 
 
 def test_low_snr_rate_takes_a_sequence():
