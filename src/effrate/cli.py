@@ -189,68 +189,53 @@ def _figure_links(fig):
     return links
 
 
-def _emit(out_dir, name, curve, collect, label, dash=None):
-    path = os.path.join(out_dir, name + ".csv")
-    with open(path, "w") as fh:
-        curve_to_csv(curve, fh)
-    collect.append((curve, label, dash))
-
-
-def _sweep_snr_figure(num, fig, out_dir, seed, mc_samples):
-    xs_fine = tuple(0.0 + 0.5 * i for i in range(41))
-    xs_mc = tuple(0.0 + 2.0 * i for i in range(11))
-    rhos_fine = [db_to_linear(x) for x in xs_fine]
-    rhos_mc = [db_to_linear(x) for x in xs_mc]
+def _sweep_snr_figure(fig, seed, mc_samples):
+    xs = tuple(0.5 * i for i in range(41))
+    rhos = [db_to_linear(x) for x in xs]
     links = _figure_links(fig)
     # one set of draws serves every curve that shares mu (common random numbers)
-    mc = simulate_rates([link for _, link in links], rhos_mc,
+    mc = simulate_rates([link for _, link in links], rhos[::4],
                         McConfig(samples=mc_samples, seed=seed))
-    drawn = []
+    curves = []
     for (val, link), (mc_rates, mc_ci) in zip(links, mc):
-        tag = "fig%d_%s%g" % (num, fig["family"], val)
-        vals = rate_exact_foxh(link, rhos_fine).tolist()
-        _emit(out_dir, tag + "_exact", RateCurve(xs_fine, tuple(vals), "fox_h"),
-              drawn, "%s=%g exact" % (fig["family"], val))
-        vals = rate_high_snr(link, rhos_fine).tolist()
+        tag, label = "%s%g" % (fig["family"], val), "%s=%g " % (fig["family"], val)
+        exact = RateCurve(xs, tuple(rate_exact_foxh(link, rhos).tolist()), "fox_h")
         # the asymptote line crosses zero inside the plot window; keep its
         # visible (nonnegative) part only
-        kept = [(x, v) for x, v in zip(xs_fine, vals) if v >= 0.0]
-        _emit(out_dir, tag + "_asymptote",
-              RateCurve(tuple(x for x, _ in kept), tuple(v for _, v in kept), "high_snr"),
-              drawn, "%s=%g high-SNR" % (fig["family"], val), dash="6,4")
-        _emit(out_dir, tag + "_mc",
-              RateCurve(xs_mc, tuple(mc_rates.tolist()), "monte_carlo", tuple(mc_ci.tolist())),
-              drawn, "%s=%g simulated" % (fig["family"], val))
-    awgn = tuple(math.log2(1.0 + rho) for rho in rhos_fine)
-    _emit(out_dir, "fig%d_awgn" % num, RateCurve(xs_fine, awgn, "awgn"),
-          drawn, "AWGN benchmark", dash="2,3")
-    return drawn
+        kept = [(x, v) for x, v in zip(xs, rate_high_snr(link, rhos).tolist()) if v >= 0.0]
+        curves += [
+            (tag + "_exact", exact, label + "exact", None),
+            (tag + "_asymptote", RateCurve(*zip(*kept), "high_snr"), label + "high-SNR", "6,4"),
+            (tag + "_mc", RateCurve(xs[::4], tuple(mc_rates.tolist()), "monte_carlo",
+                                    tuple(mc_ci.tolist())), label + "simulated", None),
+        ]
+    awgn = tuple(math.log2(1.0 + rho) for rho in rhos)
+    return curves + [("awgn", RateCurve(xs, awgn, "awgn"), "AWGN benchmark", "2,3")]
 
 
-def _sweep_eb_n0_figure(num, fig, out_dir, seed, mc_samples):
+def _sweep_eb_n0_figure(fig, seed, mc_samples):
     rhos = [10.0 ** (-4.0 + 6.0 * i / 27.0) for i in range(28)]
-    sub = list(range(0, len(rhos), 3))
     links = _figure_links(fig)
-    mc = simulate_rates([link for _, link in links], [rhos[i] for i in sub],
+    mc = simulate_rates([link for _, link in links], rhos[::3],
                         McConfig(samples=mc_samples, seed=seed))
-    drawn = []
+    curves = []
     for (val, link), (mc_rates, mc_ci) in zip(links, mc):
-        tag = "fig%d_%s%g" % (num, fig["family"], val)
+        tag, label = "%s%g" % (fig["family"], val), "A=%g " % val
         ebs, rates = parametric_eb_n0(link, rhos)
         ebs_db = tuple(10.0 * math.log10(eb) for eb in ebs.tolist())
-        _emit(out_dir, tag + "_exact", RateCurve(ebs_db, tuple(rates.tolist()), "quadrature"),
-              drawn, "A=%g exact" % val)
+        exact = RateCurve(ebs_db, tuple(rates.tolist()), "quadrature")
         approx = tuple(rate_low_snr(link, [db_to_linear(x) for x in ebs_db]).tolist())
-        _emit(out_dir, tag + "_wideband", RateCurve(ebs_db, approx, "low_snr_wideband"),
-              drawn, "A=%g wideband" % val, dash="6,4")
-        _emit(out_dir, tag + "_mc",
-              RateCurve(tuple(ebs_db[i] for i in sub), tuple(mc_rates.tolist()), "monte_carlo",
-                        tuple(mc_ci.tolist())),
-              drawn, "A=%g simulated" % val)
-    return drawn
+        curves += [
+            (tag + "_exact", exact, label + "exact", None),
+            (tag + "_wideband", RateCurve(ebs_db, approx, "low_snr_wideband"),
+             label + "wideband", "6,4"),
+            (tag + "_mc", RateCurve(ebs_db[::3], tuple(mc_rates.tolist()), "monte_carlo",
+                                    tuple(mc_ci.tolist())), label + "simulated", None),
+        ]
+    return curves
 
 
-# --figure: (definition, sweep writing the CSVs, SVG title, x-axis label)
+# --figure: (definition, sweep returning its curves, SVG title, x-axis label)
 _FIGURES = {
     1: (_FIG1, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]"),
     2: (_FIG2, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]"),
@@ -263,8 +248,13 @@ def cmd_sweep_figures(args):
     os.makedirs(out_dir, exist_ok=True)
     num = args.figure
     fig, sweep, title, xlabel = _FIGURES[num]
+    # every curve exists before the first file is written: a failure leaves none
+    curves = sweep(fig, args.seed, args.mc_samples)
+    for name, curve, _, _ in curves:
+        with open(os.path.join(out_dir, "fig%d_%s.csv" % (num, name)), "w") as fh:
+            curve_to_csv(curve, fh)
     svg.render(os.path.join(out_dir, "fig%d.svg" % num),
-               sweep(num, fig, out_dir, args.seed, args.mc_samples),
+               [(curve, label, dash) for _, curve, label, dash in curves],
                "%s (figure %d layout)" % (title, num), xlabel)
     return 0
 

@@ -10,6 +10,7 @@ their draws: the curves of a figure are compared on common random numbers.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1000:
             raise ValueError("McConfig: need at least 1000 samples")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("McConfig: seed must be a non-negative integer, got %r" % (self.seed,))
 
 
 def _stream_plan(cfg):

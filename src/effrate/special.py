@@ -424,13 +424,14 @@ def log_mean_power(mu, c, p, k):
     """log E[(1 + c U^p)^k] for U ~ Gamma(mu, 1) and a vector c > 0.  Within
     a factor 2 of 1 the mean minus 1 is summed instead, as the mean of
     expm1(k log1p(c U^p)), so that a small logarithm keeps its digits."""
+    c = np.atleast_1d(c)
     if k == 0:
-        return np.zeros(np.size(c))
+        return np.zeros(c.size)
     log_e = np.log(gamma_expectation(mu, lambda t: np.exp(k * np.log1p(t)), c, p, max(k, 0.0)))
     near = ~(np.abs(log_e) > math.log(2.0))
     if near.any():
         log_e[near] = np.log1p(gamma_expectation(
-            mu, lambda t: np.expm1(k * np.log1p(t)), np.asarray(c)[near], p, max(k, 1.0)))
+            mu, lambda t: np.expm1(k * np.log1p(t)), c[near], p, max(k, 1.0)))
     return log_e
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, verification."""
 
 import io
+import math
 import os
 import subprocess
 import sys
@@ -416,6 +417,24 @@ def test_sweep_reproduces_demo_output(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
 
 
+def test_sweep_failing_part_way_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # every curve of a figure is computed before its first file is written
+    orig = cli.rate_high_snr
+    calls = []
+
+    def failing_third(link, rho):
+        calls.append(link)
+        if len(calls) == 3:
+            raise ArithmeticError("injected failure")
+        return orig(link, rho)
+
+    monkeypatch.setattr(cli, "rate_high_snr", failing_third)
+    code, _, err = _run(["sweep-figures", "--figure", "1", "--out-dir", str(tmp_path),
+                         "--mc-samples", "1000"], capsys)
+    assert code == 2 and err == "error: injected failure\n"
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_sweep_respects_out_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EFFRATE_OUT_DIR", str(tmp_path / "env_out"))
     code, _, _ = _run(
@@ -577,12 +596,51 @@ def test_verify_catches_injected_scale_bug(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_verify_pdf_check_flags_scaled_density(monkeypatch):
-    # negative control: a density off by 1e-7 must fail pdf-normalization,
-    # and only that check
+@pytest.mark.parametrize("factor", [1.0 + 1e-7, math.nan], ids=["scaled", "nan"])
+def test_verify_pdf_check_flags_scaled_density(monkeypatch, factor):
+    # negative control: a density off by 1e-7, or NaN everywhere, must fail
+    # pdf-normalization, and only that check; a NaN error is printed as one
     orig = verify.pdf
-    monkeypatch.setattr(verify, "pdf", lambda p, g: orig(p, g) * (1.0 + 1e-7))
-    assert verify.run_verification(out=io.StringIO()) == ["pdf-normalization"]
+    monkeypatch.setattr(verify, "pdf", lambda p, g: orig(p, g) * factor)
+    out = io.StringIO()
+    assert verify.run_verification(out=out) == ["pdf-normalization"]
+    (row,) = [ln for ln in out.getvalue().splitlines() if ln.startswith("pdf-normalization")]
+    assert row.split()[-1] == "FAIL"
+    if math.isnan(factor):
+        assert row.split()[2] == "nan"
+
+
+# the table of run_verification(samples=100_000, seed=0), less its time line
+_VERIFY_TABLE = """\
+check                          points        worst        tol status
+route-pairwise-agreement           48    2.040e-15    1.0e-06 PASS
+nakagami-closed-form               32    4.202e-15    1.0e-08 PASS
+branch-mean-consistency             8    2.220e-16    1.0e-10 PASS
+special-function-identities        17    4.013e-15    1.0e-08 PASS
+pdf-normalization                   3    1.468e-13    1.0e-08 PASS
+mc-vs-analytic                     12    3.744e-01    1.0e+00 PASS
+high-snr-gap-bits                   4    5.389e-05    1.0e-02 PASS
+wideband-metrics                   11    2.442e-15    1.0e-10 PASS
+low-snr-intercept-db                3    3.800e-04    5.0e-02 PASS
+"""
+
+
+def test_verify_table_is_pinned():
+    # a rebuild of verify shows up here as a diff of its table
+    out = io.StringIO()
+    assert verify.run_verification(samples=100_000, seed=0, out=out) == []
+    lines = out.getvalue().splitlines(keepends=True)
+    assert "".join(lines[:-1]) == _VERIFY_TABLE
+    assert lines[-1].startswith("PASS (9 checks) in ")
+
+
+def test_negative_seed_is_refused_by_name(tmp_path, capsys):
+    # refused before the first verify row is printed or any figure file written
+    message = "error: McConfig: seed must be a non-negative integer, got -1\n"
+    for argv in (["verify", "--seed", "-1"], _fig_args(1, tmp_path, extra=("--seed", "-1"))):
+        code, out, err = _run(argv, capsys)
+        assert (code, out, err) == (2, "", message), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_identities_flag_a_biased_gamma_kernel(monkeypatch):

@@ -167,3 +167,7 @@ def test_ergodic_hardens_to_awgn():
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(samples=10)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            McConfig(seed=seed)
+    assert McConfig(seed=np.int64(3)).seed == 3

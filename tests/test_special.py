@@ -173,8 +173,11 @@ def test_tricomi_log_scaled_frozen_values():
     # log(z^a U(a;b;z)) = log_mean_power(a, 1/z, 1, b - a - 1) at 40 digits:
     # U itself underflows at the first point, and z^a U is within 4e-5 of 1 there
     assert tricomi_u(64.0, 61.0, 6.4e6) == 0.0
+    # a scalar c gives the same one-element array; at z = 6.4e6 it takes the
+    # near-1 branch
     for z, ref in ((6.4e6, -3.9999784376655584e-05), (1e-3, -44.106576449746685)):
-        np.testing.assert_allclose(log_mean_power(64.0, [1.0 / z], 1.0, -4.0), ref, rtol=1e-12)
+        for c in ([1.0 / z], 1.0 / z):
+            np.testing.assert_allclose(log_mean_power(64.0, c, 1.0, -4.0), [ref], rtol=1e-12)
 
 
 def test_tricomi_rejects_nonpositive_a():
