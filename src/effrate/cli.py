@@ -11,7 +11,6 @@ sweep-figures.
 import argparse
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -84,25 +83,6 @@ def curve_to_csv(curve, fh):
     ci = curve.ci_halfwidth or [None] * len(curve.rate)
     for x, r, h in zip(curve.x_db, curve.rate, ci):
         fh.write("%r,%r,%s,%s\n" % (x, r, curve.method, "" if h is None else repr(h)))
-
-
-def curves_from_csv(fh):
-    """Inverse of curve_to_csv; consecutive rows of one method form a curve."""
-    header = fh.readline().strip()
-    if header != "snr_db,rate,method,ci_halfwidth":
-        raise ValueError("unexpected CSV header: %r" % (header,))
-
-    def row(line):
-        x, r, method, h = line.split(",")
-        return method, float(x), float(r), float(h) if h else None
-
-    curves = []
-    rows = [row(line) for line in map(str.strip, fh) if line]
-    for method, group in itertools.groupby(rows, key=lambda fields: fields[0]):
-        _, xs, rates, cis = zip(*group)
-        has_ci = any(h is not None for h in cis)
-        curves.append(RateCurve(xs, rates, method, cis if has_ci else None))
-    return curves
 
 
 def curve_to_json_obj(curve):

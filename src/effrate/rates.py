@@ -83,8 +83,10 @@ def rate_exact_foxh(link, rho):
     H comes from the line FoxHSpec.contour_abscissa picks: the strip
     midpoint, or a line nearer the saddle where the midpoint's sum would
     cancel away digits (high SNR with large fitted mu and A).  Where
-    E > 1/2 the line Re s = 1/alpha right of the pole at s = 0 gives E - 1
-    instead (the residue is the 1), so a small 1 - E keeps its digits.
+    E > 1/2 the line Re s = 1.5/alpha, 3/4 of the way from the pole at
+    s = 0 (whose residue is the 1) to the next at 2/alpha, gives E - 1
+    instead, so a small 1 - E keeps its digits; the nearer that next pole,
+    whose residue leads E - 1, the less the sum cancels.
     Raises TruncationError where the rate's estimated relative error
     exceeds 1e-12.
     """
@@ -101,7 +103,7 @@ def rate_exact_foxh(link, rho):
         log_e = log_k + log_scale + np.log(scaled)
         low = ~(log_e < -LN2)
         if low.any():
-            log_scale, scaled, err_low = contour_integral(spec, 1.0 / p.alpha, log_z[low])
+            log_scale, scaled, err_low = contour_integral(spec, 1.5 / p.alpha, log_z[low])
             e_minus_1 = np.exp(log_k + log_scale) * scaled
             log_e[low] = np.log1p(e_minus_1)
             err[low] = err_low * np.abs(e_minus_1) / (1.0 + e_minus_1)

@@ -7,8 +7,9 @@ matching the first and second moment ratio and the second and fourth moment
 ratio.  For alpha = 2 the family is the Gamma family and the sum is exactly
 Gamma(n_t mu), which the fit returns without solving anything.
 
-Integer moments of the sum are exact: they follow from the branch moments
-by iterated binomial convolution, no approximation involved.
+Integer moments of the sum are exact: the cumulants of independent variates
+add, so the sum's are n_t times the branch's, and moments and the fit's two
+ratios are read from that one list, no approximation involved.
 """
 
 import functools
@@ -20,29 +21,36 @@ from .special import lgamma_second_difference
 
 
 def sum_moments(branch, n_t, q):
-    """Exact E{(gamma_1 + ... + gamma_{n_t})^q} for i.i.d. branches, integer q."""
-    return _sum_moments_to(branch, n_t, q)[-1]
+    """Exact E{(gamma_1 + ... + gamma_{n_t})^q} for i.i.d. branches, integer q:
+    E{S^k} = sum_j C(k-1, j-1) K_j E{S^(k-j)} from the sum cumulants K_j."""
+    cumulants = _sum_cumulants(branch, n_t, q)
+    raw = [1.0]
+    for k in range(1, len(cumulants) + 1):
+        raw.append(sum(math.comb(k - 1, j - 1) * cumulants[j - 1] * raw[k - j]
+                       for j in range(1, k + 1)))
+    return raw[-1]
 
 
-def _sum_moments_to(branch, n_t, q):
-    """[E{S^0}, ..., E{S^q}] of the i.i.d. branch sum S: branch moments of
-    orders 0..q convolved binomially, one antenna at a time.  Branch moments
-    are formed in log space, so large mu or small alpha cannot overflow."""
-    if n_t < 1 or n_t != int(n_t):
-        raise ValueError("sum_moments: n_t must be a positive integer")
-    if q < 0 or q != int(q):
-        raise ValueError("sum_moments: q must be a non-negative integer")
-    q = int(q)
-    single = [moment(branch, k) for k in range(q + 1)]
-    acc = list(single)
-    for _ in range(int(n_t) - 1):
-        nxt = [0.0] * (q + 1)
-        for k in range(q + 1):
-            nxt[k] = sum(
-                math.comb(k, j) * acc[j] * single[k - j] for j in range(k + 1)
-            )
-        acc = nxt
-    return acc
+def _sum_cumulants(branch, n_t, q):
+    """[K_1, ..., K_q] of the i.i.d. branch sum S: cumulants add, so these are
+    n_t times the branch cumulants K_k = m_k - sum_{j<k} C(k-1, j-1) K_j m_{k-j}.
+    Branch moments m_k are formed in log space, so large mu or small alpha
+    cannot overflow.  K_2 = m_1^2 exp(-_log_ratio(alpha, mu, 1)) replaces
+    the cancelling m_2 - m_1^2 before K_3 and K_4 are formed, unless that
+    difference is not > 0 (alpha so large that the moments round to powers
+    of the mean), where it is kept for the fit to refuse.
+    """
+    if not (n_t >= 1 and n_t == int(n_t) and q >= 0 and q == int(q)):
+        raise ValueError("sum_moments: need integers n_t >= 1 and q >= 0, got %r, %r" % (n_t, q))
+    m = [moment(branch, k) for k in range(int(q) + 1)]
+    cumulants = []
+    for k in range(1, len(m)):
+        c = m[k] - sum(math.comb(k - 1, j - 1) * cumulants[j - 1] * m[k - j]
+                       for j in range(1, k))
+        if k == 2 and c > 0:
+            c = m[1] * m[1] * math.exp(-_log_ratio(branch.alpha, branch.mu, 1))
+        cumulants.append(c)
+    return [n_t * c for c in cumulants]
 
 
 def _log_ratio(alpha, mu, k):
@@ -52,24 +60,12 @@ def _log_ratio(alpha, mu, k):
     return -excess - math.log(-math.expm1(-excess))
 
 
-def _ratio_targets(branch, n_t, moments):
-    """Left-hand sides of the two matching equations, from the raw sum moments.
-
-    First equation: E^2{S} / (E{S^2} - E^2{S}).  The denominator is N_t times
-    the branch variance, which _log_ratio gives without cancellation.
-    Second equation: E^2{S^2} / (E{S^4} - E^2{S^2}), formed from the exact
-    convolved moments.
-    """
-    m1, m2, _, m4 = moments
-    # Var(S) = n_t * m1_branch^2 * (m2/m1^2 - 1), exact and cancellation free
-    b1 = moment(branch, 1)
-    var_s = n_t * b1 * b1 * math.exp(-_log_ratio(branch.alpha, branch.mu, 1))
-    t1 = m1 * m1 / var_s
-    d2 = m4 - m2 * m2
-    if d2 <= 0:
+def _ratio_targets(k1, k2, k3, k4):
+    """E^2{S} / Var{S} and E^2{S^2} / Var{S^2} from the sum cumulants K_1..K_4."""
+    var_sq = k4 + 4.0 * k3 * k1 + 2.0 * k2 * k2 + 4.0 * k2 * k1 * k1  # Var{S^2}
+    if not min(k2, var_sq) > 0:
         raise ValueError("fit_sum: variance of the squared sum is non-positive")
-    t2 = m2 * m2 / d2
-    return t1, t2
+    return k1 * k1 / k2, (k2 + k1 * k1) ** 2 / var_sq
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,6 @@ class SumFit:
 
     fitted: AlphaMuParams
     residuals: tuple
-    exact_moments: tuple
 
 
 class FitConvergenceError(RuntimeError):
@@ -144,23 +139,26 @@ def fit_sum(branch, n_t):
     (IEEE TWC 2008) by nested 1-D solves (_root): for a trial alpha the
     first log-ratio increases with log mu, which fixes mu(alpha); along that
     curve the second increases with log alpha, which fixes alpha.  The scale
-    is then fixed exactly by the first moment.  Residuals are relative
-    mismatches of the two ratios.
+    is then fixed exactly by the first moment.  Mean and both ratios come
+    from the sum cumulants K_1..K_4 (_sum_cumulants), free of the
+    E{S^4} - E^2{S^2} cancellation.  Residuals are relative mismatches of
+    the two ratios.
 
     n_t = 1 short-circuits to the branch parameters with zero residuals.
     alpha = 2 (within 1e-12) short-circuits to the exact sum law
     Gamma(n_t mu), where the solve would be ill-conditioned for a known
     answer; its residuals are those of the two ratios at (2, n_t mu).
-    sum_moments raises ValueError unless n_t is a positive integer; an
+    ValueError is raised unless n_t is a positive integer, or where the
+    moments round so that a variance is not > 0 (alpha near 1e15 and up); an
     ArithmeticError or ValueError in the solve raises FitConvergenceError.
     """
-    moments = tuple(_sum_moments_to(branch, n_t, 4)[1:])
+    k1, k2, k3, k4 = _sum_cumulants(branch, n_t, 4)
     n_t = int(n_t)
     if n_t == 1:
-        return SumFit(fitted=branch, residuals=(0.0, 0.0), exact_moments=moments)
-    t1, t2 = _ratio_targets(branch, n_t, moments)
+        return SumFit(fitted=branch, residuals=(0.0, 0.0))
+    t1, t2 = _ratio_targets(k1, k2, k3, k4)
     if abs(branch.alpha - 2.0) <= 1e-12:
-        return _fit_result(2.0, n_t * branch.mu, moments, t1, t2)
+        return _fit_result(2.0, n_t * branch.mu, k1, t1, t2)
 
     lt1, lt2, lu0 = math.log(t1), math.log(t2), math.log(n_t * branch.mu)
 
@@ -171,14 +169,14 @@ def fit_sum(branch, n_t):
     try:
         la = _root(lambda la: _log_ratio(math.exp(la), math.exp(log_mu(la)), 2) - lt2,
                    math.log(branch.alpha), 2)
-        return _fit_result(math.exp(la), math.exp(log_mu(la)), moments, t1, t2)
+        return _fit_result(math.exp(la), math.exp(log_mu(la)), k1, t1, t2)
     except (ArithmeticError, ValueError) as err:
         raise FitConvergenceError("fit_sum: %s during the solve" % err, (math.nan, math.nan))
 
 
-def _fit_result(alpha, mu, moments, t1, t2):
+def _fit_result(alpha, mu, mean, t1, t2):
     """SumFit at (alpha, mu), scaled to the exact mean, with ratio residuals."""
-    fitted = AlphaMuParams(alpha=alpha, mu=mu, mean_snr=moments[0])
+    fitted = AlphaMuParams(alpha=alpha, mu=mu, mean_snr=mean)
     residuals = tuple(abs(math.expm1(_log_ratio(alpha, mu, k) - math.log(t)))
                       for k, t in ((1, t1), (2, t2)))
-    return SumFit(fitted=fitted, residuals=residuals, exact_moments=moments)
+    return SumFit(fitted=fitted, residuals=residuals)

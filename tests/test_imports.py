@@ -4,7 +4,8 @@ A module-level import that its module never uses fails, unless the import
 carries `# noqa: F401` (kept for an outside reader, such as a tracer that
 replaces the name).  No module imports an underscore-prefixed name from
 another effrate module.  The package's `__init__` must export exactly what
-it imports.
+it imports.  Every module-level function and class is referenced somewhere
+in the package, so code kept only for the tests cannot stay unnoticed.
 """
 
 import ast
@@ -74,3 +75,21 @@ def test_package_exports_what_it_imports():
         "imported but not in __all__: %r; in __all__ but not imported: %r"
         % (sorted(imported - exported), sorted(exported - imported))
     )
+
+
+def test_every_definition_has_a_reader_in_the_package():
+    # a module-level function or class that nothing in src/effrate names
+    # (a Name, an attribute or an __all__ entry) is test-only code
+    trees = {path.name: _parse(path)[0] for path in _MODULES}
+    read = set()
+    for tree in trees.values():
+        read |= set(_all(tree) or ())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [(name, node.name) for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in read]
+    assert not unread, "defined in src/effrate but never referenced there: %r" % unread

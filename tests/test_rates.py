@@ -118,6 +118,16 @@ def test_foxh_high_snr_large_fitted_mu_repro():
         assert _rel(got, want) <= 1e-12
 
 
+def test_foxh_low_snr_e_minus_1_line_matches_quadrature():
+    # E > 1/2, so E - 1 comes from a line right of the pole at s = 0.  The
+    # strip midpoint Re s = 1/alpha left 3.2e-12 and 6.2e-12 at -50 and
+    # -45 dB while its estimate read about 3e-14
+    link = MisoLink(n_t=8, delay_a=0.934, branch=AlphaMuParams(alpha=0.815, mu=3.02))
+    rhos = (1e-5, 10.0 ** -4.5)
+    for got, want in zip(rate_exact_foxh(link, rhos), rate_exact_quadrature(link, rhos)):
+        assert _rel(got, want) <= 1e-12
+
+
 def test_contour_estimate_covers_rounding_on_the_strip_midpoint():
     # on the link above the midpoint's trapezoid sum cancels; its error
     # estimate must still reach half of the true error of E = 2^(-A R)

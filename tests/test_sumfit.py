@@ -53,6 +53,33 @@ def test_sum_moments_input_validation():
         sum_moments(branch, 2, 1.5)
 
 
+# (alpha, mu, n_t, E^2{S} / Var{S}, E^2{S^2} / Var{S^2}) of the sum of n_t
+# unit-mean branches, from binomially convolved moments in 50-digit mpmath
+_TARGET_REF = [
+    (8.0, 1.5, 128, 2602.067967463028830071, 651.0272851949864034904),
+    (8.0, 4.0, 64, 3827.652141059834126567, 957.4986859560304090913),
+    (8.0, 4.0, 2, 119.6141294081198164552, 30.49348918260388142172),
+    (0.5, 0.5, 16, 0.0875, 0.0003963658140690854773954),
+]
+
+
+def test_ratio_targets_match_50_digit_values():
+    # subtracting E^2{S^2} from E{S^4} left the second target 1.7e-12 off at
+    # (8, 1.5, 128); the cumulants give Var{S^2} without that cancellation
+    for alpha, mu, n_t, t1, t2 in _TARGET_REF:
+        cumulants = sumfit._sum_cumulants(AlphaMuParams(alpha=alpha, mu=mu), n_t, 4)
+        np.testing.assert_allclose(sumfit._ratio_targets(*cumulants), (t1, t2), rtol=5e-14,
+                                   err_msg=str((alpha, mu, n_t)))
+
+
+def test_sum_moments_match_50_digit_values():
+    # E{S^2}, E{S^3}, E{S^4} at alpha 8, mu 4, n_t 64, unit-mean branches
+    branch = AlphaMuParams(alpha=8.0, mu=4.0)
+    for q, ref in ((2, 4097.070107692405366635), (3, 262349.4456104183943504),
+                   (4, 16803514.5446353819204)):
+        np.testing.assert_allclose(sum_moments(branch, 64, q), ref, rtol=5e-14)
+
+
 def test_fit_single_branch_is_identity():
     branch = AlphaMuParams(alpha=4.0, mu=1.0, mean_snr=1.0)
     fit = fit_sum(branch, 1)
@@ -117,7 +144,6 @@ def test_fit_mean_is_exact():
     branch = AlphaMuParams(alpha=1.3, mu=0.9, mean_snr=3.0)
     fit = fit_sum(branch, 5)
     np.testing.assert_allclose(fit.fitted.mean_snr, 15.0, rtol=1e-12)
-    np.testing.assert_allclose(fit.exact_moments[0], 15.0, rtol=1e-12)
 
 
 def test_fit_exhausted_budget_raises(monkeypatch):
