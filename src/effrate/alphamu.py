@@ -53,9 +53,11 @@ class AlphaMuParams:
 def pdf(params, gamma):
     """Density of the SNR at gamma (scalar or array), in log-space internally.
 
-    gamma = 0 is handled by continuous extension: 0 when alpha*mu > 2, the
-    finite limit alpha/(2 beta Gamma(mu)) when alpha*mu == 2, and +inf when
-    alpha*mu < 2 (the density is integrable either way).
+    gamma = 0 is the continuous extension, reached by IEEE arithmetic on
+    log 0 = -inf: 0 when alpha*mu > 2, the finite limit
+    alpha/(2 beta Gamma(mu)) when alpha*mu == 2 (the power term is dropped,
+    as 0 * log 0 is nan), and +inf when alpha*mu < 2 (the density is
+    integrable either way).
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
@@ -68,21 +70,11 @@ def pdf(params, gamma):
         - (a * mu / 2.0) * math.log(beta)
         - math.lgamma(mu)
     )
-    out = np.empty_like(g)
-    pos = g > 0
-    gp = g[pos]
-    out[pos] = np.exp(log_norm + expo * np.log(gp) - (gp / beta) ** (a / 2.0))
-    if np.any(~pos):
-        if expo > 0:
-            limit = 0.0
-        elif expo == 0:
-            limit = math.exp(log_norm)
-        else:
-            limit = math.inf
-        out[~pos] = limit
-    if out.ndim == 0:
-        return float(out)
-    return out
+    flat = g.reshape(-1)  # array arithmetic for a scalar too: pdf(p, x) == pdf(p, [x])[0]
+    with np.errstate(divide="ignore"):
+        log_power = expo * np.log(flat) if expo != 0 else 0.0
+        out = np.exp(log_norm + log_power - (flat / beta) ** (a / 2.0))
+    return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
 
 
 def moment(params, n):

@@ -57,19 +57,18 @@ def _branch_sum(draws):
 
 
 def _accumulate(links, rho, cfg, term_fn):
-    """Stream-ordered (mean, variance) of term_fn(link, log1p(rho S / n_t),
-    out) for every link and rho: one list of pairs per link.
+    """Stream-ordered mean and variance of term_fn(link, log1p(rho S / n_t),
+    out): two (links, rhos) arrays.
 
     Links that share (branch.mu, n_t) share one stream plan and one unit
     Gamma block per stream (common random numbers across the links of a
     figure).  Each distinct branch reduces the block to S / n_t once, each
     rho costs one log1p per branch, and each link one term_fn call.  The
-    totals of each (link, rho) still accumulate in stream order, so every
+    sums of each (link, rho) still accumulate in stream order, so every
     row is the one a call with that link, or that rho, alone gives.
     """
     rhos = positive_grid(rho, "rho").tolist()
-    totals = [[0.0] * len(rhos) for _ in links]
-    totals_sq = [[0.0] * len(rhos) for _ in links]
+    sums = np.zeros((2, len(links), len(rhos)))  # sum of terms, sum of squares
     groups = {}
     for i, link in enumerate(links):
         groups.setdefault((link.branch.mu, link.n_t), {}).setdefault(link.branch, []).append(i)
@@ -84,15 +83,10 @@ def _accumulate(links, rho, cfg, term_fn):
                     np.log1p(np.multiply(s_avg, rho, out=log1p_x), out=log1p_x)
                     for i in indices:
                         term_fn(links[i], log1p_x, terms)
-                        totals[i][j] += float(terms.sum())
-                        totals_sq[i][j] += float(np.square(terms, out=terms).sum())
+                        sums[:, i, j] += terms.sum(), np.square(terms, out=terms).sum()
     n = cfg.samples
-    stats = []
-    for link_totals, link_totals_sq in zip(totals, totals_sq):
-        means = [total / n for total in link_totals]
-        stats.append([(mean, max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1))
-                      for mean, total_sq in zip(means, link_totals_sq)])
-    return stats
+    mean = sums[0] / n
+    return mean, np.maximum(sums[1] / n - mean * mean, 0.0) * n / max(n - 1, 1)
 
 
 def _decay_term(link, log1p_x, out):
@@ -122,10 +116,10 @@ def simulate_rates(links, rho, cfg):
         raise ValueError("simulate_rates: need at least one link")
     n = cfg.samples
     out = []
-    for link, row in zip(links, _accumulate(links, rho, cfg, _decay_term)):
+    for link, mean, var in zip(links, *_accumulate(links, rho, cfg, _decay_term)):
         a_ln2 = link.delay_a * LN2
-        rate = np.array([-math.log(mean) / a_ln2 for mean, _ in row])
-        halfwidth = np.array([1.96 * math.sqrt(var / n) / (a_ln2 * mean) for mean, var in row])
+        rate = np.array([-math.log(m) / a_ln2 for m in mean.tolist()])
+        halfwidth = 1.96 * np.sqrt(var / n) / (a_ln2 * mean)
         out.append((like_grid(rho, rate), like_grid(rho, halfwidth)))
     return out
 
@@ -138,5 +132,5 @@ def simulate_rate(link, rho, cfg):
 def simulate_ergodic_capacity(link, rho, cfg):
     """Monte Carlo E{log2(1 + rho S / n_t)}, the no-QoS ceiling; rho is a
     scalar or a sequence, with one set of draws serving every rho."""
-    (row,) = _accumulate([link], rho, cfg, _log_term)
-    return like_grid(rho, np.array([mean for mean, _ in row]))
+    mean, _ = _accumulate([link], rho, cfg, _log_term)
+    return like_grid(rho, mean[0])
