@@ -78,8 +78,8 @@ def db_to_linear(db):
     return rho
 
 
-def curve_to_csv(curve, fh):
-    fh.write("snr_db,rate,method,ci_halfwidth\n")
+def curve_to_csv(curve, fh, x_column="snr_db"):
+    fh.write("%s,rate,method,ci_halfwidth\n" % x_column)
     ci = curve.ci_halfwidth or [None] * len(curve.rate)
     for x, r, h in zip(curve.x_db, curve.rate, ci):
         fh.write("%r,%r,%s,%s\n" % (x, r, curve.method, "" if h is None else repr(h)))
@@ -215,11 +215,11 @@ def _sweep_eb_n0_figure(fig, seed, mc_samples):
     return curves
 
 
-# --figure: (definition, sweep returning its curves, SVG title, x-axis label)
+# --figure: (definition, sweep returning its curves, SVG title, x-axis label, CSV x column)
 _FIGURES = {
-    1: (_FIG1, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]"),
-    2: (_FIG2, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]"),
-    3: (_FIG3, _sweep_eb_n0_figure, "Effective rate vs energy per bit", "Eb/N0 [dB]"),
+    1: (_FIG1, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]", "snr_db"),
+    2: (_FIG2, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]", "snr_db"),
+    3: (_FIG3, _sweep_eb_n0_figure, "Effective rate vs energy per bit", "Eb/N0 [dB]", "eb_n0_db"),
 }
 
 
@@ -227,12 +227,12 @@ def cmd_sweep_figures(args):
     out_dir = args.out_dir or os.environ.get("EFFRATE_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
     num = args.figure
-    fig, sweep, title, xlabel = _FIGURES[num]
+    fig, sweep, title, xlabel, x_column = _FIGURES[num]
     # every curve exists before the first file is written: a failure leaves none
     curves = sweep(fig, args.seed, args.mc_samples)
     for name, curve, _, _ in curves:
         with open(os.path.join(out_dir, "fig%d_%s.csv" % (num, name)), "w") as fh:
-            curve_to_csv(curve, fh)
+            curve_to_csv(curve, fh, x_column)
     svg.render(os.path.join(out_dir, "fig%d.svg" % num),
                [(curve, label, dash) for _, curve, label, dash in curves],
                "%s (figure %d layout)" % (title, num), xlabel)

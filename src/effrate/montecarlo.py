@@ -58,7 +58,10 @@ def _branch_sum(draws):
 
 def _accumulate(links, rho, cfg, term_fn):
     """Stream-ordered mean and variance of term_fn(link, log1p(rho S / n_t),
-    out): two (links, rhos) arrays.
+    out): two (links, rhos) arrays.  The variance sums the squared deviations
+    from each stream's own mean, which do not cancel where every term is
+    near 1, and adds the streams by the pairwise update of Chan, Golub &
+    LeVeque (1979).
 
     Links that share (branch.mu, n_t) share one stream plan and one unit
     Gamma block per stream (common random numbers across the links of a
@@ -68,11 +71,12 @@ def _accumulate(links, rho, cfg, term_fn):
     row is the one a call with that link, or that rho, alone gives.
     """
     rhos = positive_grid(rho, "rho").tolist()
-    sums = np.zeros((2, len(links), len(rhos)))  # sum of terms, sum of squares
+    sums = np.zeros((2, len(links), len(rhos)))  # sum of terms, sum of squared deviations
     groups = {}
     for i, link in enumerate(links):
         groups.setdefault((link.branch.mu, link.n_t), {}).setdefault(link.branch, []).append(i)
     for (_, n_t), by_branch in groups.items():
+        seen = 0  # draws of the streams already reduced
         for rng, count in _stream_plan(cfg):
             log1p_x, terms = np.empty(count), np.empty(count)
             for indices, draws in zip(by_branch.values(),
@@ -83,10 +87,15 @@ def _accumulate(links, rho, cfg, term_fn):
                     np.log1p(np.multiply(s_avg, rho, out=log1p_x), out=log1p_x)
                     for i in indices:
                         term_fn(links[i], log1p_x, terms)
-                        sums[:, i, j] += terms.sum(), np.square(terms, out=terms).sum()
-    n = cfg.samples
-    mean = sums[0] / n
-    return mean, np.maximum(sums[1] / n - mean * mean, 0.0) * n / max(n - 1, 1)
+                        total = terms.sum()
+                        stream_mean = total / count
+                        delta = stream_mean - sums[0, i, j] / max(seen, 1)
+                        terms -= stream_mean
+                        sums[:, i, j] += total, (np.square(terms, out=terms).sum()
+                                                 + delta * delta * seen * count / (seen + count))
+            seen += count
+    mean = sums[0] / cfg.samples
+    return mean, sums[1] / (cfg.samples - 1)
 
 
 def _decay_term(link, log1p_x, out):
@@ -117,6 +126,10 @@ def simulate_rates(links, rho, cfg):
     n = cfg.samples
     out = []
     for link, mean, var in zip(links, *_accumulate(links, rho, cfg, _decay_term)):
+        if not np.all(mean > 0):
+            rho_0 = float(np.atleast_1d(rho)[np.argmin(mean)])
+            raise ArithmeticError("simulate_rates: every (1 + rho S / n_t)^-A underflows to 0 "
+                                  "at A = %r, rho = %r" % (link.delay_a, rho_0))
         a_ln2 = link.delay_a * LN2
         rate = np.array([-math.log(m) / a_ln2 for m in mean.tolist()])
         halfwidth = 1.96 * np.sqrt(var / n) / (a_ln2 * mean)

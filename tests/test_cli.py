@@ -23,9 +23,10 @@ def _run(argv, capsys):
     return code, out, err
 
 
-def _read_curve(fh):
-    """The one curve of a file that cli.curve_to_csv wrote."""
-    assert fh.readline() == "snr_db,rate,method,ci_halfwidth\n"
+def _read_curve(fh, x_column="snr_db"):
+    """The one curve of a file that cli.curve_to_csv wrote, with x_column as
+    the name of its x column."""
+    assert fh.readline() == "%s,rate,method,ci_halfwidth\n" % x_column
     xs, rates, methods, cis = zip(*(line.rstrip("\n").split(",") for line in fh))
     assert len(set(methods)) == 1, methods
     ci = tuple(map(float, cis)) if any(cis) else None
@@ -365,7 +366,7 @@ def test_sweep_figure3_outputs(tmp_path, capsys):
     # the parametric exact curve starts within a fraction of a dB of the
     # universal -1.59 dB intercept
     with open(tmp_path / "fig3_delay_a1_exact.csv") as fh:
-        curve = _read_curve(fh)
+        curve = _read_curve(fh, "eb_n0_db")
     assert abs(curve.x_db[0] - (-1.5917)) < 0.05
 
 
@@ -381,7 +382,7 @@ def test_sweep_mc_curve_is_one_call_per_link(tmp_path, capsys):
         rhos = rhos_fig3 if num == 3 else [cli.db_to_linear(x) for x in xs_mc]
         for val, link in cli._figure_links(fig):
             with open(out_dir / ("fig%d_%s%g_mc.csv" % (num, fig["family"], val))) as fh:
-                curve = _read_curve(fh)
+                curve = _read_curve(fh, "eb_n0_db" if num == 3 else "snr_db")
             rates, halfwidths = simulate_rate(link, rhos, McConfig(2000, 4))
             if num != 3:
                 assert curve.x_db == xs_mc
@@ -514,6 +515,26 @@ def test_bench_trace_targets_resolve():
     spec.loader.exec_module(spans)
     for mod, attr, _, _ in spans.PATCHES:
         assert hasattr(importlib.import_module("effrate." + mod), attr), (mod, attr)
+
+
+def test_bench_csv_reader_reads_demo_output():
+    # the benchmark parses every figure file it checks with its own reader;
+    # a header or column change that would break its checks fails here first
+    import importlib.util
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_worker", root / "bench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    files = sorted((root / "demo_output").glob("*.csv"))
+    assert len(files) == 32
+    for path in files:
+        with open(path) as fh:
+            curve = _read_curve(fh, "eb_n0_db" if path.name.startswith("fig3_") else "snr_db")
+        ci = curve.ci_halfwidth or (None,) * len(curve.rate)
+        assert worker._parse_csv(path.read_text()) == [list(row) for row in
+                                                       zip(curve.x_db, curve.rate, ci)], path.name
 
 
 def test_demo_imports_resolve():

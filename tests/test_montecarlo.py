@@ -115,6 +115,30 @@ def test_branch_sum_matches_the_row_reduction():
                 np.testing.assert_allclose(total, row_sums, rtol=n_t * np.finfo(float).eps)
 
 
+def test_halfwidth_matches_a_two_pass_variance_where_terms_are_near_1():
+    # at -80 and -120 dB every term (1 + rho S)^-1 is within 1e-7 of 1, so
+    # E{t^2} - E{t}^2 cancels (a half-width of 0.0, or 1e4 times too wide);
+    # the same stream draws, reduced in two passes, give the reference
+    cfg = McConfig(samples=100_000, seed=0)
+    for db in (-80.0, -120.0):
+        rho = 10.0 ** (db / 10.0)
+        snr = np.concatenate([sample(_RAYLEIGH.branch, rng, (count, 1))[:, 0]
+                              for rng, count in _stream_plan(cfg)])
+        terms = np.exp(-np.log1p(snr * rho))
+        mean = terms.mean()
+        two_pass = 1.96 * math.sqrt(np.square(terms - mean).sum() / (terms.size - 1) / terms.size)
+        two_pass /= math.log(2.0) * mean
+        _, halfwidth = simulate_rate(_RAYLEIGH, rho, cfg)
+        assert abs(halfwidth / two_pass - 1.0) < 0.01, (db, halfwidth, two_pass)
+
+
+def test_underflowing_draws_raise_naming_a_and_rho():
+    # at 100 dB every (1 + rho S / 2)^-50 underflows to 0: no rate exists
+    link = MisoLink(n_t=2, delay_a=50.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
+    with pytest.raises(ArithmeticError, match=r"A = 50\.0, rho = 10000000000\.0"):
+        simulate_rate(link, [1.0, 1e10], McConfig(samples=10_000, seed=0))
+
+
 def test_interval_shrinks_with_samples():
     _, h1 = simulate_rate(_RAYLEIGH, 1.0, McConfig(samples=250_000, seed=3))
     _, h4 = simulate_rate(_RAYLEIGH, 1.0, McConfig(samples=1_000_000, seed=3))

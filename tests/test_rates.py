@@ -227,6 +227,23 @@ def test_foxh_node_budget_raises_before_allocating():
     assert abs(rate_exact_quadrature(link, 10.0) - 3.36488) < 1e-5
 
 
+def test_foxh_refuses_a_point_whose_estimate_misses_1e_12(monkeypatch):
+    # the contour reports 1e-9 at rho = 100, where E < 1/2 and no E - 1
+    # line replaces it: the route names that point instead of returning it
+    from effrate import rates
+
+    integrals = rates.contour_integrals
+
+    def loose_at_100(spec, log_z):
+        out = integrals(spec, log_z)
+        out[2, 1] = 1e-9
+        return out
+
+    monkeypatch.setattr(rates, "contour_integrals", loose_at_100)
+    with pytest.raises(TruncationError, match=r"at rho=100\.0 exceeds"):
+        rate_exact_foxh(_EXP_LINK, [0.01, 100.0, 1e4])
+
+
 def test_rate_monotone_in_snr():
     link = MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=4.0, mu=2.0))
     rhos = np.logspace(-2, 4, 13)

@@ -316,6 +316,34 @@ def test_fox_h_rejects_nonpositive_argument():
         fox_h(spec, -1.0)
 
 
+def test_fox_h_refuses_an_estimate_above_1e_12(monkeypatch):
+    spec = FoxHSpec(m=1, n=0, upper_pairs=(), lower_pairs=((0.0, 1.0),))
+    integrals = special.contour_integrals
+
+    def loose(spec, log_z):
+        out = integrals(spec, log_z)
+        out[2] = 1e-9
+        return out
+
+    monkeypatch.setattr(special, "contour_integrals", loose)
+    with pytest.raises(TruncationError, match="error estimate 1e-09 exceeds 1e-12"):
+        fox_h(spec, 1.0)
+
+
+def test_contour_integral_refusals():
+    exp_spec = FoxHSpec(m=1, n=0, upper_pairs=(), lower_pairs=((0.0, 1.0),))
+    # Gamma(s) / Gamma(1 + s) = 1/s does not decay along the line
+    flat = FoxHSpec(m=1, n=0, upper_pairs=((1.0, 1.0),), lower_pairs=((0.0, 1.0),))
+    with pytest.raises(ContourError, match="does not decay"):
+        special.contour_integral(flat, 1.0, [0.0])
+    # Gamma(s) has its pole at s = 0
+    with pytest.raises(ContourError, match="passes through a pole"):
+        special.contour_integral(exp_spec, 0.0, [0.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            special.contour_integral(exp_spec, 1.0, [0.0, bad])
+
+
 # ----------------------------------------------------------------- Meijer G
 # A Meijer G function is the Fox H function with every gamma argument
 # coefficient 1; these identities run through that form.
