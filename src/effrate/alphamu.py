@@ -70,11 +70,11 @@ def pdf(params, gamma):
         - (a * mu / 2.0) * math.log(beta)
         - math.lgamma(mu)
     )
-    flat = g.reshape(-1)  # array arithmetic for a scalar too: pdf(p, x) == pdf(p, [x])[0]
+    g1 = np.atleast_1d(g)  # array arithmetic for a scalar too: pdf(p, x) == pdf(p, [x])[0]
     with np.errstate(divide="ignore"):
-        log_power = expo * np.log(flat) if expo != 0 else 0.0
-        out = np.exp(log_norm + log_power - (flat / beta) ** (a / 2.0))
-    return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
+        log_power = expo * np.log(g1) if expo != 0 else 0.0
+        out = np.exp(log_norm + log_power - (g1 / beta) ** (a / 2.0))
+    return float(out[0]) if g.ndim == 0 else out
 
 
 def moment(params, n):
