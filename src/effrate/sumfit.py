@@ -77,44 +77,35 @@ class SumFit:
 
 
 class FitConvergenceError(RuntimeError):
-    """No moment-matched law was found.  residuals holds the last log-ratio
-    mismatch of the 1-D solve that failed in that ratio's slot, nan in the
-    other, or nan in both after an arithmetic error."""
-
-    def __init__(self, message, residuals):
-        super().__init__(message)
-        self.residuals = residuals
+    """No moment-matched law was found; the message names why."""
 
 
 _TOL = 1e-12  # |log-ratio mismatch| at which a 1-D solve stops
 _MAX_ITER = 60  # steps per 1-D solve
-_SOLVES = (("log mu", 64.0), ("log alpha", 16.0))  # unknown and bracket reach, per ratio
 
 
-def _root(f, x0, k):
-    """x with |f(x)| <= _TOL for the increasing mismatch f of ratio k.
+def _root(f, x0, name, reach):
+    """x with |f(x)| <= _TOL for the increasing mismatch f of unknown name.
 
     Steps out from x0, doubling each time, until f changes sign within
-    x0 +- the reach of _SOLVES; then Illinois steps (regula falsi that
-    halves the end value it keeps twice in a row) shrink the bracket,
-    bisecting where a step rounds onto an end.  _MAX_ITER caps all steps.
-    Failures raise FitConvergenceError with the last mismatch in slot k.
+    x0 +- reach; then Illinois steps (regula falsi that halves the end
+    value it keeps twice in a row) shrink the bracket, bisecting where a
+    step rounds onto an end.  _MAX_ITER caps all steps.  Failures raise
+    FitConvergenceError naming the reason and the unknown.
     """
-    name, reach = _SOLVES[k - 1]
 
-    def fail(why, fx):
-        return FitConvergenceError("fit_sum: %s in %s" % (why, name),
-                                   (fx, math.nan) if k == 1 else (math.nan, fx))
+    def fail(why):
+        return FitConvergenceError("fit_sum: %s in %s" % (why, name))
 
     x1, f1, step, steps = x0, f(x0), 0.25, 0
     xa, fa = x1, f1  # the other end, once f1 and fa differ in sign
     while abs(f1) > _TOL:
         if steps == _MAX_ITER:
-            raise fail("no root within %d steps" % _MAX_ITER, f1)
+            raise fail("no root within %d steps" % _MAX_ITER)
         steps += 1
         if (f1 > 0) == (fa > 0):  # no sign change yet: step outward
             if abs(x1 - x0) + step > reach:
-                raise fail("no sign change %s %.6g" % ("below" if f1 > 0 else "above", x0), f1)
+                raise fail("no sign change %s %.6g" % ("below" if f1 > 0 else "above", x0))
             x2, step = x1 - step if f1 > 0 else x1 + step, 2.0 * step
         else:
             lo, hi = min(xa, x1), max(xa, x1)
@@ -122,7 +113,7 @@ def _root(f, x0, k):
             if not lo < x2 < hi:
                 x2 = 0.5 * (lo + hi)
             if not lo < x2 < hi:
-                raise fail("bracket collapsed at %r" % x1, f1)
+                raise fail("bracket collapsed at %r" % x1)
         f2 = f(x2)
         if (f2 > 0) != (f1 > 0):
             xa, fa = x1, f1
@@ -164,14 +155,15 @@ def fit_sum(branch, n_t):
 
     @functools.cache
     def log_mu(la):
-        return _root(lambda lu: _log_ratio(math.exp(la), math.exp(lu), 1) - lt1, lu0, 1)
+        return _root(lambda lu: _log_ratio(math.exp(la), math.exp(lu), 1) - lt1,
+                     lu0, "log mu", 64.0)
 
     try:
         la = _root(lambda la: _log_ratio(math.exp(la), math.exp(log_mu(la)), 2) - lt2,
-                   math.log(branch.alpha), 2)
+                   math.log(branch.alpha), "log alpha", 16.0)
         return _fit_result(math.exp(la), math.exp(log_mu(la)), k1, t1, t2)
     except (ArithmeticError, ValueError) as err:
-        raise FitConvergenceError("fit_sum: %s during the solve" % err, (math.nan, math.nan))
+        raise FitConvergenceError("fit_sum: %s during the solve" % err)
 
 
 def _fit_result(alpha, mu, mean, t1, t2):

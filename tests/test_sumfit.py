@@ -149,18 +149,16 @@ def test_fit_mean_is_exact():
 def test_fit_exhausted_budget_raises(monkeypatch):
     monkeypatch.setattr(sumfit, "_MAX_ITER", 1)
     branch = AlphaMuParams(alpha=4.0, mu=1.0)
-    with pytest.raises(FitConvergenceError) as err:
+    with pytest.raises(FitConvergenceError):
         fit_sum(branch, 2)
-    assert len(err.value.residuals) == 2
 
 
 def test_fit_zero_division_is_a_convergence_error():
     # trial steps of the damped Newton solver once drove 1/expm1(...) to a
     # ZeroDivisionError here; no alpha-mu law matches both ratios of these sums
     for alpha, mu, n_t in ((0.5515, 1.648, 16), (0.5914, 3.236, 8)):
-        with pytest.raises(FitConvergenceError) as err:
+        with pytest.raises(FitConvergenceError):
             fit_sum(AlphaMuParams(alpha=alpha, mu=mu), n_t)
-        assert len(err.value.residuals) == 2
 
 
 def test_fit_input_validation():
@@ -174,9 +172,8 @@ def test_fit_input_validation():
     # at alpha = 1e8 that variance is rounding noise, and no law matches the
     # ratio it gives
     for n_t in (2, 4):
-        with pytest.raises(FitConvergenceError) as err:
+        with pytest.raises(FitConvergenceError):
             fit_sum(AlphaMuParams(alpha=1e8, mu=1.0), n_t)
-        assert len(err.value.residuals) == 2
     # a single branch needs no fit, whatever its moments round to
     huge = AlphaMuParams(alpha=1e15, mu=1.0)
     assert fit_sum(huge, 1).fitted == huge
