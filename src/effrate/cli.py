@@ -62,7 +62,8 @@ class RateCurve:
             raise ValueError("RateCurve: x and rate lengths differ")
         if any(b <= a for a, b in zip(self.x_db, self.x_db[1:])):
             raise ValueError("RateCurve: x values must be strictly increasing")
-        if any(r < 0 for r in self.rate):
+        # an asymptote is not a rate: the high-SNR line goes negative at low SNR
+        if self.method != "high_snr" and any(r < 0 for r in self.rate):
             raise ValueError("RateCurve: negative rate")
         if self.ci_halfwidth is not None and len(self.ci_halfwidth) != len(self.rate):
             raise ValueError("RateCurve: ci length differs from rate")
@@ -112,12 +113,7 @@ def cmd_rate(args):
     branch = AlphaMuParams(alpha=args.alpha, mu=args.mu, mean_snr=args.mean_snr)
     link = MisoLink(n_t=args.nt, delay_a=args.delay_a, branch=branch)
     label, route = _routes()[args.method]
-    if args.snr_db is not None:
-        xs = (args.snr_db,)
-    else:
-        start, stop, points = args.snr_db_range
-        step = (stop - start) / (points - 1)
-        xs = tuple(start + i * step for i in range(points))
+    xs = (args.snr_db,) if args.snr_db is not None else args.snr_db_range
     rhos = [db_to_linear(x) for x in xs]
     curve = RateCurve(x_db=xs, rate=tuple(route(link, rhos).tolist()), method=label)
     buf = io.StringIO()
@@ -240,6 +236,7 @@ def cmd_sweep_figures(args):
 
 
 def _parse_range(text):
+    """The x values start + i * step, i < points, of a START:STOP:POINTS spec."""
     try:
         start, stop, points = text.split(":")
         start, stop, points = float(start), float(stop), int(points)
@@ -249,7 +246,12 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError("range needs at least 2 points")
     if not start < stop:
         raise argparse.ArgumentTypeError("range needs start < stop")
-    return start, stop, points
+    step = (stop - start) / (points - 1)
+    xs = tuple(start + i * step for i in range(points))
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        raise argparse.ArgumentTypeError("range %r gives points that do not strictly increase"
+                                         % text)
+    return xs
 
 
 def build_parser():

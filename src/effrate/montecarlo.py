@@ -118,7 +118,10 @@ def simulate_rates(links, rho, cfg):
     Returns one (rate, ci_halfwidth) pair per link: floats for a scalar rho,
     arrays for a sequence.  One set of branch draws serves every rho of a
     sequence and every link of a (mu, n_t) group (common random numbers), so
-    the errors of those points are correlated.
+    the errors of those points are correlated.  A point whose terms have
+    no spread (all underflow to 0, all round to 1, or their squared
+    deviations underflow) raises ArithmeticError naming A and rho, since
+    its half-width would read 0.0.
     """
     links = list(links)
     if not links:
@@ -126,10 +129,10 @@ def simulate_rates(links, rho, cfg):
     n = cfg.samples
     out = []
     for link, mean, var in zip(links, *_accumulate(links, rho, cfg, _decay_term)):
-        if not np.all(mean > 0):
-            rho_0 = float(np.atleast_1d(rho)[np.argmin(mean)])
-            raise ArithmeticError("simulate_rates: every (1 + rho S / n_t)^-A underflows to 0 "
-                                  "at A = %r, rho = %r" % (link.delay_a, rho_0))
+        if not np.all(var > 0):
+            rho_0 = float(np.atleast_1d(rho)[np.argmin(var)])
+            raise ArithmeticError("simulate_rates: the draws of (1 + rho S / n_t)^-A have no "
+                                  "spread at A = %r, rho = %r" % (link.delay_a, rho_0))
         a_ln2 = link.delay_a * LN2
         rate = np.array([-math.log(m) / a_ln2 for m in mean.tolist()])
         halfwidth = 1.96 * np.sqrt(var / n) / (a_ln2 * mean)

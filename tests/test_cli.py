@@ -197,6 +197,20 @@ def test_rate_high_snr_validity_exits_2(capsys):
     assert code == 2 and "delay_a" in err
 
 
+def test_rate_high_snr_prints_a_negative_line(capsys):
+    # the asymptote is not a rate: below its intercept it is negative, and
+    # `rate` prints it rather than refusing it as a negative rate
+    code, out, _ = _run(
+        [
+            "rate", "--alpha", "2", "--mu", "2", "--nt", "2", "--delay-a", "0.5",
+            "--snr-db", "-20", "--method", "high-snr",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "-20.0,-6.939208509021764,high_snr,"
+
+
 def test_rate_foxh_node_budget_exits_2(capsys):
     # the contour route's node budget is a named error, not numpy's "Maximum
     # allowed size exceeded"; quadrature answers on the same link
@@ -209,15 +223,22 @@ def test_rate_foxh_node_budget_exits_2(capsys):
 
 
 def test_rate_bad_range_spec(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(
-            [
-                "rate", "--alpha", "2", "--mu", "1", "--nt", "1", "--delay-a", "1",
-                "--snr-db-range", "10:0:5", "--method", "foxh",
-            ]
-        )
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for spec, reason in (
+        ("10:0:5", "range needs start < stop"),
+        ("0:10", "expected start:stop:points"),
+        ("0:10:1", "range needs at least 2 points"),
+        # start < stop, but all three points round to 0.0
+        ("0:5e-324:3", "do not strictly increase"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "rate", "--alpha", "2", "--mu", "1", "--nt", "1", "--delay-a", "1",
+                    "--snr-db-range=" + spec, "--method", "foxh",
+                ]
+            )
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err, spec
 
 
 def test_rate_meijerg_method_is_gone(capsys):

@@ -139,6 +139,18 @@ def test_underflowing_draws_raise_naming_a_and_rho():
         simulate_rate(link, [1.0, 1e10], McConfig(samples=10_000, seed=0))
 
 
+def test_draws_without_spread_are_refused():
+    # a zero sample variance would print a half-width of 0.0, an interval
+    # that claims an exact answer.  At A = 50 and 60 dB the drawn terms are so
+    # small that their squared deviations underflow (13.67 +- 0.0 against an
+    # exact 0.981); at rho = 1e-30 every term rounds to 1 (-0.0 +- 0.0)
+    a50 = MisoLink(n_t=2, delay_a=50.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
+    for link, rho, match in ((a50, 1e6, r"A = 50\.0, rho = 1000000\.0"),
+                             (_RAYLEIGH, 1e-30, r"A = 1\.0, rho = 1e-30")):
+        with pytest.raises(ArithmeticError, match=match):
+            simulate_rate(link, rho, McConfig(samples=10_000, seed=0))
+
+
 def test_interval_shrinks_with_samples():
     _, h1 = simulate_rate(_RAYLEIGH, 1.0, McConfig(samples=250_000, seed=3))
     _, h4 = simulate_rate(_RAYLEIGH, 1.0, McConfig(samples=1_000_000, seed=3))

@@ -153,6 +153,19 @@ def test_fit_exhausted_budget_raises(monkeypatch):
         fit_sum(branch, 2)
 
 
+def test_root_bisects_where_a_secant_step_rounds_onto_an_end():
+    # the right side is 1e300 times steeper, so every secant step lands on the
+    # left end of the bracket and only bisection shrinks it
+    root = sumfit._root(lambda x: (x - 0.3) * (1e300 if x > 0.3 else 1.0), 0.0, "u", 1.0)
+    assert abs(root - 0.3) <= sumfit._TOL
+
+
+def test_root_refuses_a_collapsed_bracket():
+    # a step from -1 to +1 has no root: the bracket shrinks to adjacent floats
+    with pytest.raises(FitConvergenceError, match=r"^fit_sum: bracket collapsed at 0\.3 in u$"):
+        sumfit._root(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, "u", 1.0)
+
+
 def test_fit_zero_division_is_a_convergence_error():
     # trial steps of the damped Newton solver once drove 1/expm1(...) to a
     # ZeroDivisionError here; no alpha-mu law matches both ratios of these sums
