@@ -6,14 +6,14 @@ argument coefficients 1), and expectations
 over a Gamma weight, which also give the Tricomi confluent hypergeometric
 function U(a;b;z).  Everything is evaluated in log space so
 that gamma-function products with large arguments neither overflow nor lose
-precision before the final exponentiation.  The complex log-gamma under the
-contour kernel is computed here with numpy alone (the Lanczos approximation
-in real arithmetic), so the package needs no scipy at run time.
+precision before the final exponentiation.  The contour kernel reads its
+gamma product chi as log|chi| on the real axis, from math.lgamma, and as log
+chi up to 2 pi i on vertical lines, from the Lanczos approximation in real
+arithmetic with one shift per gamma factor: no scipy is needed at run time.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -71,37 +71,6 @@ def _lanczos(x, y):
     xm = x - 0.5
     re = _LANCZOS_OFFSET + xm * log_t - y * arg_t + np.log(np.hypot(ar, minus_ai))
     return re, xm * arg_t + y * log_t - np.arctan2(minus_ai, ar)
-
-
-def _loggamma(z):
-    """Principal branch of log Gamma, elementwise on a complex array.
-
-    Positive real arguments go to math.lgamma.  Otherwise z is shifted right
-    by log Gamma(z) = log Gamma(z + n) - sum_k log(z + k) until Re z >= 1/2,
-    one vector pass per unit of shift: with principal logs the identity
-    keeps the principal branch, since both sides are analytic off the
-    negative real axis and agree on the positive one.  On the negative real
-    axis the sign of the zero imaginary part picks the side, as in numpy's
-    log.  Poles give infinities or nan.
-    """
-    z = np.asarray(z, dtype=complex)
-    x, y = z.real.ravel(), z.imag.ravel()
-    real = (y == 0) & (x > 0)
-    if real.all():
-        return np.array([math.lgamma(v) for v in x.tolist()], dtype=complex).reshape(z.shape)
-    n = np.fmax(np.ceil(0.5 - x), 0.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        re, im = _lanczos(x + n, y)
-        for k in range(int(n.max(initial=0.0))):
-            i = np.flatnonzero(n > k)
-            xk, yk = x[i] + k, y[i]
-            re[i] -= 0.5 * np.log(xk * xk + yk * yk)
-            im[i] -= np.arctan2(yk, xk)
-    if real.any():
-        re[real], im[real] = [math.lgamma(v) for v in x[real].tolist()], 0.0
-    out = np.empty(x.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out.reshape(z.shape)
 
 
 def _stirling_tail(x):
@@ -200,11 +169,6 @@ class FoxHSpec:
             + tuple((-1, a, A) for a, A in self.upper_pairs[n:])
         )
 
-    @cached_property
-    def factor_columns(self):
-        """factors() as three (F, 1) arrays: signs, offsets, coefficients."""
-        return np.array(self.factors()).T[:, :, None]
-
     def strip(self):
         """Open interval of contour abscissas separating the pole families.
 
@@ -237,7 +201,7 @@ class FoxHSpec:
         else:
             trial = lo + 2.0 ** np.arange(12) if math.isfinite(lo) else hi - 2.0 ** np.arange(12)
         lz = np.atleast_1d(np.asarray(log_z, dtype=float))
-        height = _log_chi(self, trial).real[:, None] - trial[:, None] * lz
+        height = _log_abs_chi(self, trial)[:, None] - trial[:, None] * lz
         c = trial[np.argmin(height, axis=0)]
         if math.isfinite(lo) and math.isfinite(hi):
             c[height[0] - height.min(axis=0) <= _SADDLE_SLACK] = mid
@@ -252,11 +216,38 @@ class FoxHSpec:
         return 0.5 * math.pi * sum(sign * abs(k) for sign, _, k in self.factors())
 
 
-def _log_chi(spec, s):
-    """Log of the gamma-product kernel chi(s) at each point of a vector s, from
-    one _loggamma call on the stacked arguments of all factors."""
-    sign, x0, k = spec.factor_columns
-    return (sign * _loggamma(x0 + k * s)).sum(0)
+def _log_abs_chi(spec, s):
+    """log|chi(s)| at each point of a real vector s: math.lgamma is
+    log|Gamma| at every real non-pole, and a pole gives +inf."""
+    total = np.zeros(len(s))
+    for sign, x0, k in spec.factors():
+        x = (x0 + k * s).tolist()
+        total += sign * np.array([math.lgamma(v) if v > 0 or v % 1.0 else math.inf for v in x])
+    return total
+
+
+def _log_chi(spec, c, t):
+    """log chi(c + i t) at each t of a vector, up to 2 pi i.
+
+    The argument of each factor has the fixed real part b = x0 + k c, so
+    one integer n per factor shifts it to Re >= 1/2, by log Gamma(z) =
+    log Gamma(z + n) - sum_j<n log(z + j), and one _lanczos call serves
+    the stacked factors.  A first node t = 0 keeps math.lgamma(b) where b > 0.
+    """
+    sign, x0, k = np.array(spec.factors()).T[:, :, None]
+    b = x0 + k * c
+    n = np.fmax(np.ceil(0.5 - b), 0.0)
+    y = k * t
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        re, im = (v.reshape(y.shape) for v in _lanczos(np.repeat(b + n, len(t)), y.ravel()))
+        for f, (bf, nf) in enumerate(zip(b[:, 0].tolist(), n[:, 0].tolist())):
+            for j in range(int(nf)):
+                x = bf + j
+                re[f] -= 0.5 * np.log(x * x + y[f] * y[f])
+                im[f] -= np.arctan2(y[f], x)
+            if bf > 0 and t[0] == 0:
+                re[f, 0], im[f, 0] = math.lgamma(bf), 0.0
+    return (sign * (re + 1j * im)).sum(0)
 
 
 _MARGIN = 10.0  # nats of accuracy the step and the cut-off aim for beyond 1e-12
@@ -296,7 +287,7 @@ def contour_integral(spec, c, log_z):
     if not np.all(np.isfinite(log_z)):
         raise ValueError("fox_h: argument must be positive and finite")
     a = 0.9 * gap / 2.0 ** np.arange(5)[:, None]
-    probe = _log_chi(spec, c + np.concatenate([[0.0], -a[:, 0], a[:, 0]])).real
+    probe = _log_abs_chi(spec, c + np.concatenate([[0.0], -a[:, 0], a[:, 0]]))
     at_c, below, above = probe[0], probe[1:6, None], probe[6:, None]
     rise = np.maximum(np.maximum(below - at_c + a * log_z, above - at_c - a * log_z), 0.0)
     steps = 2.0 * math.pi * a[:, 0] / (rise.max(axis=1) + _TARGET)
@@ -307,7 +298,7 @@ def contour_integral(spec, c, log_z):
     more_nodes = int(1.25 * (t_fall + _TARGET / kappa) / h) + 16
     # every batch, the first one too, is checked against the node budget before it is made
     while len(log_chi) + more_nodes <= 1 << 20:
-        more = _log_chi(spec, c + 1j * h * np.arange(len(log_chi), len(log_chi) + more_nodes))
+        more = _log_chi(spec, c, h * np.arange(len(log_chi), len(log_chi) + more_nodes))
         more_nodes = len(log_chi) + len(more) + 64
         log_chi, peak = np.concatenate([log_chi, more]), max(peak, more.real.max())
         if h * (len(log_chi) - 1) >= t_fall and log_chi[-1].real < peak - _TARGET:
