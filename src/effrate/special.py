@@ -185,26 +185,26 @@ class FoxHSpec:
         """Abscissa c of the integration line for a scalar log z (giving a
         float) or for each entry of a vector (giving an array).
 
-        Of a set of trial points, the one where log|chi(c) z^-c| is lowest,
-        so that the integrand is not far larger than H: on a half-infinite
-        strip the points 1, 2, 4, ... from the poles; on a finite strip the
-        midpoint and the points 1/2, 3/4, 7/8 and 15/16 of the way from it to
-        either edge.  The midpoint keeps the widest step, so it stays unless
-        it lies more than _SADDLE_SLACK nats higher, where its trapezoid sum
-        would cancel away more than about two digits.
+        Of a set of trial points in order, the first whose log|chi(c) z^-c|
+        lies within a slack of the lowest, so that the integrand is not far
+        larger than H.  On a finite strip the trials are the midpoint, then
+        the points 1/2, 3/4, 7/8 and 15/16 of the way from it to either
+        edge, nearest first, and the slack is _SADDLE_SLACK nats: the
+        trapezoid sum then cancels away at most about two digits, and its
+        step, which narrows toward the edges, is the widest that allows.  On
+        a half-infinite strip the trials are the points 1, 2, 4, ... from
+        the poles, and the slack is 0: the lowest is taken.
         """
         lo, hi = self.strip()
-        if math.isfinite(lo) and math.isfinite(hi):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            toward = 1.0 - 0.5 ** np.arange(1, 5)
-            trial = mid + half * np.concatenate([[0.0], -toward, toward])
+        slack = _SADDLE_SLACK if math.isfinite(lo) and math.isfinite(hi) else 0.0
+        if slack:
+            toward = np.outer(1.0 - 0.5 ** np.arange(1, 5), [-1.0, 1.0]).ravel()
+            trial = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.concatenate([[0.0], toward])
         else:
             trial = lo + 2.0 ** np.arange(12) if math.isfinite(lo) else hi - 2.0 ** np.arange(12)
         lz = np.atleast_1d(np.asarray(log_z, dtype=float))
         height = _log_abs_chi(self, trial)[:, None] - trial[:, None] * lz
-        c = trial[np.argmin(height, axis=0)]
-        if math.isfinite(lo) and math.isfinite(hi):
-            c[height[0] - height.min(axis=0) <= _SADDLE_SLACK] = mid
+        c = trial[np.argmax(height - height.min(axis=0) <= slack, axis=0)]
         return float(c[0]) if np.ndim(log_z) == 0 else c
 
     def decay_rate(self):
@@ -252,7 +252,7 @@ def _log_chi(spec, c, t):
 
 _MARGIN = 10.0  # nats of accuracy the step and the cut-off aim for beyond 1e-12
 _TARGET = _MARGIN - math.log(1e-12)  # nats below its peak an integrand is resolved to
-_SADDLE_SLACK = 4.0  # nats the midpoint of a finite strip may lie above the best trial abscissa
+_SADDLE_SLACK = 4.0  # nats the line of a finite strip may lie above its lowest trial abscissa
 _BLOCK = 1 << 14  # entries per block of a (points x nodes) matrix
 _MAX_NODES = 1 << 22  # node cap of gamma_expectation, 32 MB per array of nodes
 

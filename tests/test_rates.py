@@ -145,6 +145,25 @@ def test_contour_estimate_covers_rounding_on_the_strip_midpoint():
     assert np.all(err >= 0.5 * true_err), (err, true_err)
 
 
+def test_foxh_takes_the_line_nearest_the_midpoint_within_the_slack():
+    # at 30 dB the strip midpoint lies more than 4 nats above the lowest
+    # trial, 7/8 of the way to the left edge; the trial half way there is
+    # within 4 nats of it and keeps a wider step
+    rhos = 10.0 ** (np.linspace(-10.0, 30.0, 121) / 10.0)
+    for alpha, mu, n_t, a_qos in ((8.0, 3.0, 4, 2.0), (8.0, 1.0, 4, 2.0), (3.0, 3.0, 4, 2.0)):
+        link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
+        p = link.fit.fitted
+        half_alpha = 0.5 * p.alpha
+        spec = FoxHSpec(m=2, n=1, upper_pairs=((1.0, half_alpha),),
+                        lower_pairs=((p.mu, 1.0), (a_qos, half_alpha)))
+        lo, hi = spec.strip()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        log_z = half_alpha * math.log(n_t / (1e3 * p.beta))
+        assert spec.contour_abscissa(log_z) == mid - 0.5 * half, (alpha, mu, n_t)
+        gap = np.abs(rate_exact_foxh(link, rhos) / rate_exact_quadrature(link, rhos) - 1.0)
+        assert gap.max() <= 2e-12, (alpha, mu, n_t, gap.max())
+
+
 def test_gamma_routes_vector_call_matches_points():
     rhos = 10.0 ** (np.linspace(-50.0, 40.0, 91) / 10.0)
     for alpha, mu, n_t, a in ((0.8, 3.0, 4, 1.0), (2.0, 0.75, 2, 2.0), (8.0, 1.0, 16, 0.5)):
