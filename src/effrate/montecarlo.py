@@ -30,8 +30,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1000:
-            raise ValueError("McConfig: need at least 1000 samples")
+        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 1000):
+            raise ValueError("McConfig: samples must be an integer >= 1000, got %r" % (self.samples,))
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("McConfig: seed must be a non-negative integer, got %r" % (self.seed,))
 

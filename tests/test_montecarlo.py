@@ -207,3 +207,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             McConfig(seed=seed)
     assert McConfig(seed=np.int64(3)).seed == 3
+
+
+def test_config_refuses_a_non_integer_sample_count_by_name():
+    # a float count used to fail only later, inside numpy, as a bare TypeError
+    for samples in (1e5, 2500.5, "10000", None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            McConfig(samples=samples)
+    assert McConfig(samples=np.int64(5000)).samples == 5000
