@@ -280,6 +280,59 @@ def test_rate_decreases_with_delay_exponent():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+# The abstract's claims (monotone in alpha, mu and n_t, falling as the delay
+# constraint tightens) as properties of the surrogate: the moment-matched
+# alpha-mu law of the branch sum, which every route but Monte Carlo evaluates
+_CLAIM_RHOS = 10.0 ** (np.arange(-30.0, 41.0, 10.0) / 10.0)
+
+
+def test_surrogate_rate_grows_with_n_t_and_falls_with_delay_exponent():
+    n_ts, delays = (1, 2, 4, 8), (0.2, 0.5, 1.0, 2.0, 4.0)
+    for alpha in (0.8, 2.0, 8.0):
+        for mu in (0.75, 2.0):
+            branch = AlphaMuParams(alpha=alpha, mu=mu)
+            links = [[MisoLink(n_t=n_t, delay_a=a, branch=branch) for a in delays] for n_t in n_ts]
+            for route in (rate_exact_foxh, rate_exact_quadrature):
+                rates = np.array([[route(link, _CLAIM_RHOS) for link in row] for row in links])
+                assert np.all(np.diff(rates, axis=0) > 0), (route.__name__, alpha, mu)
+                assert np.all(np.diff(rates, axis=1) < 0), (route.__name__, alpha, mu)
+
+
+def test_surrogate_rate_grows_with_alpha_and_mu_at_a_fixed_mean_snr():
+    alphas, mus = (0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0), (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0)
+    for n_t in (1, 4):
+        for a_qos in (0.5, 2.0):
+            rates = np.array([[rate_exact_quadrature(MisoLink(
+                n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu, mean_snr=1.0)),
+                _CLAIM_RHOS) for mu in mus] for alpha in alphas])
+            assert np.all(np.diff(rates, axis=0) > 0), (n_t, a_qos)
+            assert np.all(np.diff(rates, axis=1) > 0), (n_t, a_qos)
+
+
+def test_routes_agree_or_refuse_at_stringent_delays():
+    # A up to 256, past the box of tests/test_domain.py.  The Gamma-weight
+    # trapezoid's own estimate rejects its sums at large A, so quadrature
+    # (and at alpha = 2 nakagami) raises TruncationError at 56 of these 384
+    # points, e.g. at (4, 2, 2) and 20 dB for A = 64 and 256, where fox_h
+    # gives 1.28293 and 0.386078; each answer is within both routes' 1e-12
+    rhos = 10.0 ** (np.arange(-20.0, 41.0, 20.0) / 10.0)
+    for alpha in (0.8, 2.0, 4.0, 8.0):
+        routes = [rate_exact_foxh, rate_exact_quadrature] + ([rate_nakagami] if alpha == 2.0 else [])
+        for mu in (0.75, 2.0):
+            for n_t in (1, 2, 4):
+                for a_qos in (8.0, 16.0, 64.0, 256.0):
+                    link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
+                    for rho in rhos.tolist():
+                        got = []
+                        for route in routes:
+                            try:
+                                got.append(route(link, rho))
+                            except TruncationError:
+                                pass
+                        assert all(_rel(r, got[0]) <= 2e-12 for r in got[1:]), \
+                            (alpha, mu, n_t, a_qos, rho, got)
+
+
 def test_rate_rejects_bad_snr():
     with pytest.raises(ValueError):
         rate_exact_quadrature(_EXP_LINK, 0.0)
