@@ -232,21 +232,21 @@ def _log_chi(spec, c, t):
     The argument of each factor has the fixed real part b = x0 + k c, so
     one integer n per factor shifts it to Re >= 1/2, by log Gamma(z) =
     log Gamma(z + n) - sum_j<n log(z + j), and one _lanczos call serves
-    the stacked factors.  A first node t = 0 keeps math.lgamma(b) where b > 0.
+    the stacked factors.  At t = 0, a factor with b > 0 is math.lgamma(b), the
+    real value to the last bit, wherever that node sits in t.
     """
     sign, x0, k = np.array(spec.factors()).T[:, :, None]
     b = x0 + k * c
     n = np.fmax(np.ceil(0.5 - b), 0.0)
-    y = k * t
+    y, on_axis = k * t, t == 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         re, im = (v.reshape(y.shape) for v in _lanczos(np.repeat(b + n, len(t)), y.ravel()))
         for f, (bf, nf) in enumerate(zip(b[:, 0].tolist(), n[:, 0].tolist())):
-            for j in range(int(nf)):
-                x = bf + j
+            for x in bf + np.arange(nf):
                 re[f] -= 0.5 * np.log(x * x + y[f] * y[f])
                 im[f] -= np.arctan2(y[f], x)
-            if bf > 0 and t[0] == 0:
-                re[f, 0], im[f, 0] = math.lgamma(bf), 0.0
+            if bf > 0:
+                re[f, on_axis], im[f, on_axis] = math.lgamma(bf), 0.0
     return (sign * (re + 1j * im)).sum(0)
 
 

@@ -314,23 +314,26 @@ def test_routes_agree_or_refuse_at_stringent_delays():
     # trapezoid's own estimate rejects its sums at large A, so quadrature
     # (and at alpha = 2 nakagami) raises TruncationError at 56 of these 384
     # points, e.g. at (4, 2, 2) and 20 dB for A = 64 and 256, where fox_h
-    # gives 1.28293 and 0.386078; each answer is within both routes' 1e-12
+    # gives 1.28293 and 0.386078; fox_h answers at every point, and each
+    # other answer is within both routes' 1e-12 of it
     rhos = 10.0 ** (np.arange(-20.0, 41.0, 20.0) / 10.0)
+    refused = {rate_exact_quadrature: 0, rate_nakagami: 0}
     for alpha in (0.8, 2.0, 4.0, 8.0):
-        routes = [rate_exact_foxh, rate_exact_quadrature] + ([rate_nakagami] if alpha == 2.0 else [])
+        routes = [rate_exact_quadrature] + ([rate_nakagami] if alpha == 2.0 else [])
         for mu in (0.75, 2.0):
             for n_t in (1, 2, 4):
                 for a_qos in (8.0, 16.0, 64.0, 256.0):
                     link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
                     for rho in rhos.tolist():
-                        got = []
+                        want = rate_exact_foxh(link, rho)
                         for route in routes:
                             try:
-                                got.append(route(link, rho))
+                                got = route(link, rho)
                             except TruncationError:
-                                pass
-                        assert all(_rel(r, got[0]) <= 2e-12 for r in got[1:]), \
-                            (alpha, mu, n_t, a_qos, rho, got)
+                                refused[route] += 1
+                                continue
+                            assert _rel(got, want) <= 2e-12, (alpha, mu, n_t, a_qos, rho, route)
+    assert refused[rate_exact_quadrature] <= 56 and refused[rate_nakagami] <= 6, refused
 
 
 def test_rate_rejects_bad_snr():
