@@ -207,14 +207,6 @@ class FoxHSpec:
         c = trial[np.argmax(height - height.min(axis=0) <= slack, axis=0)]
         return float(c[0]) if np.ndim(log_z) == 0 else c
 
-    def decay_rate(self):
-        """Exponential decay rate of |chi(c+it)| as |t| grows.
-
-        Each gamma factor Gamma(x+iy) behaves like exp(-pi |y| / 2) up to
-        powers, so the net rate is pi/2 times the signed coefficient sum.
-        """
-        return 0.5 * math.pi * sum(sign * abs(k) for sign, _, k in self.factors())
-
 
 def _log_abs_chi(spec, s):
     """log|chi(s)| at each point of a real vector s: math.lgamma is
@@ -263,10 +255,10 @@ def contour_integral(spec, c, log_z):
     The trapezoid rule on t = Im s >= 0 (conjugate symmetry folds the line)
     converges geometrically: Trefethen & Weideman, SIAM Review 56, 2014.
     log chi is evaluated once; each z costs one row of the factored phase
-    matrix exp(-i t log z) (_phase_sums).  The step is the largest
-    2 pi a / (rise + log(1/1e-12) + margin) over half-widths a below the
-    pole gap, rise being how far log|chi(s) z^-s| climbs on the real axis
-    at c -+ a.  Nodes stop where |chi| is that far below its peak and past
+    matrix exp(-i t log z) (_phase_sums).  The step is
+    2 pi a / (rise + log(1/1e-12) + margin) for the half-width a = 0.9 of
+    the pole gap, rise being how far log|chi(s) z^-s| climbs on the real
+    axis at c -+ a, at most over the z.  Nodes stop where |chi| is that far below its peak and past
     its Stirling turning point.
 
     Returns (log_scale, scaled, err): the integral is exp(log_scale) *
@@ -275,10 +267,11 @@ def contour_integral(spec, c, log_z):
     rounding of the sum.  Off spec.strip(), the result differs from H by
     the residues crossed.
     """
-    kappa = spec.decay_rate()
+    args = [(sign, x0 + k * c, abs(k)) for sign, x0, k in spec.factors()]
+    # |Gamma(x + iy)| falls as e^(-pi |y| / 2) up to powers of |y|
+    kappa = 0.5 * math.pi * sum(sign * k for sign, _, k in args)
     if kappa <= 0:
         raise ContourError("fox_h: integrand does not decay on vertical contours")
-    args = [(sign, x0 + k * c, abs(k)) for sign, x0, k in spec.factors()]
     gap = min((x if x > 0 else min(x % 1.0, -x % 1.0)) / k for sign, x, k in args if sign > 0)
     if not gap > 0:
         raise ContourError("contour Re s = %g passes through a pole" % (c,))
@@ -286,12 +279,10 @@ def contour_integral(spec, c, log_z):
     log_z = np.atleast_1d(np.asarray(log_z, dtype=float))
     if not np.all(np.isfinite(log_z)):
         raise ValueError("fox_h: argument must be positive and finite")
-    a = 0.9 * gap / 2.0 ** np.arange(5)[:, None]
-    probe = _log_abs_chi(spec, c + np.concatenate([[0.0], -a[:, 0], a[:, 0]]))
-    at_c, below, above = probe[0], probe[1:6, None], probe[6:, None]
+    a = 0.9 * gap
+    at_c, below, above = _log_abs_chi(spec, np.array([c, c - a, c + a]))
     rise = np.maximum(np.maximum(below - at_c + a * log_z, above - at_c - a * log_z), 0.0)
-    steps = 2.0 * math.pi * a[:, 0] / (rise.max(axis=1) + _TARGET)
-    h, rise_at_h = steps.max(), rise[np.argmax(steps)]
+    h = 2.0 * math.pi * a / (rise.max() + _TARGET)
     log_chi, peak = np.empty(0, dtype=complex), -math.inf
     # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by _TARGET near t_fall +
     # _TARGET/kappa; the first batch of nodes reaches a quarter beyond that
@@ -312,7 +303,7 @@ def contour_integral(spec, c, log_z):
     full, half = _phase_sums(w, h, log_z)
     size = np.abs(w).sum()
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = (full - 2.0 * half) ** 2 / (abs(full) * size * np.exp(rise_at_h))
+        err = (full - 2.0 * half) ** 2 / (abs(full) * size * np.exp(rise))
         err += 2.0 * abs(w[-1]) / (kappa * h * abs(full))
         # rounding: a sum that cancels keeps about eps sum|w| / |sum w| of itself
         err += 2.2e-16 * size / abs(full)
