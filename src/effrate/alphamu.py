@@ -80,9 +80,11 @@ def pdf(params, gamma):
 def moment(params, n):
     """E{gamma^n} = beta^n Gamma(mu + 2n/alpha) / Gamma(mu).
 
-    n may be any real number with mu + 2n/alpha > 0; outside that range the
-    moment diverges.
+    n may be any finite real number with mu + 2n/alpha > 0; outside that
+    range the moment diverges.
     """
+    if not math.isfinite(n):
+        raise ValueError("moment: order n must be finite, got %r" % (n,))
     a, mu = params.alpha, params.mu
     arg = mu + 2.0 * n / a
     if arg <= 0:

@@ -17,6 +17,7 @@ sequence, giving an array, and a sequence sets the route's kernel up once.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +47,7 @@ class MisoLink:
     branch: AlphaMuParams
 
     def __post_init__(self):
-        if self.n_t < 1 or self.n_t != int(self.n_t):
+        if not (isinstance(self.n_t, numbers.Integral) and self.n_t >= 1):
             raise ValueError("n_t must be a positive integer, got %r" % (self.n_t,))
         if not 0 < self.delay_a < math.inf:
             raise ValueError("delay_a must be finite and > 0, got %r" % (self.delay_a,))

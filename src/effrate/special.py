@@ -20,8 +20,10 @@ import numpy as np
 
 def positive_grid(x, name):
     """x, a scalar or a sequence, as a 1-d float array; raises a ValueError
-    naming x unless every entry is finite and > 0."""
+    naming x unless it has entries and every one is finite and > 0."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not xs.size:
+        raise ValueError("%s must not be empty" % name)
     if not np.all((xs > 0) & (xs < math.inf)):
         raise ValueError("%s must be finite and > 0, got %r" % (name, x))
     return xs
@@ -255,11 +257,11 @@ def contour_integral(spec, c, log_z):
     The trapezoid rule on t = Im s >= 0 (conjugate symmetry folds the line)
     converges geometrically: Trefethen & Weideman, SIAM Review 56, 2014.
     log chi is evaluated once; each z costs one row of the factored phase
-    matrix exp(-i t log z) (_phase_sums).  The step is
-    2 pi a / (rise + log(1/1e-12) + margin) for the half-width a = 0.9 of
-    the pole gap, rise being how far log|chi(s) z^-s| climbs on the real
-    axis at c -+ a, at most over the z.  Nodes stop where |chi| is that far below its peak and past
-    its Stirling turning point.
+    matrix exp(-i t log z) (_phase_sums).  The step is 2 pi a /
+    (rise + log(1/1e-12) + margin) for the half-width a = 0.9 of the pole
+    gap, rise being the most, over the z, that log|chi(s) z^-s| climbs on
+    the real axis at c -+ a.  Nodes stop where |chi| is that far below its
+    peak and past its Stirling turning point.
 
     Returns (log_scale, scaled, err): the integral is exp(log_scale) *
     scaled; err estimates its relative error from the sum on every second
@@ -268,7 +270,7 @@ def contour_integral(spec, c, log_z):
     the residues crossed.
     """
     args = [(sign, x0 + k * c, abs(k)) for sign, x0, k in spec.factors()]
-    # |Gamma(x + iy)| falls as e^(-pi |y| / 2) up to powers of |y|
+    # |Gamma(x + iy)| falls as e^(-pi |y| / 2) up to powers, so |chi(c + it)| as e^(-kappa t)
     kappa = 0.5 * math.pi * sum(sign * k for sign, _, k in args)
     if kappa <= 0:
         raise ContourError("fox_h: integrand does not decay on vertical contours")

@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from effrate.alphamu import AlphaMuParams
+from effrate.alphamu import AlphaMuParams, moment
+from effrate.montecarlo import McConfig, simulate_ergodic_capacity, simulate_rate, simulate_rates
 from effrate.rates import (
     MisoLink,
     channel_power_moments,
@@ -26,7 +27,7 @@ from effrate.rates import (
     rate_nakagami,
     wideband_metrics,
 )
-from effrate.special import FoxHSpec, TruncationError, contour_integral, fox_h
+from effrate.special import FoxHSpec, TruncationError, contour_integral, fox_h, tricomi_u
 
 _EXP_LINK = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
 
@@ -126,6 +127,22 @@ def test_foxh_low_snr_e_minus_1_line_matches_quadrature():
     rhos = (1e-5, 10.0 ** -4.5)
     for got, want in zip(rate_exact_foxh(link, rhos), rate_exact_quadrature(link, rhos)):
         assert _rel(got, want) <= 1e-12
+
+
+def test_foxh_high_snr_near_lognormal_surrogates():
+    # alpha 0.5, n_t 4 fits mu near 399; at A = 16 and 64 the line's step
+    # comes from a half-width 0.9 of the pole gap where a narrower one once
+    # gave a larger step.  At A = 64 the Gamma-weight trapezoid rejects its
+    # own sums, so fox_h is the only route that answers there
+    rhos = 10.0 ** (np.arange(80.0, 121.0, 5.0) / 10.0)
+    branch = AlphaMuParams(alpha=0.5, mu=4.0)
+    near = MisoLink(n_t=4, delay_a=16.0, branch=branch)
+    for rho, got in zip(rhos.tolist(), rate_exact_foxh(near, rhos).tolist()):
+        assert _rel(got, rate_exact_quadrature(near, rho)) <= 2e-12, rho
+    far = MisoLink(n_t=4, delay_a=64.0, branch=branch)
+    assert np.all(np.isfinite(rate_exact_foxh(far, rhos)))
+    with pytest.raises(TruncationError):
+        rate_exact_quadrature(far, rhos)
 
 
 def test_contour_estimate_covers_rounding_on_the_strip_midpoint():
@@ -351,6 +368,27 @@ def test_rate_rejects_bad_snr():
         for bad in (math.inf, math.nan, [1.0, math.inf]):
             with pytest.raises(ValueError):
                 route(_EXP_LINK, bad)
+
+
+def test_every_route_refuses_an_empty_grid_by_name():
+    # an empty grid used to give an empty array on some routes and a bare
+    # numpy or builtin error on the others
+    link = MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=2.0, mu=2.0))
+    cfg = McConfig(samples=1000)
+    for call in (rate_exact_foxh, rate_exact_quadrature, rate_nakagami, rate_high_snr,
+                 ergodic_capacity_quadrature, parametric_eb_n0,
+                 lambda link, rho: simulate_rate(link, rho, cfg),
+                 lambda link, rho: simulate_rates([link], rho, cfg),
+                 lambda link, rho: simulate_ergodic_capacity(link, rho, cfg)):
+        with pytest.raises(ValueError, match="rho must not be empty"):
+            call(link, [])
+    with pytest.raises(ValueError, match="eb_n0 must not be empty"):
+        rate_low_snr(link, [])
+    with pytest.raises(ValueError, match="z must not be empty"):
+        tricomi_u(1.0, 0.5, [])
+    for n in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="order n must be finite"):
+            moment(link.branch, n)
 
 
 # ----------------------------------------------------------- Nakagami forms
@@ -588,3 +626,13 @@ def test_link_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             MisoLink(n_t=2, delay_a=bad, branch=branch)
+
+
+def test_link_refuses_a_non_integer_antenna_count_by_name():
+    # n_t = 2.0 used to construct and fail only in simulate_rate, inside
+    # numpy, as a bare TypeError
+    branch = AlphaMuParams(alpha=3.0, mu=2.0)
+    for n_t in (2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="n_t must be a positive integer"):
+            MisoLink(n_t=n_t, delay_a=0.5, branch=branch)
+    assert MisoLink(n_t=np.int64(2), delay_a=0.5, branch=branch).n_t == 2
