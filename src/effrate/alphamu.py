@@ -103,6 +103,14 @@ def sample(params, rng, size=None):
         return next(sample([params], rng, size))
     if len({p.mu for p in params}) != 1:
         raise ValueError("sample: need one or more branches that share mu")
-    w = rng.gamma(shape=params[0].mu, scale=1.0, size=size)
-    return (p.beta * w ** (2.0 / p.alpha) for p in params)
+    return _scaled(params, rng.gamma(shape=params[0].mu, scale=1.0, size=size))
+
+
+def _scaled(params, w):
+    """beta * w^(2/alpha) for each entry of params, scaled in place in the
+    array the power makes: no temporary besides the branch array itself."""
+    for p in params:
+        x = w ** (2.0 / p.alpha)
+        x *= p.beta
+        yield x
 

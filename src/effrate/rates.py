@@ -255,5 +255,6 @@ def ergodic_capacity_quadrature(link, rho):
     """
     rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
-    e = gamma_expectation(p.mu, np.log1p, rhos * p.beta / link.n_t, 2.0 / p.alpha, growth=1.0)
+    e = gamma_expectation(p.mu, lambda t: np.log1p(t, out=t), rhos * p.beta / link.n_t,
+                          2.0 / p.alpha, growth=1.0)
     return like_grid(rho, e / LN2)

@@ -287,12 +287,13 @@ def contour_integral(spec, c, log_z):
     h = 2.0 * math.pi * a / (rise.max() + _TARGET)
     log_chi, peak = np.empty(0, dtype=complex), -math.inf
     # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by _TARGET near t_fall +
-    # _TARGET/kappa; the first batch of nodes reaches a quarter beyond that
-    more_nodes = int(1.25 * (t_fall + _TARGET / kappa) / h) + 16
+    # _TARGET/kappa; the first batch of nodes reaches that far, and each
+    # further batch adds a quarter of the nodes made so far
+    more_nodes = int((t_fall + _TARGET / kappa) / h) + 16
     # every batch, the first one too, is checked against the node budget before it is made
     while len(log_chi) + more_nodes <= 1 << 20:
         more = _log_chi(spec, c, h * np.arange(len(log_chi), len(log_chi) + more_nodes))
-        more_nodes = len(log_chi) + len(more) + 64
+        more_nodes = (len(log_chi) + len(more)) // 4 + 16
         log_chi, peak = np.concatenate([log_chi, more]), max(peak, more.real.max())
         if h * (len(log_chi) - 1) >= t_fall and log_chi[-1].real < peak - _TARGET:
             break
@@ -352,8 +353,10 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
 
     The trapezoid rule in x = log u converges geometrically (Trefethen &
     Weideman, as above).  The weight exp(mu x - e^x - lgamma mu) and the
-    nodes are set up once; each c costs one row of g over the nodes.  g
-    acts elementwise on t = c u^p, is analytic for |arg t| < pi, and
+    nodes are set up once; each c costs one row of g over the nodes, in a
+    block of rows that one buffer serves throughout.  g acts elementwise on
+    t = c u^p, which it receives in that buffer and may overwrite (it may
+    return the same array), is analytic for |arg t| < pi, and
     |g(t)| / t^growth does not increase, so the integrand is at most a
     multiple of u^m e^-u, m = mu + p growth, right of any point.  The
     strip half-width d keeps |arg t| <= pi/2, keeps d <= pi/4 and bounds
@@ -382,12 +385,18 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
                               % (nodes, _MAX_NODES))
     x = left + h * np.arange(nodes)
     w = np.exp(mu * x - np.exp(x) - math.lgamma(mu))
+    px = p * x
     sums = np.empty((6, len(log_c)))
     rows = max(1, _BLOCK // len(x))
+    block = np.empty((min(rows, len(log_c)), len(x)))
     for i in range(0, len(log_c), rows):
-        f = g(np.exp(log_c[i:i + rows, None] + p * x)) * w
-        sums[:3, i:i + rows] = f.sum(axis=1), f[:, ::2].sum(axis=1), abs(f).sum(axis=1)
-        sums[3:, i:i + rows] = abs(f[:, [0, 1, -1]]).T
+        t = np.add.outer(log_c[i:i + rows], px, out=block[:len(log_c) - i])
+        f = g(np.exp(t, out=t))
+        f *= w
+        sums[:2, i:i + rows] = f.sum(axis=1), f[:, ::2].sum(axis=1)
+        np.abs(f, out=f)
+        sums[2, i:i + rows] = f.sum(axis=1)
+        sums[3:, i:i + rows] = f[:, [0, 1, -1]].T
     full, half, size, first, second, last = sums
     with np.errstate(divide="ignore", invalid="ignore"):
         # on the left log|f| is concave, or g rises with t, so either the
@@ -411,11 +420,16 @@ def log_mean_power(mu, c, p, k):
     c = np.atleast_1d(c)
     if k == 0:
         return np.zeros(c.size)
-    log_e = np.log(gamma_expectation(mu, lambda t: np.exp(k * np.log1p(t)), c, p, max(k, 0.0)))
+
+    def integrand(last):
+        # last(k log1p(t)), formed in t itself
+        return lambda t: last(np.multiply(np.log1p(t, out=t), k, out=t), out=t)
+
+    log_e = np.log(gamma_expectation(mu, integrand(np.exp), c, p, max(k, 0.0)))
     near = ~(np.abs(log_e) > math.log(2.0))
     if near.any():
         log_e[near] = np.log1p(gamma_expectation(
-            mu, lambda t: np.expm1(k * np.log1p(t)), c[near], p, max(k, 1.0)))
+            mu, integrand(np.expm1), c[near], p, max(k, 1.0)))
     return log_e
 
 

@@ -5,6 +5,7 @@ density and moment formulas at alpha=3, mu=1.5, mean_snr=2.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,26 @@ def test_sample_group_shares_one_gamma_draw():
     for bad in ([], [_P, AlphaMuParams(alpha=3.0, mu=2.5)]):
         with pytest.raises(ValueError):
             sample(bad, np.random.default_rng(0), size=10)
+
+
+def test_sample_group_scales_each_branch_in_place():
+    # a consumer holds the branch array it was given while the next is made:
+    # W and those two arrays are all that may be alive then, and each array
+    # is still beta * W^(2/alpha) to the bit
+    group = [AlphaMuParams(alpha=a, mu=1.5) for a in (0.8, 2.0, 4.0, 8.0)]
+    size = (12500, 2)
+    rng = np.random.default_rng(77)
+    tracemalloc.start()
+    try:
+        for draws in sample(group, rng, size=size):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * draws.nbytes, (peak, draws.nbytes)
+    w = np.random.default_rng(77).gamma(1.5, 1.0, size=size)
+    for p, draws in zip(group, sample(group, np.random.default_rng(77), size=size)):
+        np.testing.assert_array_equal(draws, p.beta * w ** (2.0 / p.alpha))
 
 
 def test_sample_moments():

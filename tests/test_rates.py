@@ -252,7 +252,7 @@ def test_quadrature_node_cap_raises_before_allocating():
 
 
 def test_foxh_node_budget_raises_before_allocating():
-    # at A = 1e-6 the first batch of contour nodes would hold about 1.7e8
+    # at A = 1e-6 the first batch of contour nodes would hold about 1.4e8
     # entries; the 2^20-node budget raises before any of them is made, and
     # quadrature still gives the rate
     link = MisoLink(n_t=2, delay_a=1e-6, branch=AlphaMuParams(alpha=3.0, mu=1.5))
@@ -261,6 +261,36 @@ def test_foxh_node_budget_raises_before_allocating():
         rate_exact_foxh(link, 10.0)
     assert time.process_time() - start < 1.0
     assert abs(rate_exact_quadrature(link, 10.0) - 3.36488) < 1e-5
+
+
+def test_foxh_computes_log_chi_only_near_the_nodes_it_keeps(monkeypatch):
+    # the first batch of contour nodes reaches Stirling's estimate of the
+    # cut-off and each further batch adds a quarter, so over a dozen sweep
+    # links the log chi nodes computed exceed those summed by under a fifth
+    from effrate import special
+
+    counts = {"computed": 0, "kept": 0}
+    log_chi, phase_sums = special._log_chi, special._phase_sums
+
+    def counted_log_chi(spec, c, t):
+        counts["computed"] += len(t)
+        return log_chi(spec, c, t)
+
+    def counted_phase_sums(w, h, log_z):
+        counts["kept"] += len(w)
+        return phase_sums(w, h, log_z)
+
+    monkeypatch.setattr(special, "_log_chi", counted_log_chi)
+    monkeypatch.setattr(special, "_phase_sums", counted_phase_sums)
+    rho = 10.0 ** np.linspace(-1.0, 3.0, 121)
+    for alpha, mu, n_t, a_qos in (
+        (0.8, 0.75, 1, 0.5), (1.5, 1.0, 2, 1.0), (2.0, 2.0, 4, 2.0), (3.0, 3.0, 1, 1.0),
+        (4.0, 0.75, 4, 2.0), (8.0, 2.0, 2, 0.5), (0.8, 3.0, 4, 0.5), (1.5, 2.0, 1, 2.0),
+        (2.0, 1.0, 4, 1.0), (3.0, 0.75, 2, 0.5), (4.0, 3.0, 2, 2.0), (8.0, 1.0, 1, 1.0),
+    ):
+        rate_exact_foxh(MisoLink(n_t, a_qos, AlphaMuParams(alpha, mu)), rho)
+    assert counts["kept"] > 0
+    assert counts["computed"] <= 1.2 * counts["kept"], counts
 
 
 def test_foxh_refuses_a_point_whose_estimate_misses_1e_12(monkeypatch):

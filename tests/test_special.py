@@ -5,6 +5,7 @@ and truncated to double precision.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -249,6 +250,23 @@ def test_gamma_expectation_estimate_covers_rounding():
     true_err = abs(kernel["h"] * kernel["full"][0] / 4.7362323194022114e-05 - 1.0)
     assert true_err > 1e-12
     assert kernel["err"][0] >= 0.5 * true_err, (kernel["err"][0], true_err)
+
+
+def test_gamma_expectation_reuses_one_block():
+    # each block of rows is formed, weighted and summed in one buffer of
+    # _BLOCK entries, so log_mean_power over a 121-point sweep, through both
+    # of its integrands (the low end of c takes the expm1 one), holds little
+    # more than that buffer at any time
+    c = np.logspace(-3.0, 3.0, 121)
+    log_e = log_mean_power(2.0, c, 1.0, -0.5)
+    assert np.abs(log_e).min() < math.log(2.0) < np.abs(log_e).max()
+    tracemalloc.start()
+    try:
+        log_mean_power(2.0, c, 1.0, -0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * special._BLOCK * 8, peak
 
 
 # -------------------------------------------------------------------- Fox H
