@@ -255,8 +255,8 @@ def test_gamma_expectation_estimate_covers_rounding():
 def test_gamma_expectation_reuses_one_block():
     # each block of rows is formed, weighted and summed in one buffer of
     # _BLOCK entries, so log_mean_power over a 121-point sweep, through both
-    # of its integrands (the low end of c takes the expm1 one), holds little
-    # more than that buffer at any time
+    # of its integrands (the low end of c takes the expm1 one), holds that
+    # buffer and numpy's own iterator buffers, not a block per temporary
     c = np.logspace(-3.0, 3.0, 121)
     log_e = log_mean_power(2.0, c, 1.0, -0.5)
     assert np.abs(log_e).min() < math.log(2.0) < np.abs(log_e).max()
