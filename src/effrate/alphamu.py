@@ -93,24 +93,8 @@ def moment(params, n):
 
 
 def sample(params, rng, size=None):
-    """Draw SNR realizations: beta * W^(2/alpha) with W ~ Gamma(mu, 1).
-
-    params is one AlphaMuParams, giving one array, or a sequence of them
-    that share mu, giving an iterator of arrays, one per entry, all from one
-    draw of W; each array is made when the iterator reaches it.
-    """
-    if isinstance(params, AlphaMuParams):
-        return next(sample([params], rng, size))
-    if len({p.mu for p in params}) != 1:
-        raise ValueError("sample: need one or more branches that share mu")
-    return _scaled(params, rng.gamma(shape=params[0].mu, scale=1.0, size=size))
-
-
-def _scaled(params, w):
-    """beta * w^(2/alpha) for each entry of params, scaled in place in the
-    array the power makes: no temporary besides the branch array itself."""
-    for p in params:
-        x = w ** (2.0 / p.alpha)
-        x *= p.beta
-        yield x
-
+    """Draw SNR realizations: beta * W^(2/alpha) with W ~ Gamma(mu, 1),
+    scaled in place in the array the power makes."""
+    x = rng.gamma(shape=params.mu, scale=1.0, size=size) ** (2.0 / params.alpha)
+    x *= params.beta
+    return x

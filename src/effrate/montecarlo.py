@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphamu import sample
+from .alphamu import sample  # noqa: F401  bench/spans.py traces montecarlo.sample
 from .rates import LN2
 from .special import like_grid, positive_grid
 
@@ -46,16 +46,6 @@ def _stream_plan(cfg):
     return [(np.random.default_rng(children[i]), counts[i]) for i in range(_STREAMS)]
 
 
-def _branch_sum(draws):
-    """Row sums of a (count, n_t) block of branch draws, by one in-place add
-    per branch column: a tenth to a quarter of the cost of draws.sum(axis=1)
-    along the short axis."""
-    total = draws[:, 0].copy()
-    for k in range(1, draws.shape[1]):
-        total += draws[:, k]
-    return total
-
-
 def _accumulate(links, rho, cfg, term_fn):
     """Stream-ordered mean and variance of term_fn(link, log1p(rho S / n_t),
     out): two (links, rhos) arrays.  The variance sums the squared deviations
@@ -65,26 +55,41 @@ def _accumulate(links, rho, cfg, term_fn):
 
     Links that share (branch.mu, n_t) share one stream plan and one unit
     Gamma block per stream (common random numbers across the links of a
-    figure).  Each distinct branch reduces the block to S / n_t once, each
-    rho costs one log1p per branch, and each link one term_fn call.  The
-    sums of each (link, rho) still accumulate in stream order, so every
-    row is the one a call with that link, or that rho, alone gives.
+    figure).  Each distinct branch forms S / n_t from the block once, column
+    by column, each rho costs one log1p per branch, and each link one
+    term_fn call.  The sums of each (link, rho) still accumulate in stream
+    order, so every row is the one a call with that link, or that rho,
+    alone gives.  One working set, made once per call, serves every stream
+    of every group: a flat unit Gamma buffer of ceil(samples / 8) * max(n_t)
+    entries, viewed as each stream's (count, n_t) block, and three vectors
+    of ceil(samples / 8) entries: S / n_t, a scratch (column powers, then
+    log1p) and the terms.
     """
     rhos = positive_grid(rho, "rho").tolist()
     sums = np.zeros((2, len(links), len(rhos)))  # sum of terms, sum of squared deviations
     groups = {}
     for i, link in enumerate(links):
         groups.setdefault((link.branch.mu, link.n_t), {}).setdefault(link.branch, []).append(i)
-    for (_, n_t), by_branch in groups.items():
+    longest = -(-cfg.samples // _STREAMS)  # draws of the longest stream
+    unit = np.empty(longest * max(n_t for _, n_t in groups))
+    vectors = np.empty((3, longest))
+    for (mu, n_t), by_branch in groups.items():
         seen = 0  # draws of the streams already reduced
         for rng, count in _stream_plan(cfg):
-            log1p_x, terms = np.empty(count), np.empty(count)
-            for indices, draws in zip(by_branch.values(),
-                                      sample(list(by_branch), rng, size=(count, n_t))):
-                s_avg = _branch_sum(draws)
+            w = unit[:count * n_t].reshape(count, n_t)
+            rng.standard_gamma(mu, size=w.shape, out=w)
+            s_avg, scratch, terms = vectors[:, :count]
+            for branch, indices in by_branch.items():
+                # S / n_t = sum_k beta w_k^(2/alpha) / n_t, one column at a time
+                np.power(w[:, 0], 2.0 / branch.alpha, out=s_avg)
+                s_avg *= branch.beta
+                for k in range(1, n_t):
+                    np.power(w[:, k], 2.0 / branch.alpha, out=scratch)
+                    scratch *= branch.beta
+                    s_avg += scratch
                 s_avg /= n_t
                 for j, rho in enumerate(rhos):
-                    np.log1p(np.multiply(s_avg, rho, out=log1p_x), out=log1p_x)
+                    log1p_x = np.log1p(np.multiply(s_avg, rho, out=scratch), out=scratch)
                     for i in indices:
                         term_fn(links[i], log1p_x, terms)
                         total = terms.sum()

@@ -1,6 +1,7 @@
 """Monte Carlo estimator: determinism, convergence, and interval honesty."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from effrate import montecarlo
 from effrate.alphamu import AlphaMuParams
 from effrate.alphamu import sample
-from effrate.montecarlo import (McConfig, _branch_sum, _stream_plan, simulate_ergodic_capacity,
-                                simulate_rate, simulate_rates)
+from effrate.montecarlo import (McConfig, _stream_plan, simulate_ergodic_capacity, simulate_rate,
+                                simulate_rates)
 from effrate.rates import MisoLink, ergodic_capacity_quadrature, rate_exact_quadrature
 
 _RAYLEIGH = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
@@ -101,18 +102,119 @@ def test_ergodic_estimate_is_the_stream_ordered_mean():
 
 
 def test_branch_sum_matches_the_row_reduction():
-    # below 8 branches (every Monte Carlo link of the figures, verify and the
-    # acceptance tests) the column adds give the row sums bit for bit; wider
-    # blocks may round differently, by a few ulp
-    rng = np.random.default_rng(5)
+    # the estimator adds the branch columns one at a time; below 8 branches
+    # (every Monte Carlo link of the figures, verify and the acceptance
+    # tests) that gives the row sums bit for bit, wider blocks may round
+    # differently, by a few ulp.  1003 draws split unevenly over the streams
+    cfg = McConfig(samples=1003, seed=5)
+    rhos = [0.1, 10.0]
     for n_t in range(1, 21):
-        for count in (1, 7, 12_500):
-            draws = rng.gamma(0.7, size=(count, n_t)) * rng.uniform(0.1, 10.0)
-            total, row_sums = _branch_sum(draws), draws.sum(axis=1)
-            if n_t < 8:
-                assert np.array_equal(total, row_sums), (n_t, count)
-            else:
-                np.testing.assert_allclose(total, row_sums, rtol=n_t * np.finfo(float).eps)
+        link = MisoLink(n_t=n_t, delay_a=1.0, branch=AlphaMuParams(alpha=1.3, mu=0.7))
+        totals = [0.0] * len(rhos)
+        for rng, count in _stream_plan(cfg):
+            s_avg = sample(link.branch, rng, size=(count, n_t)).sum(axis=1) / n_t
+            for j, rho in enumerate(rhos):
+                totals[j] += float((np.log1p(rho * s_avg) / math.log(2.0)).sum())
+        want = [total / cfg.samples for total in totals]
+        got = simulate_ergodic_capacity(link, rhos, cfg).tolist()
+        if n_t < 8:
+            assert got == want, n_t
+        else:
+            np.testing.assert_allclose(got, want, rtol=n_t * np.finfo(float).eps)
+
+
+_FIG1_LINKS = [MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=alpha, mu=2.0))
+               for alpha in (0.8, 2.0, 4.0, 8.0)]
+
+
+def test_working_set_is_one_unit_block_and_three_vectors():
+    # the four figure-1 links share (mu, n_t); every stream of the call draws
+    # into one (samples/8, n_t) unit Gamma block and reduces into three
+    # vectors of samples/8, made once per call.  A fresh set per stream and
+    # branch (about seven vectors of samples/8 at once) read 890 KB here
+    cfg = McConfig(samples=100_000, seed=0)
+    rhos = [1.0, 10.0, 100.0]
+    simulate_rates(_FIG1_LINKS, rhos, cfg)
+    tracemalloc.start()
+    try:
+        simulate_rates(_FIG1_LINKS, rhos, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = 8 * -(-cfg.samples // 8)
+    working_set = 2 * vector + 3 * vector
+    assert peak < working_set + 100_000, (peak, working_set)
+
+
+# float.hex of Monte Carlo results at seed 7, frozen before the estimator
+# shared one working set across streams: for each sample count, the rows
+# of simulate_rates(_FROZEN_LINKS, [0.5, 20.0]) (two rates, two
+# half-widths), then simulate_rate(link, 3.0) on _FROZEN_LINKS[::4] (rate,
+# half-width), then simulate_ergodic_capacity(link, [0.5, 20.0]) on
+# _FROZEN_LINKS[1::4]
+_FROZEN_LINKS = [MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
+                 for mu in (0.5, 2.0, 3.7) for n_t in (1, 3)
+                 for alpha, a in ((1.3, 0.7), (4.0, 2.0))]
+_FROZEN = {
+    1003: (
+        "0x1.49ecd25afb695p-2 0x1.a8a33f8f0446fp+0 0x1.bbee2cc9f9d35p-6 0x1.983b562937fbap-4",
+        "0x1.dd31c4c5a3b02p-2 0x1.3de2a095e9b40p+1 0x1.3a3454b7f4703p-6 0x1.1ce6c9aed63bdp-3",
+        "0x1.d3019c1bfde95p-2 0x1.7198cb983cd50p+1 0x1.9cd9500919eefp-6 0x1.c46eefe0ca891p-4",
+        "0x1.171f4a13ff2c4p-1 0x1.ea79589b65215p+1 0x1.a71b565ed1b13p-7 0x1.7f736c6d9e99bp-4",
+        "0x1.df562322f5424p-2 0x1.9720ef2172fc3p+1 0x1.7f03bd635eb98p-6 0x1.8fee42581d31ep-4",
+        "0x1.1b60cd7557dbbp-1 0x1.04dbf78407a01p+2 0x1.58cbb10442dacp-7 0x1.921e4fb5f33d4p-5",
+        "0x1.10c2802ef94cap-1 0x1.f46d4ec9f248ap+1 0x1.1a7d414fa15eap-6 0x1.f4a23155772d5p-5",
+        "0x1.24a953758a708p-1 0x1.1266b4eb7d57bp+2 0x1.a1bd8df838c02p-8 0x1.5c851246e5bd2p-6",
+        "0x1.0550b47fd5784p-1 0x1.d8af441eda93ap+1 0x1.3d518020b1d12p-6 0x1.3241a2d3d8b14p-4",
+        "0x1.229ae621c101ep-1 0x1.0f59176a1898ap+2 0x1.f8867b84c0f35p-8 0x1.c8b257519d478p-6",
+        "0x1.1aec0df1b4a12p-1 0x1.07beb42dbb37fp+2 0x1.b5bda847e00bap-7 0x1.653555b2a093fp-5",
+        "0x1.27629a0a102aep-1 0x1.157ccd72d9aa9p+2 0x1.31c32b7137ba0p-8 0x1.d65392492d1ecp-7",
+        "0x1.ab84335b67548p-1 0x1.cfa2ede31e66ap-5",
+        "0x1.6bcecdf522c7dp+0 0x1.bc486afef28bep-5",
+        "0x1.a1f8c90e347dep+0 0x1.76f340314f8dcp-5",
+        "0x1.13cb9b05388d2p-1 0x1.f4e32c25b231ap+1",
+        "0x1.25b1fab64f002p-1 0x1.1313677df924ap+2",
+        "0x1.2817f59dd72d6p-1 0x1.15eb7fcf15eb0p+2",
+    ),
+    8000: (
+        "0x1.55bf585803bd5p-2 0x1.a4dc3142ed63cp+0 0x1.4adb8a3d8a13cp-7 0x1.201413fdfa8b6p-5",
+        "0x1.ddd81db1ba251p-2 0x1.3bdcb6a939224p+1 0x1.c1e7412462bd8p-8 0x1.9c3406aa405d3p-5",
+        "0x1.c8b6a99406796p-2 0x1.6c3fbc46fd5d4p+1 0x1.23636b83f6792p-7 0x1.39198268cf3ccp-5",
+        "0x1.14e287d78f325p-1 0x1.eae7c5ade8a0dp+1 0x1.27bf4b6e3ab59p-8 0x1.323b37bc5e0eep-5",
+        "0x1.e23d65fa4dbc5p-2 0x1.953bb825047a5p+1 0x1.10ea7d10ce7d7p-7 0x1.220739f9a774fp-5",
+        "0x1.1b31632c78d80p-1 0x1.0339451f44760p+2 0x1.f22142771f140p-9 0x1.4d2058be50503p-6",
+        "0x1.126f964cd7d88p-1 0x1.f8105657dfd58p+1 0x1.81d060d339b7ep-8 0x1.5b1364416e202p-6",
+        "0x1.25daccf695a9ap-1 0x1.12f7f732c14a7p+2 0x1.22d6df57a9633p-9 0x1.ec618a39a0647p-8",
+        "0x1.071ca2eaf0e04p-1 0x1.d7223181e118cp+1 0x1.c887deadfc61ep-8 0x1.c3367d437b83cp-6",
+        "0x1.22b88d6198098p-1 0x1.0ede5b059114ep+2 0x1.6e3da446f2442p-9 0x1.5f497a20f77a0p-7",
+        "0x1.1cfd67c9992cep-1 0x1.0941a71db9400p+2 0x1.2d09a02bff39ap-8 0x1.e9bc465ca169cp-7",
+        "0x1.28714922d55dfp-1 0x1.15f53b263b284p+2 0x1.a8b065893d4c6p-10 0x1.470fdabdb00c2p-8",
+        "0x1.ad1218428ec83p-1 0x1.5040e1ae8d2a7p-6",
+        "0x1.6c44699b0eb94p+0 0x1.3ea41ee519bb7p-6",
+        "0x1.a26497a63a6b5p+0 0x1.0f437eb8330e4p-6",
+        "0x1.15c8a981d3697p-1 0x1.f57d7386d7e56p+1",
+        "0x1.25d2709f3b4f5p-1 0x1.12f0b0065072ap+2",
+        "0x1.2873534a19fe1p-1 0x1.15f2cb4967c78p+2",
+    ),
+}
+
+
+def test_estimates_match_frozen_hex_values():
+    # mu 0.5, 2 and 3.7, n_t 1 and 3, two branches per (mu, n_t) group; at
+    # 1003 samples the 8 streams draw 126 or 125 each, so every buffer is
+    # viewed at two lengths
+    rhos = [0.5, 20.0]
+
+    def hexes(*values):
+        return " ".join(v.hex() for v in np.hstack(values).tolist())
+
+    for samples, frozen in _FROZEN.items():
+        cfg = McConfig(samples=samples, seed=7)
+        got = [hexes(*row) for row in simulate_rates(_FROZEN_LINKS, rhos, cfg)]
+        got += [hexes(*simulate_rate(link, 3.0, cfg)) for link in _FROZEN_LINKS[::4]]
+        got += [hexes(simulate_ergodic_capacity(link, rhos, cfg))
+                for link in _FROZEN_LINKS[1::4]]
+        assert got == list(frozen), samples
 
 
 def test_halfwidth_matches_a_two_pass_variance_where_terms_are_near_1():
