@@ -390,7 +390,11 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
     rows = max(1, _BLOCK // len(x))
     block = np.empty((min(rows, len(log_c)), len(x)))
     for i in range(0, len(log_c), rows):
-        t = np.add.outer(log_c[i:i + rows], px, out=block[:len(log_c) - i])
+        # log c + p x, filled then added: numpy would buffer np.add.outer's
+        # two broadcast operands beside the block, this add only one
+        t = block[:len(log_c) - i]
+        t[:] = px
+        t += log_c[i:i + rows, None]
         f = g(np.exp(t, out=t))
         f *= w
         sums[:2, i:i + rows] = f.sum(axis=1), f[:, ::2].sum(axis=1)
