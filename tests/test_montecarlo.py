@@ -130,8 +130,7 @@ _FIG1_LINKS = [MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=alpha, mu
 def test_working_set_is_one_unit_block_and_three_vectors():
     # the four figure-1 links share (mu, n_t); every stream of the call draws
     # into one (samples/8, n_t) unit Gamma block and reduces into three
-    # vectors of samples/8, made once per call.  A fresh set per stream and
-    # branch (about seven vectors of samples/8 at once) read 890 KB here
+    # vectors of samples/8, made once per call; 100 KB covers the rest
     cfg = McConfig(samples=100_000, seed=0)
     rhos = [1.0, 10.0, 100.0]
     simulate_rates(_FIG1_LINKS, rhos, cfg)
