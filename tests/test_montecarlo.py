@@ -140,8 +140,8 @@ def test_working_set_is_one_unit_block_and_three_vectors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    vector = 8 * -(-cfg.samples // 8)
-    working_set = 2 * vector + 3 * vector
+    entries = -(-cfg.samples // 8)
+    working_set = 8 * (2 * entries + 3 * entries)  # bytes of the n_t = 2 block and three vectors
     assert peak < working_set + 100_000, (peak, working_set)
 
 
