@@ -13,9 +13,22 @@ family at particular (alpha, mu) corners.
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+# No product effrate forms is large enough to thread (special._phase_sums), and
+# OpenBLAS's idle pool thread spins: load numpy with one BLAS thread, unless the
+# caller chose a count or imported numpy first, and leave os.environ as it was.
+_ONE_THREAD = "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _ONE_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _ONE_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,10 @@ def db_to_linear(db):
 
 
 def curve_to_csv(curve, fh, x_column="snr_db"):
-    fh.write("%s,rate,method,ci_halfwidth\n" % x_column)
     ci = curve.ci_halfwidth or [None] * len(curve.rate)
-    for x, r, h in zip(curve.x_db, curve.rate, ci):
-        fh.write("%r,%r,%s,%s\n" % (x, r, curve.method, "" if h is None else repr(h)))
+    fh.write("".join(["%s,rate,method,ci_halfwidth\n" % x_column] + [
+        "%r,%r,%s,%s\n" % (x, r, curve.method, "" if h is None else repr(h))
+        for x, r, h in zip(curve.x_db, curve.rate, ci)]))
 
 
 def curve_to_json_obj(curve):

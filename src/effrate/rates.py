@@ -109,9 +109,10 @@ def rate_exact_foxh(link, rho):
             log_e[low] = np.log1p(e_minus_1)
             err[low] = err_low * np.abs(e_minus_1) / (1.0 + e_minus_1)
         err /= np.abs(log_e)
-    for e, r in zip(err.tolist(), rhos.tolist()):
-        if not e <= 1e-12:
-            raise TruncationError("rate_exact_foxh: error %g at rho=%r exceeds 1e-12" % (e, r))
+    if not np.all(err <= 1e-12):
+        i = int(np.argmax(~(err <= 1e-12)))
+        raise TruncationError("rate_exact_foxh: error %g at rho=%r exceeds 1e-12"
+                              % (err[i], rhos.tolist()[i]))
     return like_grid(rho, -log_e / (a_qos * LN2))
 
 

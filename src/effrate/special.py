@@ -50,19 +50,18 @@ _LANCZOS_C0 = 0.99999999999980993
 _LANCZOS_C = np.array([
     676.5203681218851, -1259.1392167224028, 771.32342877765313, -176.61502916214059,
     12.507343278686905, -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7,
-])[:, None]
-_LANCZOS_K = np.arange(8.0)[:, None]
+])[:, None, None]
+_LANCZOS_K = np.arange(8.0)[:, None, None]
 _LANCZOS_OFFSET = 0.5 * math.log(2.0 * math.pi) - _LANCZOS_G
 
 
-def _lanczos(x, y):
-    """(Re, Im) of log Gamma(x + iy) for 1-d arrays with x >= 1/2.
+def _lanczos(x, y, y2):
+    """(Re, Im) of log Gamma(x + iy) for a column x >= 1/2 and rows y, y2 = y * y.
 
     Real arithmetic throughout: numpy's complex log runs many times slower
     than its real log and arctan2.
     """
     t = x + (_LANCZOS_G - 0.5)
-    y2 = y * y
     xk = x + _LANCZOS_K
     q = _LANCZOS_C / (xk * xk + y2)
     ar = _LANCZOS_C0 + (q * xk).sum(0)
@@ -154,34 +153,36 @@ class FoxHSpec:
         for _, coef in tuple(self.upper_pairs) + tuple(self.lower_pairs):
             if coef <= 0:
                 raise ValueError("FoxHSpec: gamma argument coefficients must be positive")
-        lo, hi = self.strip()
-        if not lo < hi:
-            raise ContourError(
-                "FoxHSpec: pole families overlap, no contour exists "
-                "(strip [%g, %g] is empty)" % (lo, hi)
-            )
-
-    def factors(self):
-        """(sign, x0, k) of each factor Gamma(x0 + k s) of chi(s); sign -1 divides."""
+        # the fields fix the factor table, its columns and the strip: built once
         m, n = self.m, self.n
-        return (
+        factors = (
             tuple((1, b, B) for b, B in self.lower_pairs[:m])
             + tuple((1, 1.0 - a, -A) for a, A in self.upper_pairs[:n])
             + tuple((-1, 1.0 - b, -B) for b, B in self.lower_pairs[m:])
             + tuple((-1, a, A) for a, A in self.upper_pairs[n:])
         )
-
-    def strip(self):
-        """Open interval of contour abscissas separating the pole families.
-
-        Poles of Gamma(b_j + B_j s), j <= m sit at s <= -b_j/B_j and must stay
-        left; poles of Gamma(1 - a_j - A_j s), j <= n sit at s >= (1-a_j)/A_j
-        and must stay right.
-        """
-        edges = [(k > 0, -x0 / k) for sign, x0, k in self.factors() if sign > 0]
+        # Poles of Gamma(b_j + B_j s), j <= m sit at s <= -b_j/B_j and must
+        # stay left; poles of Gamma(1 - a_j - A_j s), j <= n sit at
+        # s >= (1-a_j)/A_j and must stay right.
+        edges = [(k > 0, -x0 / k) for sign, x0, k in factors if sign > 0]
         lo = max((e for left, e in edges if left), default=-math.inf)
         hi = min((e for left, e in edges if not left), default=math.inf)
-        return lo, hi
+        if not lo < hi:
+            raise ContourError(
+                "FoxHSpec: pole families overlap, no contour exists "
+                "(strip [%g, %g] is empty)" % (lo, hi)
+            )
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_columns", np.array(factors).T[:, :, None])
+        object.__setattr__(self, "_strip", (lo, hi))
+
+    def factors(self):
+        """(sign, x0, k) of each factor Gamma(x0 + k s) of chi(s); sign -1 divides."""
+        return self._factors
+
+    def strip(self):
+        """Open interval of contour abscissas separating the pole families."""
+        return self._strip
 
     def contour_abscissa(self, log_z=0.0):
         """Abscissa c of the integration line for a scalar log z (giving a
@@ -200,24 +201,31 @@ class FoxHSpec:
         lo, hi = self.strip()
         slack = _SADDLE_SLACK if math.isfinite(lo) and math.isfinite(hi) else 0.0
         if slack:
-            toward = np.outer(1.0 - 0.5 ** np.arange(1, 5), [-1.0, 1.0]).ravel()
-            trial = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.concatenate([[0.0], toward])
+            trial = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _TRIAL_FINITE
         else:
-            trial = lo + 2.0 ** np.arange(12) if math.isfinite(lo) else hi - 2.0 ** np.arange(12)
+            trial = lo + _TRIAL_HALF if math.isfinite(lo) else hi - _TRIAL_HALF
         lz = np.atleast_1d(np.asarray(log_z, dtype=float))
         height = _log_abs_chi(self, trial)[:, None] - trial[:, None] * lz
         c = trial[np.argmax(height - height.min(axis=0) <= slack, axis=0)]
         return float(c[0]) if np.ndim(log_z) == 0 else c
 
 
+# contour_abscissa's trials: from a finite strip's midpoint in half-widths, or from the poles
+_TRIAL_FINITE = np.concatenate([[0.0], np.outer(1.0 - 0.5 ** np.arange(1, 5), [-1.0, 1.0]).ravel()])
+_TRIAL_HALF = 2.0 ** np.arange(12)
+
+
 def _log_abs_chi(spec, s):
     """log|chi(s)| at each point of a real vector s: math.lgamma is
-    log|Gamma| at every real non-pole, and a pole gives +inf."""
-    total = np.zeros(len(s))
-    for sign, x0, k in spec.factors():
-        x = (x0 + k * s).tolist()
-        total += sign * np.array([math.lgamma(v) if v > 0 or v % 1.0 else math.inf for v in x])
-    return total
+    log|Gamma| at every real non-pole, and a pole gives +inf; summed in floats."""
+    out = []
+    for v in np.asarray(s, dtype=float).tolist():
+        total = 0.0
+        for sign, x0, k in spec.factors():
+            x = x0 + k * v
+            total += sign * (math.lgamma(x) if x > 0 or x % 1.0 else math.inf)
+        out.append(total)
+    return np.array(out)
 
 
 def _log_chi(spec, c, t):
@@ -229,18 +237,20 @@ def _log_chi(spec, c, t):
     the stacked factors.  At t = 0, a factor with b > 0 is math.lgamma(b), the
     real value to the last bit, wherever that node sits in t.
     """
-    sign, x0, k = np.array(spec.factors()).T[:, :, None]
+    sign, x0, k = spec._columns
     b = x0 + k * c
     n = np.fmax(np.ceil(0.5 - b), 0.0)
     y, on_axis = k * t, t == 0
+    y2 = y * y
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        re, im = (v.reshape(y.shape) for v in _lanczos(np.repeat(b + n, len(t)), y.ravel()))
-        for f, (bf, nf) in enumerate(zip(b[:, 0].tolist(), n[:, 0].tolist())):
-            for x in bf + np.arange(nf):
-                re[f] -= 0.5 * np.log(x * x + y[f] * y[f])
-                im[f] -= np.arctan2(y[f], x)
+        re, im = _lanczos(b + n, y, y2)
+        for re_f, im_f, y_f, y2_f, bf, nf in zip(re, im, y, y2, b[:, 0].tolist(),
+                                                 n[:, 0].tolist()):
+            for x in [bf + j for j in range(int(nf))]:
+                re_f -= 0.5 * np.log(x * x + y2_f)
+                im_f -= np.arctan2(y_f, x)
             if bf > 0:
-                re[f, on_axis], im[f, on_axis] = math.lgamma(bf), 0.0
+                re_f[on_axis], im_f[on_axis] = math.lgamma(bf), 0.0
     return (sign * (re + 1j * im)).sum(0)
 
 
@@ -279,10 +289,10 @@ def contour_integral(spec, c, log_z):
         raise ContourError("contour Re s = %g passes through a pole" % (c,))
     t_fall = 2.0 * max(sum(sign * (x - 0.5) for sign, x, _ in args), 0.0) / kappa
     log_z = np.atleast_1d(np.asarray(log_z, dtype=float))
-    if not np.all(np.isfinite(log_z)):
+    if not np.isfinite(log_z).all():
         raise ValueError("fox_h: argument must be positive and finite")
     a = 0.9 * gap
-    at_c, below, above = _log_abs_chi(spec, np.array([c, c - a, c + a]))
+    at_c, below, above = _log_abs_chi(spec, (c, c - a, c + a)).tolist()
     rise = np.maximum(np.maximum(below - at_c + a * log_z, above - at_c - a * log_z), 0.0)
     h = 2.0 * math.pi * a / (rise.max() + _TARGET)
     log_chi, peak = np.empty(0, dtype=complex), -math.inf
@@ -304,12 +314,12 @@ def contour_integral(spec, c, log_z):
     w = np.exp(log_chi[:keep] - peak)
     w[0] *= 0.5
     full, half = _phase_sums(w, h, log_z)
-    size = np.abs(w).sum()
+    size, mag = np.abs(w).sum(), np.abs(full)
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = (full - 2.0 * half) ** 2 / (abs(full) * size * np.exp(rise))
-        err += 2.0 * abs(w[-1]) / (kappa * h * abs(full))
+        err = (full - 2.0 * half) ** 2 / (mag * size * np.exp(rise))
+        err += 2.0 * abs(w[-1]) / (kappa * h * mag)
         # rounding: a sum that cancels keeps about eps sum|w| / |sum w| of itself
-        err += 2.2e-16 * size / abs(full)
+        err += 2.2e-16 * size / mag
     return peak - c * log_z, full * (h / math.pi), err
 
 
@@ -443,8 +453,11 @@ def contour_integrals(spec, log_z):
     Returns (log_scale, scaled, err) as contour_integral does."""
     log_z = np.atleast_1d(np.asarray(log_z, dtype=float))
     c = spec.contour_abscissa(log_z)
+    lines = set(c.tolist())
+    if len(lines) == 1:  # the common case, without the masks
+        return np.array(contour_integral(spec, lines.pop(), log_z))
     out = np.empty((3, len(log_z)))
-    for abscissa in set(c.tolist()):
+    for abscissa in lines:
         on = c == abscissa
         out[:, on] = contour_integral(spec, abscissa, log_z[on])
     return out

@@ -5,6 +5,9 @@ density and moment formulas at alpha=3, mu=1.5, mean_snr=2.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,3 +170,31 @@ def test_scale_relations():
     # doubling the mean doubles beta
     q = AlphaMuParams(alpha=_P.alpha, mu=_P.mu, mean_snr=2.0 * _P.mean_snr)
     np.testing.assert_allclose(q.beta, 2.0 * _P.beta, rtol=1e-14)
+
+
+def _threads_after(modules, **env):
+    """OS threads of a fresh interpreter after importing each module in turn,
+    then its OPENBLAS_NUM_THREADS; the caller's thread settings are dropped
+    from the environment first, and env added."""
+    script = "import os\n" + "".join(
+        "import %s\nprint(len(os.listdir('/proc/self/task')))\n" % m for m in modules)
+    script += "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**clean, **env, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_import_loads_openblas_with_one_thread():
+    # effrate imports numpy first: OpenBLAS starts no pool thread, and the
+    # environment is left without OPENBLAS_NUM_THREADS
+    assert _threads_after(["effrate"]) == ["1", "None"]
+    # a caller's setting wins: numpy keeps the pool it starts without effrate
+    two = {"OPENBLAS_NUM_THREADS": "2"}
+    assert _threads_after(["effrate"], **two) == _threads_after(["numpy"], **two)
+    # numpy imported first: importing effrate changes the thread count in no way
+    numpy_first, then_effrate, env = _threads_after(["numpy", "effrate"])
+    assert (then_effrate, env) == (numpy_first, "None")

@@ -293,6 +293,110 @@ def test_foxh_computes_log_chi_only_near_the_nodes_it_keeps(monkeypatch):
     assert counts["computed"] <= 1.2 * counts["kept"], counts
 
 
+# float.hex of rate_exact_foxh on a dozen benchmark sweep links, frozen when
+# the route was last changed without meaning to move a bit: every 10th
+# point of the 121-point grid -10:30 dB, then the link at 0 and 20 dB in a
+# call of its own (the two calls choose their contours apart)
+_FOXH_FROZEN = {
+    (0.8, 0.75, 1, 0.5): (
+        "0x1.7f858c819910ep-4 0x1.4b7603f19bbdcp-3 0x1.0e2b1522a5159p-2 0x1.a03a97801b649p-2",
+        "0x1.30624cb5f121fp-1 0x1.a909d88dd2786p-1 0x1.1d03c6f148b6cp+0 0x1.712f78ad22620p+0",
+        "0x1.d0390a8fb5979p+0 0x1.1c92593399e1ep+1 0x1.5572e9ed2812ap+1 0x1.923937742fd9fp+1",
+        "0x1.d267995e6a368p+1 0x1.a03a97801b647p-2 0x1.1c92593399e1ep+1",
+    ),
+    (1.5, 1.0, 2, 1.0): (
+        "0x1.0657b519910fdp-3 0x1.fd9ce62e9ea5cp-3 0x1.d18854a696c92p-2 0x1.8bad17a5defa2p-1",
+        "0x1.3847d0f987dc2p+0 0x1.cc23c51476039p+0 0x1.3f54d62c86ed0p+1 0x1.a5a4864eec537p+1",
+        "0x1.0b3a58f9df904p+2 0x1.47afeb18761ffp+2 0x1.872d4fde5e86cp+2 0x1.c8e0f0dddade3p+2",
+        "0x1.06150aed61a36p+3 0x1.8bad17a5defa6p-1 0x1.47afeb18761ffp+2",
+    ),
+    (2.0, 2.0, 4, 2.0): (
+        "0x1.152594fd5fd20p-3 0x1.17e8d6d820db8p-2 0x1.0c87cf2743acep-1 0x1.df5d90dc956ddp-1",
+        "0x1.88fd89724114dp+0 0x1.27c590fbad4b2p+1 0x1.9c9d31c526e6ap+1 0x1.0e7d73cdaaa5fp+2",
+        "0x1.51fc60c43c94ep+2 0x1.9737dd08d39d4p+2 0x1.dd4f60eb20d47p+2 0x1.11e82d25f0248p+3",
+        "0x1.3541853421ee0p+3 0x1.df5d90dc956dap-1 0x1.9737dd08d39d5p+2",
+    ),
+    (3.0, 3.0, 1, 1.0): (
+        "0x1.15fef861d0ed0p-3 0x1.1973671cf631cp-2 0x1.0edd44c8c81f6p-1 0x1.e4f33f08b1df8p-1",
+        "0x1.8e2f3765f738dp+0 0x1.2ba21799c7cf4p+1 0x1.a1772bb544b2ap+1 0x1.11396caace588p+2",
+        "0x1.54e2ac18aa7eap+2 0x1.9a33044417d6fp+2 0x1.e0546d79f1c9cp+2 0x1.136d039f3a262p+3",
+        "0x1.36c76f2e52639p+3 0x1.e4f33f08b1df8p-1 0x1.9a33044417d71p+2",
+    ),
+    (4.0, 0.75, 4, 2.0): (
+        "0x1.164005bcb6a48p-3 0x1.19e5757c6ff9bp-2 0x1.0f807f6a4cf85p-1 0x1.e65d42f1b3de0p-1",
+        "0x1.8f6620e65d4a8p+0 0x1.2c7b649ebe997p+1 0x1.a27f4acfc184dp+1 0x1.11ccc0bf30540p+2",
+        "0x1.557ef64bc4791p+2 0x1.9ad425ff99eecp+2 0x1.e0f804c3832e9p+2 0x1.13bf68c04427ep+3",
+        "0x1.371a1d6175a64p+3 0x1.e65d42f1b3de3p-1 0x1.9ad425ff99ef1p+2",
+    ),
+    (8.0, 2.0, 2, 0.5): (
+        "0x1.1947ff232abebp-3 0x1.1f9e219fac191p-2 0x1.18a3f4490b19bp-1 0x1.fd80cd50fde8fp-1",
+        "0x1.a5efe223dc2f3p+0 0x1.3dc71737f9cb4p+1 0x1.b8b05be9ff70bp+1 0x1.1e7c3da7e01b4p+2",
+        "0x1.6312512a66af6p+2 0x1.a8dc3b2f4c010p+2 0x1.ef39070264236p+2 0x1.1aed7210a7715p+3",
+        "0x1.3e4e810f2c82fp+3 0x1.fd80cd50fde93p-1 0x1.a8dc3b2f4c00dp+2",
+    ),
+    (0.8, 3.0, 4, 0.5): (
+        "0x1.0ec96822b8d8dp-3 0x1.0d3e0cc664739p-2 0x1.fb667a9f671aep-2 0x1.be2ecf6050da5p-1",
+        "0x1.6b166a2fb3253p+0 0x1.1177cdbd71389p+1 0x1.7fed9b4eb30efp+1 0x1.fbc3a10415e20p+1",
+        "0x1.4000df4f0500bp+2 0x1.847d5aa3aa11dp+2 0x1.ca34571e2ede1p+2 0x1.084341c736a3ap+3",
+        "0x1.2b918126280fdp+3 0x1.be2ecf6050dafp-1 0x1.847d5aa3aa131p+2",
+    ),
+    (1.5, 2.0, 1, 2.0): (
+        "0x1.fc4189798c6b5p-4 0x1.e31561923a721p-3 0x1.ad527c0cdd2d8p-2 0x1.62119c798f5d2p-1",
+        "0x1.0f61acf3fff8dp+0 0x1.859233b037683p+0 0x1.08785a896e55ap+1 0x1.56ff5b0e08d89p+1",
+        "0x1.ac9757b83fbb6p+1 0x1.03d439425848ap+2 0x1.336f4cf87c835p+2 0x1.64957fa4cacebp+2",
+        "0x1.96de3c1b672b2p+2 0x1.62119c798f5d5p-1 0x1.03d439425848ap+2",
+    ),
+    (2.0, 1.0, 4, 1.0): (
+        "0x1.13bc43ac6bd1dp-3 0x1.155e767a62529p-2 0x1.08b034ac2b8bfp-1 0x1.d6007f2f498fcp-1",
+        "0x1.7fe11bf42b88ap+0 0x1.20894611dbc7ep+1 0x1.92dcb64b2f2bcp+1 0x1.08a98446071e9p+2",
+        "0x1.4b8d2a1b597fdp+2 0x1.90715d1a32eb8p+2 0x1.d65bbaad941d0p+2 0x1.0e633fd153ff1p+3",
+        "0x1.31b7491cc3f28p+3 0x1.d6007f2f498fep-1 0x1.90715d1a32ebbp+2",
+    ),
+    (3.0, 0.75, 2, 0.5): (
+        "0x1.141e057cae9a1p-3 0x1.1604711889267p-2 0x1.0992193fb4cc7p-1 0x1.d7cd3c7152779p-1",
+        "0x1.8132975db200dp+0 0x1.2134fc2955801p+1 0x1.9348a481a170ap+1 0x1.08ac38d5ac57ep+2",
+        "0x1.4b5d717fd0249p+2 0x1.901b969b0a2d9p+2 0x1.d5edb9f5d84cfp+2 0x1.0e255bc2d78d0p+3",
+        "0x1.3175c214770a5p+3 0x1.d7cd3c7152779p-1 0x1.901b969b0a2d5p+2",
+    ),
+    (4.0, 3.0, 2, 2.0): (
+        "0x1.1807b601753dfp-3 0x1.1d3f178525eefp-2 0x1.14d86cf379131p-1 0x1.f3f453f5dc012p-1",
+        "0x1.9ccf09d570596p+0 0x1.36f5bf78c17c9p+1 0x1.b02b1ba2d688dp+1 0x1.19b542bbefd20p+2",
+        "0x1.5e04d2df1481fp+2 0x1.a3abb95139ce5p+2 0x1.e9f7bc9f72c0ep+2 0x1.1848d88b52bcfp+3",
+        "0x1.3ba80e53d8a02p+3 0x1.f3f453f5dc012p-1 0x1.a3abb95139ce7p+2",
+    ),
+    (8.0, 1.0, 1, 1.0): (
+        "0x1.17ada172728c0p-3 0x1.1c8c70a648810p-2 0x1.13a3bf8da928ep-1 0x1.f0910e556e90cp-1",
+        "0x1.991e3c3d624d5p+0 0x1.33d5f7accd58dp+1 0x1.abdc953fa29a7p+1 0x1.1721ca0b1711bp+2",
+        "0x1.5b30be1c4cc9ap+2 0x1.a0b535f288a0ep+2 0x1.e6f00beffe6f8p+2 0x1.16c0de0a0f0d6p+3",
+        "0x1.3a1e1fe8075cdp+3 0x1.f0910e556e90cp-1 0x1.a0b535f288a0ep+2",
+    ),
+}
+
+# float.hex of the fox_h values behind verify's special-function identities
+_FOX_H_IDENTITY_HEX = (
+    "0x1.cf46d99d52b32p-1 0x1.78b56362cef37p-2 0x1.b993fe00d5387p-8 0x1.1b48655f3727bp-29",
+    "0x1.b0a1c5847e67ap+0 0x1.40d931ff62705p+0 0x1.119ed5e4218cfp-1 0x1.894d3f32a1751p-1",
+    "0x1.40d931ff626ffp-2 0x1.8dfe4e631986dp-6 0x1.80ac5565befdep+0 0x1.ffffffffffffcp-3",
+    "0x1.89e7c3fdb1247p-10",
+)
+
+
+def test_foxh_matches_frozen_hex_values():
+    step = 40.0 / 120
+    rhos = [10.0 ** ((-10.0 + i * step) / 10.0) for i in range(121)]
+    for (alpha, mu, n_t, a_qos), frozen in _FOXH_FROZEN.items():
+        link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
+        got = rate_exact_foxh(link, rhos)[::10].tolist()
+        got += rate_exact_foxh(link, [1.0, 100.0]).tolist()
+        assert " ".join(v.hex() for v in got) == " ".join(frozen), (alpha, mu, n_t, a_qos)
+    spec = FoxHSpec(m=1, n=0, upper_pairs=(), lower_pairs=((0.0, 1.0),))
+    got = [fox_h(spec, x) for x in (0.1, 1.0, 5.0, 20.0)]
+    for w in (-0.5, -1.5, -3.0):
+        spec = FoxHSpec(m=1, n=1, upper_pairs=((w + 1.0, 1.0),), lower_pairs=((0.0, 1.0),))
+        got += [fox_h(spec, x) for x in (0.1, 1.0, 10.0)]
+    assert " ".join(v.hex() for v in got) == " ".join(_FOX_H_IDENTITY_HEX)
+
+
 def test_foxh_refuses_a_point_whose_estimate_misses_1e_12(monkeypatch):
     # the contour reports 1e-9 at rho = 100, where E < 1/2 and no E - 1
     # line replaces it: the route names that point instead of returning it
