@@ -84,10 +84,11 @@ def rate_exact_foxh(link, rho):
     H comes from the line FoxHSpec.contour_abscissa picks: the strip
     midpoint, or a line nearer the saddle where the midpoint's sum would
     cancel away digits (high SNR with large fitted mu and A).  Where
-    E > 1/2 the line Re s = 1.5/alpha, 3/4 of the way from the pole at
-    s = 0 (whose residue is the 1) to the next at 2/alpha, gives E - 1
-    instead, so a small 1 - E keeps its digits; the nearer that next pole,
-    whose residue leads E - 1, the less the sum cancels.
+    E > 1/2 and that line misses 1e-12 of log E, rounding counted, the
+    line Re s = 1.5/alpha, 3/4 of the way from the pole at s = 0 (whose
+    residue is the 1) to the next at 2/alpha, gives E - 1 as well, so a
+    small 1 - E keeps its digits; the nearer that next pole, whose residue
+    leads E - 1, the less the sum cancels.
     Raises TruncationError where the rate's estimated relative error
     exceeds 1e-12.
     """
@@ -101,8 +102,13 @@ def rate_exact_foxh(link, rho):
     log_k = math.log(half_alpha) - math.lgamma(a_qos) - math.lgamma(p.mu)
     log_scale, scaled, err = contour_integrals(spec, log_z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_e = log_k + log_scale + np.log(scaled)
-        low = ~(log_e < -LN2)
+        log_scaled = np.log(scaled)
+        log_e = log_k + log_scale + log_scaled
+        # err counts the sum's rounding, eps sum|w| / |sum w|, but not that of
+        # the node values and of these logs, eps times their size, which the
+        # same ratio, at most err / eps, magnifies: err * size bounds it
+        size = abs(log_k) + np.abs(log_scale) + np.abs(log_scaled)
+        low = ~(log_e < -LN2) & ~(err * (1.0 + size) <= 1e-12 * np.abs(log_e))
         if low.any():
             log_scale, scaled, err_low = contour_integral(spec, 1.5 / p.alpha, log_z[low])
             e_minus_1 = np.exp(log_k + log_scale) * scaled
@@ -256,6 +262,6 @@ def ergodic_capacity_quadrature(link, rho):
     """
     rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
-    e = gamma_expectation(p.mu, lambda t: np.log1p(t, out=t), rhos * p.beta / link.n_t,
-                          2.0 / p.alpha, growth=1.0)
+    e, _ = gamma_expectation(p.mu, lambda t: np.log1p(t, out=t), rhos * p.beta / link.n_t,
+                             2.0 / p.alpha, growth=1.0)
     return like_grid(rho, e / LN2)

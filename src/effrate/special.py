@@ -377,6 +377,7 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
     more than _MAX_NODES of them raise TruncationError.  The sum on every
     second node, the two tail bounds and the rounding of a sum that cancels
     give an error estimate; above 1e-12 relative, TruncationError is raised.
+    Returns (E, err): the vector of expectations and that estimate of each.
     """
     if not mu > 0:
         raise ValueError("gamma_expectation: need mu > 0, got mu=%r" % (mu,))
@@ -424,13 +425,19 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
         i = int(np.argmax(~(err <= 1e-12)))
         raise TruncationError("gamma_expectation: error %g at c=%r exceeds 1e-12"
                               % (err[i], math.exp(log_c[i])))
-    return h * full
+    return h * full, err
 
 
 def log_mean_power(mu, c, p, k):
-    """log E[(1 + c U^p)^k] for U ~ Gamma(mu, 1) and a vector c > 0.  Within
-    a factor 2 of 1 the mean minus 1 is summed instead, as the mean of
-    expm1(k log1p(c U^p)), so that a small logarithm keeps its digits."""
+    """log E[(1 + c U^p)^k] for U ~ Gamma(mu, 1) and a vector c > 0.  Where E
+    is within a factor 2 of 1 and its own sum misses 1e-12 of log E, E - 1
+    is summed as well, as the mean of expm1(k log1p(c U^p)), so that a small
+    logarithm keeps its digits.  The miss counts the kernel's estimate and
+    the weight's rounding: its exponent mu x - e^x - lgamma(mu) near the peak
+    x = log mu sums terms of size mu |log mu|, mu and |lgamma(mu)|, each off
+    by eps = 2.2e-16 of itself, and its exp, the integrand and their product
+    add eps each.
+    """
     c = np.atleast_1d(c)
     if k == 0:
         return np.zeros(c.size)
@@ -439,11 +446,13 @@ def log_mean_power(mu, c, p, k):
         # last(k log1p(t)), formed in t itself
         return lambda t: last(np.multiply(np.log1p(t, out=t), k, out=t), out=t)
 
-    log_e = np.log(gamma_expectation(mu, integrand(np.exp), c, p, max(k, 0.0)))
-    near = ~(np.abs(log_e) > math.log(2.0))
+    e, err = gamma_expectation(mu, integrand(np.exp), c, p, max(k, 0.0))
+    log_e = np.log(e)
+    rounding = 2.2e-16 * (3.0 + mu * abs(math.log(mu)) + mu + abs(math.lgamma(mu)))
+    near = ~(np.abs(log_e) > math.log(2.0)) & ~(err + rounding <= 1e-12 * np.abs(log_e))
     if near.any():
         log_e[near] = np.log1p(gamma_expectation(
-            mu, integrand(np.expm1), c[near], p, max(k, 1.0)))
+            mu, integrand(np.expm1), c[near], p, max(k, 1.0))[0])
     return log_e
 
 

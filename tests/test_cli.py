@@ -652,8 +652,8 @@ def test_verify_pdf_check_flags_scaled_density(monkeypatch, factor):
 # the table of run_verification(samples=100_000, seed=0), less its time line
 _VERIFY_TABLE = """\
 check                          points        worst        tol status
-route-pairwise-agreement           48    2.040e-15    1.0e-06 PASS
-nakagami-closed-form               32    1.876e-15    1.0e-08 PASS
+route-pairwise-agreement           48    1.203e-14    1.0e-06 PASS
+nakagami-closed-form               32    5.968e-15    1.0e-08 PASS
 branch-mean-consistency             8    2.220e-16    1.0e-10 PASS
 special-function-identities        17    4.013e-15    1.0e-08 PASS
 pdf-normalization                   3    1.468e-13    1.0e-08 PASS
@@ -686,8 +686,12 @@ def test_verify_identities_flag_a_biased_gamma_kernel(monkeypatch):
     # negative control: a 1e-7 relative bias in the Gamma-weight kernel must
     # fail the special-function identities, whose Tricomi points reach it
     orig = effrate.special.gamma_expectation
-    monkeypatch.setattr(effrate.special, "gamma_expectation",
-                        lambda *args, **kw: orig(*args, **kw) * (1.0 + 1e-7))
+
+    def biased(*args, **kw):
+        e, err = orig(*args, **kw)
+        return e * (1.0 + 1e-7), err
+
+    monkeypatch.setattr(effrate.special, "gamma_expectation", biased)
     assert "special-function-identities" in verify.run_verification(out=io.StringIO())
 
 

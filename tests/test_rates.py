@@ -119,14 +119,93 @@ def test_foxh_high_snr_large_fitted_mu_repro():
         assert _rel(got, want) <= 1e-12
 
 
-def test_foxh_low_snr_e_minus_1_line_matches_quadrature():
+def test_foxh_low_snr_e_minus_1_line_matches_quadrature(monkeypatch):
     # E > 1/2, so E - 1 comes from a line right of the pole at s = 0.  The
     # strip midpoint Re s = 1/alpha left 3.2e-12 and 6.2e-12 at -50 and
-    # -45 dB while its estimate read about 3e-14
+    # -45 dB while its estimate read about 3e-14; it still misses 1e-12 of
+    # log E there, so both points take the E - 1 line
+    from effrate import rates
+
+    lines = []
+    contour = rates.contour_integral
+
+    def recorded(spec, c, log_z):
+        lines.append((c, len(log_z)))
+        return contour(spec, c, log_z)
+
+    monkeypatch.setattr(rates, "contour_integral", recorded)
     link = MisoLink(n_t=8, delay_a=0.934, branch=AlphaMuParams(alpha=0.815, mu=3.02))
     rhos = (1e-5, 10.0 ** -4.5)
     for got, want in zip(rate_exact_foxh(link, rhos), rate_exact_quadrature(link, rhos)):
         assert _rel(got, want) <= 1e-12
+    assert lines == [(1.5 / link.fit.fitted.alpha, 2)]
+
+
+def test_low_snr_sweeps_take_one_pass(monkeypatch):
+    # E's own sum meets 1e-12 of log E at every point of these sweeps, those
+    # with E > 1/2 too, so the Fox H route integrates on no E - 1 line and
+    # the Gamma-weight route calls its kernel once
+    from effrate import rates, special
+
+    lines, kernel_calls = [], []
+    contour, kernel = rates.contour_integral, special.gamma_expectation
+    monkeypatch.setattr(rates, "contour_integral",
+                        lambda spec, c, log_z: lines.append(c) or contour(spec, c, log_z))
+    monkeypatch.setattr(special, "gamma_expectation",
+                        lambda *args, **kw: kernel_calls.append(args[0]) or kernel(*args, **kw))
+    rhos = 10.0 ** (np.linspace(-10.0, 30.0, 121) / 10.0)
+    for alpha, mu, n_t, a_qos in ((0.8, 2.0, 4, 1.0), (8.0, 1.0, 4, 2.0), (2.0, 2.0, 2, 0.5)):
+        link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
+        rate_exact_foxh(link, rhos)
+        rates_q = rate_exact_quadrature(link, rhos)
+        assert np.sum(rates_q * a_qos < 1.0) >= 10, (alpha, mu, n_t, a_qos)  # E > 1/2
+        assert (lines, len(kernel_calls)) == ([], 1), (alpha, mu, n_t, a_qos)
+        kernel_calls.clear()
+
+
+# Rates -log2(E) / A at 40 digits of each link's fitted law (for alpha = 2 the
+# exact Gamma law of the sum), from the scalars the program fits, by
+#     p = MisoLink(n_t, A, AlphaMuParams(alpha, mu)).fit.fitted
+#     mean = p.beta Gamma(p.mu + 2 / p.alpha) / Gamma(p.mu)  # mpmath, 40 digits
+#     E = bench.reference.expectations((p.alpha, p.mu, mean), n_t, A, rhos)
+# at rho = 10^(dB / 10).  The points lie on both sides of the switch between
+# E's own sum and the E - 1 one: where E's sum is taken without the rounding
+# of its node values and logs, fox_h and the Gamma-weight routes miss 1e-12
+# at -40 to -15 dB
+_LOW_SNR_40_DIGITS = {
+    (0.8, 2.0, 4, 0.5): ((-50.0, 1.4426761378302702e-05), (-32.5, 0.0008106903754922049),
+                         (-22.5, 0.008054179689717245), (-10.0, 0.1295386460412514),
+                         (10.0, 2.802826610460325)),
+    (0.8, 0.75, 1, 0.5): ((-50.0, 1.4425379718653124e-05), (-32.5, 0.0008064320125327704),
+                          (-27.5, 0.0025190977659299307), (-17.5, 0.022404189452744933),
+                          (0.0, 0.40647350997355597)),
+    (2.0, 3.0, 16, 1.0): ((-50.0, 1.4426875269065107e-05), (-35.0, 0.0004561451066004723),
+                          (-22.5, 0.008089204916719333), (-10.0, 0.13725595586926898),
+                          (10.0, 3.434465131857273)),
+    (2.0, 0.75, 4, 2.0): ((-50.0, 1.4426806141950266e-05), (-37.5, 0.0002565058810116204),
+                          (-27.5, 0.002560967046155148), (-15.0, 0.04425484251419115),
+                          (5.0, 1.6674035321890754)),
+    (4.0, 3.0, 16, 4.0): ((-50.0, 1.4426876324815612e-05), (-25.0, 0.004554810244674863),
+                          (-15.0, 0.04489721571958074), (-12.5, 0.0788744294645562),
+                          (10.0, 3.443088214580008)),
+    (3.0, 2.0, 8, 3.0): ((-50.0, 1.442687007888357e-05), (-40.0, 0.00014426147167398009),
+                         (-27.5, 0.002562978261253164), (-17.5, 0.025404718516562702),
+                         (5.0, 2.0092359238175796)),
+    (1.0, 1.0, 8, 0.3): ((-45.0, 4.5620715618798635e-05), (-30.0, 0.0014413900826587306),
+                         (-25.0, 0.004549205911844135), (-20.0, 0.014298624082051733),
+                         (10.0, 3.069801147685855)),
+}
+
+
+def test_low_snr_rates_match_frozen_40_digit_values():
+    for (alpha, mu, n_t, a_qos), points in _LOW_SNR_40_DIGITS.items():
+        link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
+        rhos = [10.0 ** (db / 10.0) for db, _ in points]
+        want = np.array([r for _, r in points])
+        routes = (rate_exact_foxh, rate_exact_quadrature) + ((rate_nakagami,) if alpha == 2.0 else ())
+        for route in routes:
+            err = np.abs(route(link, rhos) / want - 1.0)
+            assert np.all(err <= 1e-12), (route.__name__, alpha, mu, n_t, a_qos, err.tolist())
 
 
 def test_foxh_high_snr_near_lognormal_surrogates():
@@ -296,79 +375,80 @@ def test_foxh_computes_log_chi_only_near_the_nodes_it_keeps(monkeypatch):
 # float.hex of rate_exact_foxh on a dozen benchmark sweep links, frozen when
 # the route was last changed without meaning to move a bit: every 10th
 # point of the 121-point grid -10:30 dB, then the link at 0 and 20 dB in a
-# call of its own (the two calls choose their contours apart)
+# call of its own (the two calls choose their contours apart).  The points
+# with E > 1/2 were frozen again when E's own line began to stand alone there
 _FOXH_FROZEN = {
     (0.8, 0.75, 1, 0.5): (
-        "0x1.7f858c819910ep-4 0x1.4b7603f19bbdcp-3 0x1.0e2b1522a5159p-2 0x1.a03a97801b649p-2",
-        "0x1.30624cb5f121fp-1 0x1.a909d88dd2786p-1 0x1.1d03c6f148b6cp+0 0x1.712f78ad22620p+0",
-        "0x1.d0390a8fb5979p+0 0x1.1c92593399e1ep+1 0x1.5572e9ed2812ap+1 0x1.923937742fd9fp+1",
-        "0x1.d267995e6a368p+1 0x1.a03a97801b647p-2 0x1.1c92593399e1ep+1",
+        "0x1.7f858c8199111p-4 0x1.4b7603f19bc38p-3 0x1.0e2b1522a516fp-2 0x1.a03a97801b66ap-2",
+        "0x1.30624cb5f123ep-1 0x1.a909d88dd27a5p-1 0x1.1d03c6f148b7fp+0 0x1.712f78ad22631p+0",
+        "0x1.d0390a8fb599bp+0 0x1.1c92593399e1ep+1 0x1.5572e9ed2812ap+1 0x1.923937742fd9fp+1",
+        "0x1.d267995e6a368p+1 0x1.a03a97801b66ap-2 0x1.1c92593399e1ep+1",
     ),
     (1.5, 1.0, 2, 1.0): (
-        "0x1.0657b519910fdp-3 0x1.fd9ce62e9ea5cp-3 0x1.d18854a696c92p-2 0x1.8bad17a5defa2p-1",
+        "0x1.0657b519910d4p-3 0x1.fd9ce62e9ea65p-3 0x1.d18854a696c88p-2 0x1.8bad17a5defa6p-1",
         "0x1.3847d0f987dc2p+0 0x1.cc23c51476039p+0 0x1.3f54d62c86ed0p+1 0x1.a5a4864eec537p+1",
         "0x1.0b3a58f9df904p+2 0x1.47afeb18761ffp+2 0x1.872d4fde5e86cp+2 0x1.c8e0f0dddade3p+2",
-        "0x1.06150aed61a36p+3 0x1.8bad17a5defa6p-1 0x1.47afeb18761ffp+2",
+        "0x1.06150aed61a36p+3 0x1.8bad17a5defacp-1 0x1.47afeb18761ffp+2",
     ),
     (2.0, 2.0, 4, 2.0): (
-        "0x1.152594fd5fd20p-3 0x1.17e8d6d820db8p-2 0x1.0c87cf2743acep-1 0x1.df5d90dc956ddp-1",
+        "0x1.152594fd5fd11p-3 0x1.17e8d6d820dbdp-2 0x1.0c87cf2743acep-1 0x1.df5d90dc956ddp-1",
         "0x1.88fd89724114dp+0 0x1.27c590fbad4b2p+1 0x1.9c9d31c526e6ap+1 0x1.0e7d73cdaaa5fp+2",
         "0x1.51fc60c43c94ep+2 0x1.9737dd08d39d4p+2 0x1.dd4f60eb20d47p+2 0x1.11e82d25f0248p+3",
         "0x1.3541853421ee0p+3 0x1.df5d90dc956dap-1 0x1.9737dd08d39d5p+2",
     ),
     (3.0, 3.0, 1, 1.0): (
-        "0x1.15fef861d0ed0p-3 0x1.1973671cf631cp-2 0x1.0edd44c8c81f6p-1 0x1.e4f33f08b1df8p-1",
+        "0x1.15fef861d0eecp-3 0x1.1973671cf631ep-2 0x1.0edd44c8c81f6p-1 0x1.e4f33f08b1df6p-1",
         "0x1.8e2f3765f738dp+0 0x1.2ba21799c7cf4p+1 0x1.a1772bb544b2ap+1 0x1.11396caace588p+2",
         "0x1.54e2ac18aa7eap+2 0x1.9a33044417d6fp+2 0x1.e0546d79f1c9cp+2 0x1.136d039f3a262p+3",
-        "0x1.36c76f2e52639p+3 0x1.e4f33f08b1df8p-1 0x1.9a33044417d71p+2",
+        "0x1.36c76f2e52639p+3 0x1.e4f33f08b1df6p-1 0x1.9a33044417d71p+2",
     ),
     (4.0, 0.75, 4, 2.0): (
-        "0x1.164005bcb6a48p-3 0x1.19e5757c6ff9bp-2 0x1.0f807f6a4cf85p-1 0x1.e65d42f1b3de0p-1",
+        "0x1.164005bcb6a12p-3 0x1.19e5757c6ff7cp-2 0x1.0f807f6a4cf85p-1 0x1.e65d42f1b3de0p-1",
         "0x1.8f6620e65d4a8p+0 0x1.2c7b649ebe997p+1 0x1.a27f4acfc184dp+1 0x1.11ccc0bf30540p+2",
         "0x1.557ef64bc4791p+2 0x1.9ad425ff99eecp+2 0x1.e0f804c3832e9p+2 0x1.13bf68c04427ep+3",
         "0x1.371a1d6175a64p+3 0x1.e65d42f1b3de3p-1 0x1.9ad425ff99ef1p+2",
     ),
     (8.0, 2.0, 2, 0.5): (
-        "0x1.1947ff232abebp-3 0x1.1f9e219fac191p-2 0x1.18a3f4490b19bp-1 0x1.fd80cd50fde8fp-1",
-        "0x1.a5efe223dc2f3p+0 0x1.3dc71737f9cb4p+1 0x1.b8b05be9ff70bp+1 0x1.1e7c3da7e01b4p+2",
+        "0x1.1947ff232abbep-3 0x1.1f9e219fac17bp-2 0x1.18a3f4490b18ap-1 0x1.fd80cd50fde82p-1",
+        "0x1.a5efe223dc2f6p+0 0x1.3dc71737f9cb4p+1 0x1.b8b05be9ff70bp+1 0x1.1e7c3da7e01b4p+2",
         "0x1.6312512a66af6p+2 0x1.a8dc3b2f4c010p+2 0x1.ef39070264236p+2 0x1.1aed7210a7715p+3",
-        "0x1.3e4e810f2c82fp+3 0x1.fd80cd50fde93p-1 0x1.a8dc3b2f4c00dp+2",
+        "0x1.3e4e810f2c82fp+3 0x1.fd80cd50fde8dp-1 0x1.a8dc3b2f4c00dp+2",
     ),
     (0.8, 3.0, 4, 0.5): (
-        "0x1.0ec96822b8d8dp-3 0x1.0d3e0cc664739p-2 0x1.fb667a9f671aep-2 0x1.be2ecf6050da5p-1",
-        "0x1.6b166a2fb3253p+0 0x1.1177cdbd71389p+1 0x1.7fed9b4eb30efp+1 0x1.fbc3a10415e20p+1",
+        "0x1.0ec96822b8d8bp-3 0x1.0d3e0cc664a75p-2 0x1.fb667a9f67664p-2 0x1.be2ecf6050f95p-1",
+        "0x1.6b166a2fb33d6p+0 0x1.1177cdbd71389p+1 0x1.7fed9b4eb30efp+1 0x1.fbc3a10415e20p+1",
         "0x1.4000df4f0500bp+2 0x1.847d5aa3aa11dp+2 0x1.ca34571e2ede1p+2 0x1.084341c736a3ap+3",
-        "0x1.2b918126280fdp+3 0x1.be2ecf6050dafp-1 0x1.847d5aa3aa131p+2",
+        "0x1.2b918126280fdp+3 0x1.be2ecf6050fc1p-1 0x1.847d5aa3aa131p+2",
     ),
     (1.5, 2.0, 1, 2.0): (
-        "0x1.fc4189798c6b5p-4 0x1.e31561923a721p-3 0x1.ad527c0cdd2d8p-2 0x1.62119c798f5d2p-1",
+        "0x1.fc4189798c6bcp-4 0x1.e31561923a72ap-3 0x1.ad527c0cdd2dfp-2 0x1.62119c798f5d2p-1",
         "0x1.0f61acf3fff8dp+0 0x1.859233b037683p+0 0x1.08785a896e55ap+1 0x1.56ff5b0e08d89p+1",
         "0x1.ac9757b83fbb6p+1 0x1.03d439425848ap+2 0x1.336f4cf87c835p+2 0x1.64957fa4cacebp+2",
         "0x1.96de3c1b672b2p+2 0x1.62119c798f5d5p-1 0x1.03d439425848ap+2",
     ),
     (2.0, 1.0, 4, 1.0): (
-        "0x1.13bc43ac6bd1dp-3 0x1.155e767a62529p-2 0x1.08b034ac2b8bfp-1 0x1.d6007f2f498fcp-1",
+        "0x1.13bc43ac6bd05p-3 0x1.155e767a6253ep-2 0x1.08b034ac2b8c4p-1 0x1.d6007f2f49909p-1",
         "0x1.7fe11bf42b88ap+0 0x1.20894611dbc7ep+1 0x1.92dcb64b2f2bcp+1 0x1.08a98446071e9p+2",
         "0x1.4b8d2a1b597fdp+2 0x1.90715d1a32eb8p+2 0x1.d65bbaad941d0p+2 0x1.0e633fd153ff1p+3",
-        "0x1.31b7491cc3f28p+3 0x1.d6007f2f498fep-1 0x1.90715d1a32ebbp+2",
+        "0x1.31b7491cc3f28p+3 0x1.d6007f2f4990fp-1 0x1.90715d1a32ebbp+2",
     ),
     (3.0, 0.75, 2, 0.5): (
-        "0x1.141e057cae9a1p-3 0x1.1604711889267p-2 0x1.0992193fb4cc7p-1 0x1.d7cd3c7152779p-1",
-        "0x1.8132975db200dp+0 0x1.2134fc2955801p+1 0x1.9348a481a170ap+1 0x1.08ac38d5ac57ep+2",
+        "0x1.141e057caea87p-3 0x1.16047118892dcp-2 0x1.0992193fb4cebp-1 0x1.d7cd3c71527acp-1",
+        "0x1.8132975db2024p+0 0x1.2134fc2955801p+1 0x1.9348a481a170ap+1 0x1.08ac38d5ac57ep+2",
         "0x1.4b5d717fd0249p+2 0x1.901b969b0a2d9p+2 0x1.d5edb9f5d84cfp+2 0x1.0e255bc2d78d0p+3",
-        "0x1.3175c214770a5p+3 0x1.d7cd3c7152779p-1 0x1.901b969b0a2d5p+2",
+        "0x1.3175c214770a5p+3 0x1.d7cd3c71527a0p-1 0x1.901b969b0a2d5p+2",
     ),
     (4.0, 3.0, 2, 2.0): (
-        "0x1.1807b601753dfp-3 0x1.1d3f178525eefp-2 0x1.14d86cf379131p-1 0x1.f3f453f5dc012p-1",
+        "0x1.1807b60175401p-3 0x1.1d3f178525ef1p-2 0x1.14d86cf379131p-1 0x1.f3f453f5dc012p-1",
         "0x1.9ccf09d570596p+0 0x1.36f5bf78c17c9p+1 0x1.b02b1ba2d688dp+1 0x1.19b542bbefd20p+2",
         "0x1.5e04d2df1481fp+2 0x1.a3abb95139ce5p+2 0x1.e9f7bc9f72c0ep+2 0x1.1848d88b52bcfp+3",
         "0x1.3ba80e53d8a02p+3 0x1.f3f453f5dc012p-1 0x1.a3abb95139ce7p+2",
     ),
     (8.0, 1.0, 1, 1.0): (
-        "0x1.17ada172728c0p-3 0x1.1c8c70a648810p-2 0x1.13a3bf8da928ep-1 0x1.f0910e556e90cp-1",
+        "0x1.17ada172728ffp-3 0x1.1c8c70a64881fp-2 0x1.13a3bf8da92a6p-1 0x1.f0910e556e913p-1",
         "0x1.991e3c3d624d5p+0 0x1.33d5f7accd58dp+1 0x1.abdc953fa29a7p+1 0x1.1721ca0b1711bp+2",
         "0x1.5b30be1c4cc9ap+2 0x1.a0b535f288a0ep+2 0x1.e6f00beffe6f8p+2 0x1.16c0de0a0f0d6p+3",
-        "0x1.3a1e1fe8075cdp+3 0x1.f0910e556e90cp-1 0x1.a0b535f288a0ep+2",
+        "0x1.3a1e1fe8075cdp+3 0x1.f0910e556e919p-1 0x1.a0b535f288a0ep+2",
     ),
 }
 

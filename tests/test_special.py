@@ -221,15 +221,16 @@ def test_gamma_expectation_power_moments():
     c = np.logspace(-6.0, 6.0, 13)
     for mu, p in ((0.5, 1.0), (1.0, 4.0), (3.0, 0.25), (95.0, 2.0)):
         want = c * math.exp(math.lgamma(mu + p) - math.lgamma(mu))
-        got = gamma_expectation(mu, lambda t: t, c, p, growth=1.0)
+        got, err = gamma_expectation(mu, lambda t: t, c, p, growth=1.0)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert err.shape == c.shape and np.all(err <= 1e-12)
 
 
 def test_gamma_expectation_flags_short_node_range():
     # t^20 far outgrows a declared growth 0, so the right tail bound fails;
     # E[U^-3] diverges for mu = 2, so the left tail bound fails
     np.testing.assert_allclose(
-        gamma_expectation(2.0, lambda t: t ** 20, [1.0], 1.0, growth=20.0), math.gamma(22.0),
+        gamma_expectation(2.0, lambda t: t ** 20, [1.0], 1.0, growth=20.0)[0], math.gamma(22.0),
         rtol=1e-12)
     with pytest.raises(TruncationError):
         gamma_expectation(2.0, lambda t: t ** 20, [1.0], 1.0, growth=0.0)
