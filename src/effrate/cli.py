@@ -32,7 +32,7 @@ from .rates import (
     rate_nakagami,
 )
 from .sumfit import FitConvergenceError, fit_sum
-from .verify import run_verification
+from .verify import FIGURE_LAYOUTS, run_verification
 
 rate_exact_meijerg = None  # bench/spans.py traces this name; the route is gone
 
@@ -150,31 +150,14 @@ def cmd_verify(args):
     return 0
 
 
-# Figure definitions: family parameter sweeps at the fixed link settings
-_FIG1 = dict(family="alpha", values=(0.8, 2.0, 4.0, 8.0), n_t=2, delay_a=0.5, mu=2.0)
-_FIG2 = dict(family="mu", values=(1.0, 2.0, 4.0), n_t=2, delay_a=0.5, alpha=4.0)
-_FIG3 = dict(family="delay_a", values=(0.5, 1.0, 2.0), n_t=2, alpha=2.0, mu=2.0)
-
-
-def _figure_links(fig):
-    links = []
-    for v in fig["values"]:
-        kw = {**fig, fig["family"]: v}
-        branch = AlphaMuParams(alpha=kw["alpha"], mu=kw["mu"], mean_snr=1.0)
-        links.append((v, MisoLink(n_t=kw["n_t"], delay_a=kw["delay_a"], branch=branch)))
-    return links
-
-
-def _sweep_snr_figure(fig, seed, mc_samples):
+def _sweep_snr_figure(family, values, links, seed, mc_samples):
     xs = tuple(0.5 * i for i in range(41))
     rhos = [db_to_linear(x) for x in xs]
-    links = _figure_links(fig)
     # one set of draws serves every curve that shares mu (common random numbers)
-    mc = simulate_rates([link for _, link in links], rhos[::4],
-                        McConfig(samples=mc_samples, seed=seed))
+    mc = simulate_rates(links, rhos[::4], McConfig(samples=mc_samples, seed=seed))
     curves = []
-    for (val, link), (mc_rates, mc_ci) in zip(links, mc):
-        tag, label = "%s%g" % (fig["family"], val), "%s=%g " % (fig["family"], val)
+    for val, link, (mc_rates, mc_ci) in zip(values, links, mc):
+        tag, label = "%s%g" % (family, val), "%s=%g " % (family, val)
         exact = RateCurve(xs, tuple(rate_exact_foxh(link, rhos).tolist()), "fox_h")
         # the asymptote line crosses zero inside the plot window; keep its
         # visible (nonnegative) part only
@@ -189,14 +172,12 @@ def _sweep_snr_figure(fig, seed, mc_samples):
     return curves + [("awgn", RateCurve(xs, awgn, "awgn"), "AWGN benchmark", "2,3")]
 
 
-def _sweep_eb_n0_figure(fig, seed, mc_samples):
+def _sweep_eb_n0_figure(family, values, links, seed, mc_samples):
     rhos = [10.0 ** (-4.0 + 6.0 * i / 27.0) for i in range(28)]
-    links = _figure_links(fig)
-    mc = simulate_rates([link for _, link in links], rhos[::3],
-                        McConfig(samples=mc_samples, seed=seed))
+    mc = simulate_rates(links, rhos[::3], McConfig(samples=mc_samples, seed=seed))
     curves = []
-    for (val, link), (mc_rates, mc_ci) in zip(links, mc):
-        tag, label = "%s%g" % (fig["family"], val), "A=%g " % val
+    for val, link, (mc_rates, mc_ci) in zip(values, links, mc):
+        tag, label = "%s%g" % (family, val), "A=%g " % val
         ebs, rates = parametric_eb_n0(link, rhos)
         ebs_db = tuple(10.0 * math.log10(eb) for eb in ebs.tolist())
         exact = RateCurve(ebs_db, tuple(rates.tolist()), "quadrature")
@@ -211,11 +192,11 @@ def _sweep_eb_n0_figure(fig, seed, mc_samples):
     return curves
 
 
-# --figure: (definition, sweep returning its curves, SVG title, x-axis label, CSV x column)
+# --figure: (sweep of its FIGURE_LAYOUTS entry, SVG title, x-axis label, CSV x column)
 _FIGURES = {
-    1: (_FIG1, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]", "snr_db"),
-    2: (_FIG2, _sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]", "snr_db"),
-    3: (_FIG3, _sweep_eb_n0_figure, "Effective rate vs energy per bit", "Eb/N0 [dB]", "eb_n0_db"),
+    1: (_sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]", "snr_db"),
+    2: (_sweep_snr_figure, "Effective rate vs transmit SNR", "SNR [dB]", "snr_db"),
+    3: (_sweep_eb_n0_figure, "Effective rate vs energy per bit", "Eb/N0 [dB]", "eb_n0_db"),
 }
 
 
@@ -223,9 +204,9 @@ def cmd_sweep_figures(args):
     out_dir = args.out_dir or os.environ.get("EFFRATE_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
     num = args.figure
-    fig, sweep, title, xlabel, x_column = _FIGURES[num]
+    sweep, title, xlabel, x_column = _FIGURES[num]
     # every curve exists before the first file is written: a failure leaves none
-    curves = sweep(fig, args.seed, args.mc_samples)
+    curves = sweep(*FIGURE_LAYOUTS[num], args.seed, args.mc_samples)
     for name, curve, _, _ in curves:
         with open(os.path.join(out_dir, "fig%d_%s.csv" % (num, name)), "w") as fh:
             curve_to_csv(curve, fh, x_column)

@@ -40,8 +40,13 @@ def _links(alphas, mus, n_ts, delay_as):
 _ROUTE_LINKS = _links((0.8, 2.0, 4.0), (1.0, 2.0), (1, 2), (0.5, 2.0))
 _ROUTE_RHOS = (1.0, 100.0)
 
-# Figure-1 family: N_t=2, A=0.5, mu=2, alpha swept
-_FIG1_LINKS = _links((0.8, 2.0, 4.0, 8.0), (2.0,), (2,), (0.5,))
+# The paper's figure layouts, one parameter swept at n_t = 2:
+# {figure: (swept parameter, its values, one link per value)}
+FIGURE_LAYOUTS = {
+    1: ("alpha", (0.8, 2.0, 4.0, 8.0), _links((0.8, 2.0, 4.0, 8.0), (2.0,), (2,), (0.5,))),
+    2: ("mu", (1.0, 2.0, 4.0), _links((4.0,), (1.0, 2.0, 4.0), (2,), (0.5,))),
+    3: ("delay_a", (0.5, 1.0, 2.0), _links((2.0,), (2.0,), (2,), (0.5, 1.0, 2.0))),
+}
 
 
 def _rel(a, b):
@@ -105,8 +110,9 @@ def _check_pdf_normalization():
 
 def _check_mc(cfg):
     rhos = (1.0, 10.0, 100.0)
+    links = FIGURE_LAYOUTS[1][2]
     errors = []
-    for link, (est, hw) in zip(_FIG1_LINKS, simulate_rates(_FIG1_LINKS, rhos, cfg)):
+    for link, (est, hw) in zip(links, simulate_rates(links, rhos, cfg)):
         exact = rate_exact_foxh(link, rhos)
         allowance = np.maximum(1.5 * hw, 0.02 * exact)
         errors.extend((np.abs(est - exact) / allowance).tolist())
@@ -114,7 +120,8 @@ def _check_mc(cfg):
 
 
 def _check_high_snr():
-    return [abs(rate_exact_foxh(link, 1e6) - rate_high_snr(link, 1e6)) for link in _FIG1_LINKS]
+    return [abs(rate_exact_foxh(link, 1e6) - rate_high_snr(link, 1e6))
+            for link in FIGURE_LAYOUTS[1][2]]
 
 
 def _check_wideband():

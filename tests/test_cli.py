@@ -396,13 +396,13 @@ def test_sweep_mc_curve_is_one_call_per_link(tmp_path, capsys):
     # single-link call at the command's seed
     xs_mc = tuple(2.0 * i for i in range(11))
     rhos_fig3 = [10.0 ** (-4.0 + 6.0 * i / 27.0) for i in range(0, 28, 3)]
-    for num, fig in ((1, cli._FIG1), (2, cli._FIG2), (3, cli._FIG3)):
+    for num, (family, values, links) in verify.FIGURE_LAYOUTS.items():
         out_dir = tmp_path / str(num)
         code, _, err = _run(_fig_args(num, out_dir, extra=("--seed", "4")), capsys)
         assert code == 0, err
         rhos = rhos_fig3 if num == 3 else [cli.db_to_linear(x) for x in xs_mc]
-        for val, link in cli._figure_links(fig):
-            with open(out_dir / ("fig%d_%s%g_mc.csv" % (num, fig["family"], val))) as fh:
+        for val, link in zip(values, links):
+            with open(out_dir / ("fig%d_%s%g_mc.csv" % (num, family, val))) as fh:
                 curve = _read_curve(fh, "eb_n0_db" if num == 3 else "snr_db")
             rates, halfwidths = simulate_rate(link, rhos, McConfig(2000, 4))
             if num != 3:
