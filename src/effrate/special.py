@@ -358,7 +358,7 @@ def _phase_sums(w, h, log_z):
     return full, half
 
 
-def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
+def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     """E[g(c U^p)] for U ~ Gamma(mu, 1), for every c > 0 of a vector.
 
     The trapezoid rule in x = log u converges geometrically (Trefethen &
@@ -370,9 +370,13 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
     |g(t)| / t^growth does not increase, so the integrand is at most a
     multiple of u^m e^-u, m = mu + p growth, right of any point.  The
     strip half-width d keeps |arg t| <= pi/2, keeps d <= pi/4 and bounds
-    the envelope's rise cos(d)^-m off the real axis by d <= acos(1 - 5/m);
-    the step is 2 pi d / (log(1/1e-12) + margin + log rise).  Nodes run
-    from 45/mu left of the knee -log(max c)/p (or of 0), where the weight
+    the envelope's rise cos(d)^-m off the real axis by d <= acos(1 - 5/m).
+    g falls no faster than (1 + t)^-decay, decay >= 1, so its mass
+    reaches t = 1/decay, and rises off the axis no more than that power:
+    |g(t e^(i theta))| <= cos(theta/2)^-decay |g(t)|.  The margin absorbs
+    one power of that, so the rise gains cos(p d/2)^-(decay - 1).  The step is 2 pi d / (log(1/1e-12) + margin
+    + log rise).  Nodes run from 45/mu left of the knee
+    -(log(max c) + log(decay))/p (or of -log(decay)/p), where the weight
     falls as e^(mu x), to where the envelope is as far below its peak;
     more than _MAX_NODES of them raise TruncationError.  The sum on every
     second node, the two tail bounds and the rounding of a sum that cancels
@@ -384,12 +388,12 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0):
     log_c = np.log(np.atleast_1d(np.asarray(c, dtype=float)))
     m = mu + p * growth  # |integrand| <= const u^m e^-u on the right
     d = min(0.25 * math.pi, 0.5 * math.pi / p, math.acos(max(1.0 - 5.0 / m, -1.0)))
-    rise = -m * math.log(math.cos(d))
+    rise = -m * math.log(math.cos(d)) - (decay - 1.0) * math.log(math.cos(0.5 * p * d))
     h = 2.0 * math.pi * d / (_TARGET + rise)
     right = max(math.log(m), 0.0) + 1.0
     while m * right - math.exp(right) > m * math.log(m) - m - _TARGET:
         right += 1.0
-    left = min(0.0, -log_c.max() / p) - 45.0 / mu
+    left = min(0.0, -log_c.max() / p) - math.log(decay) / p - 45.0 / mu
     nodes = math.ceil((right - left) / h) + 1
     if nodes > _MAX_NODES:
         raise TruncationError("gamma_expectation: %g nodes needed, more than %d"
@@ -446,7 +450,7 @@ def log_mean_power(mu, c, p, k):
         # last(k log1p(t)), formed in t itself
         return lambda t: last(np.multiply(np.log1p(t, out=t), k, out=t), out=t)
 
-    e, err = gamma_expectation(mu, integrand(np.exp), c, p, max(k, 0.0))
+    e, err = gamma_expectation(mu, integrand(np.exp), c, p, max(k, 0.0), max(-k, 1.0))
     log_e = np.log(e)
     rounding = 2.2e-16 * (3.0 + mu * abs(math.log(mu)) + mu + abs(math.lgamma(mu)))
     near = ~(np.abs(log_e) > math.log(2.0)) & ~(err + rounding <= 1e-12 * np.abs(log_e))
