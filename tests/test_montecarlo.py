@@ -244,12 +244,22 @@ def test_draws_without_spread_are_refused():
     # a zero sample variance would print a half-width of 0.0, an interval
     # that claims an exact answer.  At A = 50 and 60 dB the drawn terms are so
     # small that their squared deviations underflow (13.67 +- 0.0 against an
-    # exact 0.981); at rho = 1e-30 every term rounds to 1 (-0.0 +- 0.0)
+    # exact 0.981); at rho = 1e-30 every term rounds to 1 (-0.0 +- 0.0).
+    # An interval no wider than the rounding of the sum is refused too: at
+    # rho = 1e-16 the mean rounds to 1 (-0.0 +- 4.3e-18 against 1.4427e-16),
+    # and at 1e-14 the estimate is 2.1 % off (1.4736e-14 +- 2.8e-16)
     a50 = MisoLink(n_t=2, delay_a=50.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
+    cfg = McConfig(samples=10_000, seed=0)
     for link, rho, match in ((a50, 1e6, r"A = 50\.0, rho = 1000000\.0"),
-                             (_RAYLEIGH, 1e-30, r"A = 1\.0, rho = 1e-30")):
+                             (_RAYLEIGH, 1e-30, r"A = 1\.0, rho = 1e-30"),
+                             (_RAYLEIGH, 1e-16, r"A = 1\.0, rho = 1e-16"),
+                             (_RAYLEIGH, 1e-14, r"A = 1\.0, rho = 1e-14")):
         with pytest.raises(ArithmeticError, match=match):
-            simulate_rate(link, rho, McConfig(samples=10_000, seed=0))
+            simulate_rate(link, rho, cfg)
+    # at 1e-12 the interval is wider than the rounding and covers 1.4427e-12
+    est, hw = simulate_rate(_RAYLEIGH, 1e-12, cfg)
+    assert abs(est - 1.44122e-12) < 1e-17 and abs(hw - 2.823e-14) < 1e-17, (est, hw)
+    assert abs(est - 1e-12 / math.log(2.0)) <= hw
 
 
 def test_interval_shrinks_with_samples():
