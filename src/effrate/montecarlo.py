@@ -137,12 +137,11 @@ def simulate_rates(links, rho, cfg):
     out = []
     for link, mean, var in zip(links, *_accumulate(links, rho, cfg, _decay_term)):
         spread = 1.96 * np.sqrt(var / n)
-        # written so that a NaN fails it
-        resolved = spread > 2.2e-16 * math.log2(n) * mean
+        resolved = spread > 2.2e-16 * math.log2(n) * mean  # False for a NaN
         if not np.all(resolved):
             rho_0 = float(np.atleast_1d(rho)[np.argmin(resolved)])
             raise ArithmeticError("simulate_rates: the draws of (1 + rho S / n_t)^-A have no "
-                                  "spread above their rounding at A = %r, rho = %r"
+                                  "spread above rounding at A = %r, rho = %r"
                                   % (link.delay_a, rho_0))
         a_ln2 = link.delay_a * LN2
         rate = np.array([-math.log(m) / a_ln2 for m in mean.tolist()])

@@ -371,16 +371,16 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     multiple of u^m e^-u, m = mu + p growth, right of any point.  The
     strip half-width d keeps |arg t| <= pi/2, keeps d <= pi/4 and bounds
     the envelope's rise cos(d)^-m off the real axis by d <= acos(1 - 5/m).
-    g falls no faster than (1 + t)^-decay, decay >= 1, so its mass
-    reaches t = 1/decay, and rises off the axis no more than that power:
-    |g(t e^(i theta))| <= cos(theta/2)^-decay |g(t)|.  The margin absorbs
-    one power of that, so the rise gains cos(p d/2)^-(decay - 1).  The step is 2 pi d / (log(1/1e-12) + margin
-    + log rise).  Nodes run from 45/mu left of the knee
-    -(log(max c) + log(decay))/p (or of -log(decay)/p), where the weight
-    falls as e^(mu x), to where the envelope is as far below its peak;
-    more than _MAX_NODES of them raise TruncationError.  The sum on every
-    second node, the two tail bounds and the rounding of a sum that cancels
-    give an error estimate; above 1e-12 relative, TruncationError is raised.
+    g falls no faster than (1 + t)^-decay, decay >= 1, and rises off the
+    axis no more: |g(t e^(i theta))| <= cos(theta/2)^-decay |g(t)|, one
+    power of which the margin absorbs, so the rise gains
+    cos(p d/2)^-(decay - 1).  The step is 2 pi d / (log(1/1e-12) + margin
+    + log rise).  Nodes run from 45/mu left of the knee, -log(max c)/p (or
+    0) less log(decay)/p, where the weight falls as e^(mu x), to where the
+    envelope is as far below its peak; more than _MAX_NODES of them raise
+    TruncationError.  The sum on every second node, the two tail bounds and
+    the rounding of a sum that cancels give an error estimate; above 1e-12
+    relative, TruncationError is raised.
     Returns (E, err): the vector of expectations and that estimate of each.
     """
     if not mu > 0:
