@@ -9,8 +9,8 @@ sweep-figures.
 """
 
 import argparse
+import contextlib
 import functools
-import io
 import json
 import math
 import os
@@ -36,15 +36,24 @@ from .verify import FIGURE_LAYOUTS, run_verification
 
 rate_exact_meijerg = None  # bench/spans.py traces this name; the route is gone
 
-METHOD_LABELS = (
-    "fox_h",
-    "quadrature",
-    "nakagami_closed",
-    "high_snr",
-    "low_snr_wideband",
-    "monte_carlo",
-    "awgn",
-)
+
+def _routes():
+    """{--method flag: (CSV label, rate route)}.  The parser, built once per
+    process, takes only the keys, and METHOD_LABELS only the labels;
+    `cmd_rate` builds the table per call, so a route replaced on this module
+    (by a tracer, say) is the one called."""
+    return {
+        "foxh": ("fox_h", rate_exact_foxh),
+        "quadrature": ("quadrature", rate_exact_quadrature),
+        "nakagami": ("nakagami_closed", rate_nakagami),
+        "high-snr": ("high_snr", rate_high_snr),
+    }
+
+
+# the --method routes' labels, then those only the figures draw
+METHOD_LABELS = tuple(label for label, _ in _routes().values()) + (
+    "low_snr_wideband", "monte_carlo", "awgn")
+
 
 @dataclass(frozen=True)
 class RateCurve:
@@ -97,18 +106,6 @@ def curve_to_json_obj(curve):
     }
 
 
-def _routes():
-    """{--method flag: (CSV label, rate route)}.  The parser, built once per
-    process, takes only the keys; `cmd_rate` builds the table per call, so a
-    route replaced on this module (by a tracer, say) is the one called."""
-    return {
-        "foxh": ("fox_h", rate_exact_foxh),
-        "quadrature": ("quadrature", rate_exact_quadrature),
-        "nakagami": ("nakagami_closed", rate_nakagami),
-        "high-snr": ("high_snr", rate_high_snr),
-    }
-
-
 def cmd_rate(args):
     branch = AlphaMuParams(alpha=args.alpha, mu=args.mu, mean_snr=args.mean_snr)
     link = MisoLink(n_t=args.nt, delay_a=args.delay_a, branch=branch)
@@ -116,17 +113,12 @@ def cmd_rate(args):
     xs = (args.snr_db,) if args.snr_db is not None else args.snr_db_range
     rhos = [db_to_linear(x) for x in xs]
     curve = RateCurve(x_db=xs, rate=tuple(route(link, rhos).tolist()), method=label)
-    buf = io.StringIO()
-    if args.format == "csv":
-        curve_to_csv(curve, buf)
-    else:
-        json.dump(curve_to_json_obj(curve), buf, indent=2)
-        buf.write("\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "csv":
+            curve_to_csv(curve, fh)
+        else:
+            json.dump(curve_to_json_obj(curve), fh, indent=2)
+            fh.write("\n")
     return 0
 
 
@@ -241,35 +233,30 @@ def build_parser():
         description="Effective rate of MISO links over alpha-mu fading",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    link = argparse.ArgumentParser(add_help=False)  # the branch and array of rate and fit-sum
+    link.add_argument("--alpha", type=float, required=True)
+    link.add_argument("--mu", type=float, required=True)
+    link.add_argument("--nt", type=int, required=True)
 
-    p_rate = sub.add_parser("rate", help="evaluate the rate at one SNR or over a range")
-    p_rate.add_argument("--alpha", type=float, required=True)
-    p_rate.add_argument("--mu", type=float, required=True)
-    p_rate.add_argument("--nt", type=int, required=True)
+    p_rate = sub.add_parser("rate", parents=[link],
+                            help="evaluate the rate at one SNR or over a range")
     p_rate.add_argument("--delay-a", type=float, required=True)
     group = p_rate.add_mutually_exclusive_group(required=True)
     group.add_argument("--snr-db", type=float)
     group.add_argument("--snr-db-range", type=_parse_range, metavar="START:STOP:POINTS")
-    p_rate.add_argument(
-        "--method",
-        choices=tuple(_routes()),
-        required=True,
-    )
+    p_rate.add_argument("--method", choices=tuple(_routes()), required=True)
     p_rate.add_argument("--mean-snr", type=float, default=1.0)
     p_rate.add_argument("--out", default=None)
     p_rate.add_argument("--format", choices=("csv", "json"), default="csv")
     p_rate.set_defaults(func=cmd_rate)
 
-    p_fit = sub.add_parser("fit-sum", help="moment-match a branch sum")
-    p_fit.add_argument("--alpha", type=float, required=True)
-    p_fit.add_argument("--mu", type=float, required=True)
-    p_fit.add_argument("--nt", type=int, required=True)
+    p_fit = sub.add_parser("fit-sum", parents=[link], help="moment-match a branch sum")
     p_fit.add_argument("--mean-snr", type=float, default=1.0)
     p_fit.set_defaults(func=cmd_fit_sum)
 
     p_ver = sub.add_parser("verify", help="cross-check all evaluation routes")
     scale = p_ver.add_mutually_exclusive_group()
-    scale.add_argument("--fast", action="store_true", help="1e5 Monte Carlo samples")
+    scale.add_argument("--fast", action="store_true", help="1e5 Monte Carlo samples, the default")
     scale.add_argument("--full", action="store_true", help="1e7 Monte Carlo samples")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify)
