@@ -128,7 +128,8 @@ def simulate_rates(links, rho, cfg):
     M-term sum, eps log2(M) X, raises ArithmeticError naming A and rho:
     there the estimate is rounding, not a measurement.  That covers terms
     with no spread (all underflow to 0, all round to 1, or their squared
-    deviations underflow), whose half-width would read 0.0.
+    deviations underflow), whose half-width would read 0.0; where all
+    underflow, the message says so.
     """
     links = list(links)
     if not links:
@@ -139,10 +140,10 @@ def simulate_rates(links, rho, cfg):
         spread = 1.96 * np.sqrt(var / n)
         resolved = spread > 2.2e-16 * math.log2(n) * mean  # False for a NaN
         if not np.all(resolved):
-            rho_0 = float(np.atleast_1d(rho)[np.argmin(resolved)])
-            raise ArithmeticError("simulate_rates: the draws of (1 + rho S / n_t)^-A have no "
-                                  "spread above rounding at A = %r, rho = %r"
-                                  % (link.delay_a, rho_0))
+            k = np.argmin(resolved)
+            why = "underflow" if mean[k] == 0.0 else "have no spread above rounding"
+            raise ArithmeticError("simulate_rates: the draws of (1 + rho S / n_t)^-A %s at A = %r, "
+                                  "rho = %r" % (why, link.delay_a, float(np.atleast_1d(rho)[k])))
         a_ln2 = link.delay_a * LN2
         rate = np.array([-math.log(m) / a_ln2 for m in mean.tolist()])
         halfwidth = spread / (a_ln2 * mean)

@@ -125,8 +125,7 @@ def _check_high_snr():
 
 
 def _check_wideband():
-    errors = [abs(wideband_metrics(link)[0] / LN2 - 1.0)
-              for link in _links((2.0,), (2.0,), (2,), (0.5, 1.0, 2.0))]
+    errors = [abs(wideband_metrics(link)[0] / LN2 - 1.0) for link in FIGURE_LAYOUTS[3][2]]
     for link in _links((2.0,), (1.0, 2.5), (2, 4), (0.5, 2.0)):
         m, n_t, a = link.branch.mu, link.n_t, link.delay_a
         _, s0 = wideband_metrics(link)
@@ -138,7 +137,7 @@ def _check_wideband():
 def _check_intercept():
     target_db = 10.0 * math.log10(LN2)
     return [abs(10.0 * math.log10(parametric_eb_n0(link, 1e-4)[0]) - target_db)
-            for link in _links((2.0,), (2.0,), (2,), (0.5, 1.0, 2.0))]
+            for link in FIGURE_LAYOUTS[3][2]]
 
 
 def run_verification(samples=100_000, seed=0, out=sys.stdout):

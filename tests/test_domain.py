@@ -3,13 +3,15 @@
 Every input must give either a rate on which the independent routes agree,
 or a typed error from each of them.  Hypothesis comes with the `test`
 extra; where it is not installed the module is skipped.  The search is
-derandomized, so every run draws the same examples.
+derandomized, but hypothesis mixes the numeric literals of the loaded
+modules into its draws, so the drawn set moves with unrelated edits; the
+known hard points are pinned as examples.
 """
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from effrate import (  # noqa: E402
     AlphaMuParams,
@@ -43,6 +45,9 @@ def _outcome(fn):
     delay_a=st.floats(0.2, 4.0),
     log10_rho=st.floats(-5.0, 4.0),
 )
+# the ROADMAP item-1 repro and item 3's near-lognormal row
+@example(alpha=2.0, mu=1.0, n_t=16, delay_a=4.0, log10_rho=4.0)
+@example(alpha=0.7252, mu=2.021, n_t=8, delay_a=1.213, log10_rho=-2.519)
 def test_routes_agree_or_raise_typed_errors(alpha, mu, n_t, delay_a, log10_rho):
     rho = 10.0 ** log10_rho
     link = MisoLink(n_t=n_t, delay_a=delay_a, branch=AlphaMuParams(alpha=alpha, mu=mu))

@@ -1,6 +1,9 @@
 """Monte Carlo estimator: determinism, convergence, and interval honesty."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +31,33 @@ def test_estimate_matches_analytic_multiantenna():
     exact = rate_exact_quadrature(link, 10.0)
     est, hw = simulate_rate(link, 10.0, McConfig(samples=500_000, seed=21))
     assert abs(est - exact) <= 2.0 * hw
+
+
+_THREADS_SCRIPT = (
+    "import sys\n"
+    "if sys.argv[1] != '1':\n"
+    "    import numpy  # noqa: F401  loaded first, OpenBLAS starts its thread pool\n"
+    "from effrate.montecarlo import McConfig, simulate_rates\n"
+    "from effrate.verify import FIGURE_LAYOUTS\n"
+    "out = simulate_rates(FIGURE_LAYOUTS[1][2], (1.0, 10.0, 100.0),\n"
+    "                     McConfig(samples=100_000, seed=0))\n"
+    "print(' '.join(float(x).hex() for pair in out for xs in pair for x in xs))\n"
+)
+
+
+def test_estimates_do_not_depend_on_the_blas_thread_count():
+    # the reductions stay in numpy and out of BLAS, whose threaded dot
+    # product sums in another order.  A fresh interpreter per thread count;
+    # 1e5 samples make streams of 12,500 terms, long enough for OpenBLAS to
+    # split a dot product over two threads (at 1e4 a np.dot reduction passes)
+    runs = [subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, threads],
+                           capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                "PYTHONPATH": os.pathsep.join(sys.path)})
+            for threads in ("1", "2")]
+    assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+    assert len(runs[0].stdout.split()) == 24
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_bit_reproducible(monkeypatch):
@@ -236,8 +266,9 @@ def test_halfwidth_matches_a_two_pass_variance_where_terms_are_near_1():
 def test_underflowing_draws_raise_naming_a_and_rho():
     # at 100 dB every (1 + rho S / 2)^-50 underflows to 0: no rate exists
     link = MisoLink(n_t=2, delay_a=50.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
-    with pytest.raises(ArithmeticError, match=r"A = 50\.0, rho = 10000000000\.0"):
+    with pytest.raises(ArithmeticError, match=r"A = 50\.0, rho = 10000000000\.0") as exc:
         simulate_rate(link, [1.0, 1e10], McConfig(samples=10_000, seed=0))
+    assert "(1 + rho S / n_t)^-A underflow at" in str(exc.value)
 
 
 def test_draws_without_spread_are_refused():
