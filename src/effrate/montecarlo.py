@@ -2,11 +2,12 @@
 
 Sampling happens at the branch level (no moment matching anywhere), so
 agreement with the analytic pipeline checks the fitted approximation and the
-contour integrals at once.  Draws are partitioned into independent streams
-with fixed per-stream seeds and reduced in stream order, which makes every
-estimate bit-reproducible for a given seed no matter how the work is
-scheduled.  Links that share mu and n_t, simulated together, share
-their draws: the curves of a figure are compared on common random numbers.
+contour integrals at once.  Draws are partitioned into independent
+SplitMix64 streams keyed by (seed, stream index) (see splitmix.py) and
+reduced in stream order, which makes every estimate bit-reproducible for a
+given seed no matter how the work is scheduled.  Links that share mu and
+n_t, simulated together, share their draws: the curves of a figure are
+compared on common random numbers.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 from .alphamu import sample  # noqa: F401  bench/spans.py traces montecarlo.sample
 from .rates import LN2
 from .special import like_grid, positive_grid
+from .splitmix import SplitMix64, stream_keys
 
 _STREAMS = 8  # independent streams the draws of one estimate are split into
 
@@ -36,14 +38,14 @@ class McConfig:
             raise ValueError("McConfig: seed must be a non-negative integer, got %r" % (self.seed,))
 
 
-def _stream_plan(cfg):
-    """Deterministic (rng, count) pairs, one per stream."""
-    base = np.random.SeedSequence(cfg.seed)
-    children = base.spawn(_STREAMS)
+def _stream_plan(cfg, scratch=None):
+    """Deterministic (stream, count) pairs, one SplitMix64 stream per key of
+    the seed; each stream draws in `scratch` (three rows), if given."""
     counts = [cfg.samples // _STREAMS] * _STREAMS
     for i in range(cfg.samples % _STREAMS):
         counts[i] += 1
-    return [(np.random.default_rng(children[i]), counts[i]) for i in range(_STREAMS)]
+    return [(SplitMix64(key, scratch), count)
+            for key, count in zip(stream_keys(cfg.seed, _STREAMS), counts)]
 
 
 def _accumulate(links, rho, cfg, term_fn):
@@ -63,7 +65,8 @@ def _accumulate(links, rho, cfg, term_fn):
     of every group: a flat unit Gamma buffer of ceil(samples / 8) * max(n_t)
     entries, viewed as each stream's (count, n_t) block, and three vectors
     of ceil(samples / 8) entries: S / n_t, a scratch (column powers, then
-    log1p) and the terms.
+    log1p) and the terms.  While a stream draws, its Gamma sampler works in
+    the three vectors.
     """
     rhos = positive_grid(rho, "rho").tolist()
     sums = np.zeros((2, len(links), len(rhos)))  # sum of terms, sum of squared deviations
@@ -75,7 +78,7 @@ def _accumulate(links, rho, cfg, term_fn):
     vectors = np.empty((3, longest))
     for (mu, n_t), by_branch in groups.items():
         seen = 0  # draws of the streams already reduced
-        for rng, count in _stream_plan(cfg):
+        for rng, count in _stream_plan(cfg, vectors):
             w = unit[:count * n_t].reshape(count, n_t)
             rng.standard_gamma(mu, size=w.shape, out=w)
             s_avg, scratch, terms = vectors[:, :count]
