@@ -22,10 +22,10 @@ vector pass more.
 
 The stream answers `random_raw`, `random`, `standard_gamma` and `gamma` as
 numpy's Generator does, for the arguments effrate passes.  It loads
-nothing of numpy.random, whose import costs a command 5.4 MB resident
-(3.5 MB of it OpenSSL, through secrets and hashlib) and about 12 ms, and
-its draws do not move when numpy's Generator algorithms change, which
-NEP 19 allows between releases.
+nothing of numpy.random, whose import costs a command 6 MB resident
+(3.5 MB of it OpenSSL, through secrets and hashlib) and 14 ms, and its
+draws do not move when numpy's Generator algorithms change, which NEP 19
+allows between releases.
 """
 
 import math
@@ -113,9 +113,10 @@ class SplitMix64:
             n += m
 
     def _rows(self, n):
-        """Three float64 scratch rows of at most n entries."""
+        """Three float64 scratch rows of 1 to n entries."""
+        n = max(n, 1)
         if self._scratch is None:
-            return np.empty((3, min(max(n, 1), _BATCH)))
+            return np.empty((3, min(n, _BATCH)))
         return self._scratch[:, :n]
 
     def random_raw(self, size=None):

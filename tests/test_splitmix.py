@@ -113,6 +113,7 @@ def test_generator_interface():
     assert stream.random((2, 5)).shape == stream.random_raw((2, 5)).shape == (2, 5)
     for shape in (0.5, 1.0, 2.0):
         assert stream.standard_gamma(shape, 0).shape == (0,)
+        assert SplitMix64(9, np.empty((3, 8))).standard_gamma(shape, 0).shape == (0,)
     # gamma is scale times standard_gamma, drawn alike
     a, b = SplitMix64(9), SplitMix64(9)
     np.testing.assert_array_equal(a.gamma(2.5, 3.0, 100), 3.0 * b.standard_gamma(2.5, 100))
