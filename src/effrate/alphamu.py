@@ -108,7 +108,7 @@ def moment(params, n):
 def sample(params, rng, size=None):
     """Draw SNR realizations: beta * W^(2/alpha) with W ~ Gamma(mu, 1),
     scaled in place in the array the power makes.  rng is a numpy Generator
-    or a splitmix.SplitMix64 stream (its `gamma` is all that is used)."""
+    (Monte Carlo draws from splitmix.standard_gamma instead)."""
     x = rng.gamma(shape=params.mu, scale=1.0, size=size) ** (2.0 / params.alpha)
     x *= params.beta
     return x

@@ -19,7 +19,7 @@ import numpy as np
 from .alphamu import sample  # noqa: F401  bench/spans.py traces montecarlo.sample
 from .rates import LN2
 from .special import like_grid, positive_grid
-from .splitmix import SplitMix64, stream_keys
+from .splitmix import standard_gamma, stream_keys
 
 _STREAMS = 8  # independent streams the draws of one estimate are split into
 
@@ -38,14 +38,13 @@ class McConfig:
             raise ValueError("McConfig: seed must be a non-negative integer, got %r" % (self.seed,))
 
 
-def _stream_plan(cfg, scratch=None):
-    """Deterministic (stream, count) pairs, one SplitMix64 stream per key of
-    the seed; each stream draws in `scratch` (three rows), if given."""
+def _stream_plan(cfg):
+    """Deterministic (key, count) pairs: the draws of each SplitMix64 stream
+    of the seed."""
     counts = [cfg.samples // _STREAMS] * _STREAMS
     for i in range(cfg.samples % _STREAMS):
         counts[i] += 1
-    return [(SplitMix64(key, scratch), count)
-            for key, count in zip(stream_keys(cfg.seed, _STREAMS), counts)]
+    return list(zip(stream_keys(cfg.seed, _STREAMS), counts))
 
 
 def _accumulate(links, rho, cfg, term_fn):
@@ -78,9 +77,8 @@ def _accumulate(links, rho, cfg, term_fn):
     vectors = np.empty((3, longest))
     for (mu, n_t), by_branch in groups.items():
         seen = 0  # draws of the streams already reduced
-        for rng, count in _stream_plan(cfg, vectors):
-            w = unit[:count * n_t].reshape(count, n_t)
-            rng.standard_gamma(mu, size=w.shape, out=w)
+        for key, count in _stream_plan(cfg):
+            w = standard_gamma(key, mu, unit[:count * n_t].reshape(count, n_t), vectors)
             s_avg, scratch, terms = vectors[:, :count]
             for branch, indices in by_branch.items():
                 # S / n_t = sum_k beta w_k^(2/alpha) / n_t, one column at a time

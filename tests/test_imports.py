@@ -4,8 +4,9 @@ A module-level import that its module never uses fails, unless the import
 carries `# noqa: F401` (kept for an outside reader, such as a tracer that
 replaces the name).  No module imports an underscore-prefixed name from
 another effrate module.  The package's `__init__` must export exactly what
-it imports.  Every module-level function and class is referenced somewhere
-in the package, so code kept only for the tests cannot stay unnoticed.
+it imports.  Every module-level function and class, and every non-dunder
+method, is referenced somewhere in the package, so code kept only for the
+tests cannot stay unnoticed.
 """
 
 import ast
@@ -78,8 +79,8 @@ def test_package_exports_what_it_imports():
 
 
 def test_every_definition_has_a_reader_in_the_package():
-    # a module-level function or class that nothing in src/effrate names
-    # (a Name, an attribute or an __all__ entry) is test-only code
+    # a module-level function, class or method that nothing in src/effrate
+    # names (a Name, an attribute or an __all__ entry) is test-only code
     trees = {path.name: _parse(path)[0] for path in _MODULES}
     read = set()
     for tree in trees.values():
@@ -89,7 +90,13 @@ def test_every_definition_has_a_reader_in_the_package():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    unread = [(name, node.name) for name, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in read]
+    defined = [(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    # and the non-dunder methods of its classes, by name alone: a method
+    # that no module calls is as dead as a function
+    defined += [(name, "%s.%s" % (node.name, method.name))
+                for name, tree in trees.items() for node in tree.body
+                if isinstance(node, ast.ClassDef) for method in node.body
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")]
+    unread = [(name, what) for name, what in defined if what.rpartition(".")[2] not in read]
     assert not unread, "defined in src/effrate but never referenced there: %r" % unread

@@ -11,12 +11,19 @@ import pytest
 
 from effrate import montecarlo
 from effrate.alphamu import AlphaMuParams
-from effrate.alphamu import sample
 from effrate.montecarlo import (McConfig, _stream_plan, simulate_ergodic_capacity, simulate_rate,
                                 simulate_rates)
 from effrate.rates import MisoLink, ergodic_capacity_quadrature, rate_exact_quadrature
+from effrate.splitmix import standard_gamma
 
 _RAYLEIGH = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
+
+
+def _branch_snrs(branch, key, count, n_t):
+    """The (count, n_t) branch SNRs beta W^(2/alpha) that stream `key`
+    gives, W its first Gamma(mu) draws."""
+    w = standard_gamma(key, branch.mu, np.empty((count, n_t)), np.empty((3, 1000)))
+    return branch.beta * w ** (2.0 / branch.alpha)
 
 
 def test_estimate_matches_closed_value():
@@ -122,8 +129,8 @@ def test_ergodic_estimate_is_the_stream_ordered_mean():
     for n_t, alpha, mu in ((1, 1.5, 0.8), (2, 4.0, 2.0)):
         link = MisoLink(n_t=n_t, delay_a=0.7, branch=AlphaMuParams(alpha=alpha, mu=mu))
         totals = [0.0] * len(rhos)
-        for rng, count in _stream_plan(cfg):
-            snr_sum = sample(link.branch, rng, size=(count, n_t)).sum(axis=1)
+        for key, count in _stream_plan(cfg):
+            snr_sum = _branch_snrs(link.branch, key, count, n_t).sum(axis=1)
             for j, rho in enumerate(rhos):
                 totals[j] += float((np.log1p(rho * snr_sum / n_t) / math.log(2.0)).sum())
         want = [total / cfg.samples for total in totals]
@@ -141,8 +148,8 @@ def test_branch_sum_matches_the_row_reduction():
     for n_t in range(1, 21):
         link = MisoLink(n_t=n_t, delay_a=1.0, branch=AlphaMuParams(alpha=1.3, mu=0.7))
         totals = [0.0] * len(rhos)
-        for rng, count in _stream_plan(cfg):
-            s_avg = sample(link.branch, rng, size=(count, n_t)).sum(axis=1) / n_t
+        for key, count in _stream_plan(cfg):
+            s_avg = _branch_snrs(link.branch, key, count, n_t).sum(axis=1) / n_t
             for j, rho in enumerate(rhos):
                 totals[j] += float((np.log1p(rho * s_avg) / math.log(2.0)).sum())
         want = [total / cfg.samples for total in totals]
@@ -253,8 +260,8 @@ def test_halfwidth_matches_a_two_pass_variance_where_terms_are_near_1():
     cfg = McConfig(samples=100_000, seed=0)
     for db in (-80.0, -120.0):
         rho = 10.0 ** (db / 10.0)
-        snr = np.concatenate([sample(_RAYLEIGH.branch, rng, (count, 1))[:, 0]
-                              for rng, count in _stream_plan(cfg)])
+        snr = np.concatenate([_branch_snrs(_RAYLEIGH.branch, key, count, 1)[:, 0]
+                              for key, count in _stream_plan(cfg)])
         terms = np.exp(-np.log1p(snr * rho))
         mean = terms.mean()
         two_pass = 1.96 * math.sqrt(np.square(terms - mean).sum() / (terms.size - 1) / terms.size)

@@ -1,4 +1,4 @@
-"""The SplitMix64 stream: its bits, its uniforms and its exact Gamma draws."""
+"""The SplitMix64 streams: their bits, their uniforms and their exact Gamma draws."""
 
 import math
 import warnings
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from effrate.splitmix import SplitMix64, stream_keys
+from effrate.splitmix import standard_gamma, stream_keys
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
@@ -38,11 +38,18 @@ def _unmix(z):
     return unshift(z * pow(_M1, -1, 1 << 64) & _MASK, 30)
 
 
+def _draws(key, shape, n, width=1024):
+    """The first n Gamma(shape) draws of stream `key`, with a scratch of
+    three rows of `width` entries."""
+    return standard_gamma(key, shape, np.empty(n), np.empty((3, width)))
+
+
 def test_outputs_equal_an_integer_splitmix64():
+    # a shape-1 draw is -log U of one output, U = (2j + 1) 2^-53 from its
+    # top 52 bits j
     for key in (0, 0x0123456789ABCDEF, _MASK):
-        assert SplitMix64(key).random_raw(64).tolist() == _splitmix64(key, 64), key
-        stream = SplitMix64(key)
-        assert [stream.random_raw() for _ in range(3)] == _splitmix64(key, 3)
+        u = np.array([((z >> 12) * 2 + 1) * 2.0 ** -53 for z in _splitmix64(key, 64)])
+        np.testing.assert_array_equal(_draws(key, 1.0, 64), -np.log(u), err_msg=str(key))
 
 
 def test_stream_keys_are_the_outputs_of_the_seed():
@@ -54,74 +61,58 @@ def test_stream_keys_are_the_outputs_of_the_seed():
     assert len(set(stream_keys(2 ** 64 + 5, 8) + stream_keys(5, 8))) == 16
 
 
-@pytest.mark.parametrize("shape", [None, 0.5, 1.0, 2.5])
-def test_n_draws_then_m_equal_n_plus_m(shape):
-    # None stands for the uniforms.  The lent scratch of 40 entries splits
-    # a call into many passes, and the streams without scratch cut their
-    # passes elsewhere (8192 draws take two index slices), so the rejection
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.5])
+def test_draws_do_not_depend_on_the_scratch_width(shape):
+    # a scratch of 40 entries splits a call into many passes, a full-width
+    # one into one (8192 draws take two index slices), so the rejection
     # loop's bookkeeping is covered at pass and slice boundaries
-    def draw(stream, n):
-        if shape is None:
-            return stream.random(n)
-        return stream.standard_gamma(shape, n)
-
-    for n, m in ((1, 1), (3, 997), (5000, 7), (4097, 4095)):
-        whole = SplitMix64(77)
-        parts = SplitMix64(77, scratch=np.empty((3, 40)))
-        split = np.concatenate([draw(parts, n), draw(parts, m)])
-        np.testing.assert_array_equal(split, draw(whole, n + m))
-        assert parts.position == whole.position
+    for n in (1, 2, 1000, 5007, 8192):
+        np.testing.assert_array_equal(_draws(77, shape, n, width=40),
+                                      _draws(77, shape, n, width=4 * n + 64), err_msg=str(n))
 
 
 def test_uniforms_lie_strictly_inside_the_unit_interval():
-    # the extreme outputs 0 and 2^64 - 1 map to 2^-53 and 1 - 2^-53
+    # the extreme outputs 0 and 2^64 - 1 map to 2^-53 and 1 - 2^-53, whose
+    # shape-1 draws -log U are finite and positive
     for output, u in ((0, 2.0 ** -53), (_MASK, 1.0 - 2.0 ** -53)):
-        stream = SplitMix64((_unmix(output) - _GOLDEN) & _MASK)
-        assert stream.random() == u
+        key = (_unmix(output) - _GOLDEN) & _MASK
+        assert _draws(key, 1.0, 1)[0] == -np.log(np.array([u]))[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u = SplitMix64(3).random(200_000)
-        assert 0.0 < u.min() and u.max() < 1.0
+        x = _draws(3, 1.0, 200_000)
+        assert 0.0 < x.min() and np.all(np.isfinite(x))
         # the Gamma draws at the ends of the shape range raise no
         # floating-point warning either (U^(1/a) underflows silently)
         for shape in (0.01, 0.3, 1.0, 2.0, 1e4):
-            x = SplitMix64(4).standard_gamma(shape, 20_000)
+            x = _draws(4, shape, 20_000)
             assert np.all(np.isfinite(x)) and np.all(x >= 0.0), shape
 
 
 def test_two_streams_of_one_seed_are_uncorrelated():
     n = 100_000
-    keys = stream_keys(0, 8)
-    draws = [SplitMix64(key).random(n) for key in keys]
+    draws = [_draws(key, 1.0, n) for key in stream_keys(0, 8)]
     for i in range(len(draws) - 1):
         r = np.corrcoef(draws[i], draws[i + 1])[0, 1]
         assert abs(r) < 5.0 / math.sqrt(n), (i, r)
 
 
-@pytest.mark.parametrize("shape", [0.3, 0.5, 1.0, 1.5, 2.0, 4.0, 40.0])
+@pytest.mark.parametrize("shape", [0.3, 0.5, 0.6, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0, 40.0])
 def test_gamma_draws_follow_the_exact_law(shape):
-    x = SplitMix64(stream_keys(2024, 1)[0]).standard_gamma(shape, 200_000)
+    x = _draws(stream_keys(2024, 1)[0], shape, 200_000)
     res = stats.kstest(x, "gamma", args=(shape,))
     assert res.pvalue >= 1e-3, (shape, res)
 
 
-def test_generator_interface():
-    stream = SplitMix64(9)
-    assert isinstance(stream.standard_gamma(2.0), float)
-    assert isinstance(stream.gamma(shape=0.7, scale=3.0), float)
-    assert stream.gamma(shape=1.5, size=(4, 3)).shape == (4, 3)
-    assert stream.random((2, 5)).shape == stream.random_raw((2, 5)).shape == (2, 5)
+def test_standard_gamma_fills_out_and_refuses_bad_arguments():
+    scratch = np.empty((3, 8))
     for shape in (0.5, 1.0, 2.0):
-        assert stream.standard_gamma(shape, 0).shape == (0,)
-        assert SplitMix64(9, np.empty((3, 8))).standard_gamma(shape, 0).shape == (0,)
-    # gamma is scale times standard_gamma, drawn alike
-    a, b = SplitMix64(9), SplitMix64(9)
-    np.testing.assert_array_equal(a.gamma(2.5, 3.0, 100), 3.0 * b.standard_gamma(2.5, 100))
+        assert standard_gamma(9, shape, np.empty(0), scratch).shape == (0,)
+    # out is filled in C order, whatever its shape
     out = np.empty((50, 2))
-    assert SplitMix64(9).standard_gamma(2.5, out.shape, out=out) is out
-    np.testing.assert_array_equal(out.ravel(), SplitMix64(9).standard_gamma(2.5, 100))
+    assert standard_gamma(9, 2.5, out, scratch) is out
+    np.testing.assert_array_equal(out.ravel(), _draws(9, 2.5, 100))
     with pytest.raises(ValueError, match="C-contiguous"):
-        SplitMix64(9).standard_gamma(2.5, (50,), out=out[:, 0])
+        standard_gamma(9, 2.5, out[:, 0], scratch)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="shape must be finite and > 0"):
-            SplitMix64(9).standard_gamma(bad, 10)
+            standard_gamma(9, bad, np.empty(10), scratch)
