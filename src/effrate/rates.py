@@ -18,6 +18,7 @@ sequence, giving an array, and a sequence sets the route's kernel up once.
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,6 +58,17 @@ class MisoLink:
         return fit_sum(self.branch, self.n_t)
 
 
+def _refuse_subnormal(route, rhos, kernel_slope, mean_snr):
+    """Raise ValueError naming rho where the route's kernel argument, rho *
+    kernel_slope, or the rate, which nears rho mean_snr / ln 2 as rho -> 0,
+    would fall below the normal doubles: a subnormal keeps too few digits,
+    and the kernels would overflow on its reciprocal or log 0."""
+    low = float(rhos.min())
+    if min(low * kernel_slope, low * mean_snr / LN2) < sys.float_info.min:
+        raise ValueError("%s: rho=%r is too small: the kernel argument or the rate would be "
+                         "below the smallest normal double" % (route, low))
+
+
 def rate_exact_quadrature(link, rho):
     """Effective rate by direct quadrature of the defining expectation.
 
@@ -65,10 +77,13 @@ def rate_exact_quadrature(link, rho):
     u = (gamma/beta)^(alpha/2), and the integrand is exp(-A log1p(.)) so
     that nothing is lost when rho is tiny (log_mean_power).  rho is a
     scalar (giving a float) or a sequence (giving an array; one node set
-    serves it all).
+    serves it all).  Raises ValueError where rho is too small for normal
+    doubles (_refuse_subnormal).
     """
     p = link.fit.fitted
-    c = positive_grid(rho, "rho") * p.beta / link.n_t
+    rhos = positive_grid(rho, "rho")
+    _refuse_subnormal("rate_exact_quadrature", rhos, p.beta / link.n_t, link.branch.mean_snr)
+    c = rhos * p.beta / link.n_t
     log_e = log_mean_power(p.mu, c, 2.0 / p.alpha, -link.delay_a)
     return like_grid(rho, -log_e / (link.delay_a * LN2))
 
@@ -90,10 +105,11 @@ def rate_exact_foxh(link, rho):
     small 1 - E keeps its digits; the nearer that next pole, whose residue
     leads E - 1, the less the sum cancels.
     Raises TruncationError where the rate's estimated relative error
-    exceeds 1e-12.
+    exceeds 1e-12, and ValueError where rho is too small for normal doubles.
     """
     rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
+    _refuse_subnormal("rate_exact_foxh", rhos, p.beta / link.n_t, link.branch.mean_snr)
     a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
     log_z = half_alpha * np.log(link.n_t / (rhos * p.beta))
@@ -138,13 +154,16 @@ def rate_nakagami(link, rho):
     gives with -A itself as the exponent: forming b = m n_t + 1 - A first
     would round A away next to a large m n_t.  rho is a scalar or a
     sequence, as for rate_exact_quadrature.  Raises ValueError unless the
-    branch alpha is 2 within 1e-12.
+    branch alpha is 2 within 1e-12, or where rho is too small for normal
+    doubles.
     """
     b = link.branch
     if abs(b.alpha - 2.0) > 1e-12:
         raise ValueError("rate_nakagami: needs alpha = 2, got alpha=%g" % b.alpha)
     mn = b.mu * link.n_t
-    z = mn / (b.mean_snr * positive_grid(rho, "rho"))
+    rhos = positive_grid(rho, "rho")
+    _refuse_subnormal("rate_nakagami", rhos, b.mean_snr / mn, b.mean_snr)
+    z = mn / (b.mean_snr * rhos)
     log_u = log_mean_power(mn, 1.0 / z, 1.0, -link.delay_a)
     return like_grid(rho, -log_u / (link.delay_a * LN2))
 

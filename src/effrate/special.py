@@ -10,6 +10,8 @@ precision before the final exponentiation.  The contour kernel reads its
 gamma product chi as log|chi| on the real axis, from math.lgamma, and as log
 chi up to 2 pi i on vertical lines, from the Lanczos approximation in real
 arithmetic with one shift per gamma factor: no scipy is needed at run time.
+Both kernels sum elementwise in numpy and form no matrix product, so nothing
+here calls BLAS, and no result depends on the BLAS kernel a CPU selects.
 """
 
 import math
@@ -266,8 +268,8 @@ def contour_integral(spec, c, log_z):
 
     The trapezoid rule on t = Im s >= 0 (conjugate symmetry folds the line)
     converges geometrically: Trefethen & Weideman, SIAM Review 56, 2014.
-    log chi is evaluated once; each z costs one row of the factored phase
-    matrix exp(-i t log z) (_phase_sums).  The step is 2 pi a /
+    log chi is evaluated once; each z costs one sum over the nodes of their
+    phases exp(-i t log z) (_phase_sums).  The step is 2 pi a /
     (rise + log(1/1e-12) + margin) for the half-width a = 0.9 of the pole
     gap, rise being the most, over the z, that log|chi(s) z^-s| climbs on
     the real axis at c -+ a.  Nodes stop where |chi| is that far below its
@@ -335,24 +337,35 @@ def _phase_sums(w, h, log_z):
     """Re sum_j w_j exp(-i h j log z) over all nodes j, and over the even
     ones, for every log z.
 
-    With node j = a B + b and B even, exp(-i h j log z) = exp(-i h B a log z)
-    exp(-i h b log z), so each z costs one exponential, about 2 sqrt(len(w))
-    powers of it, and len(w) multiply-adds in a matrix product.  b has the
-    parity of j, so the half-step sum takes the even rows of the same product.
+    With node j = a B + b and B even, exp(-i h j log z) = Q^a q^b for
+    q = exp(-i h log z) and Q = exp(-i h B log z).  Horner's rule in a,
+    m <- m Q + W[a] with W[a] = w[a B:(a + 1) B], folds the giant steps in
+    place on one (B, rows) buffer; then m is weighted by the B powers of q.
+    So each z costs two exponentials, about sqrt(len(w)) powers and len(w)
+    multiply-adds, all elementwise in numpy: no matrix product, so no BLAS
+    buffer and no dependence on the BLAS kernel.  b has the parity of j, so
+    the half-step sum takes the even rows of the same buffer.  A block of
+    rows holds at most _BLOCK multiply-adds, which bounds the working set.
     """
     cols = 2 * max(1, round(0.5 * math.sqrt(len(w))))
     blocks = -(-len(w) // cols)
-    w_ba = np.zeros(blocks * cols, dtype=complex)
-    w_ba[:len(w)] = w
-    w_ba = w_ba.reshape(blocks, cols).T.copy()
+    w_ab = np.zeros((blocks, cols, 1), dtype=complex)
+    w_ab.reshape(-1)[:len(w)] = w
     full, half = np.empty(len(log_z)), np.empty(len(log_z))
-    # each product has at most _BLOCK multiply-adds, well below the size at
-    # which OpenBLAS hands it to threads that spin for longer than it takes
     rows = max(1, _BLOCK // (blocks * cols))
     for i in range(0, len(log_z), rows):
-        by_b = _powers(np.exp(-1j * h * log_z[i:i + rows]), cols)
-        m = w_ba @ _powers(by_b[-1] * by_b[1], blocks)
-        m *= by_b
+        lz = log_z[i:i + rows]
+        m = np.empty((cols, len(lz)), dtype=complex)
+        m[:] = w_ab[-1]
+        # Q is spread over a whole buffer once: numpy would copy a broadcast
+        # row into a buffer of that size at every step
+        giant = np.empty_like(m)
+        giant[:] = np.exp(-1j * h * cols * lz)
+        for w_a in w_ab[-2::-1]:
+            m *= giant
+            m += w_a
+        del giant  # freed before the powers of q are made
+        m *= _powers(np.exp(-1j * h * lz), cols)
         full[i:i + rows] = m.sum(axis=0).real
         half[i:i + rows] = m[::2].sum(axis=0).real
     return full, half

@@ -6,7 +6,7 @@ replaces the name).  No module imports an underscore-prefixed name from
 another effrate module.  The package's `__init__` must export exactly what
 it imports.  Every module-level function and class, and every non-dunder
 method, is referenced somewhere in the package, so code kept only for the
-tests cannot stay unnoticed.
+tests cannot stay unnoticed.  No module forms a matrix product.
 """
 
 import ast
@@ -100,3 +100,31 @@ def test_every_definition_has_a_reader_in_the_package():
                 if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")]
     unread = [(name, what) for name, what in defined if what.rpartition(".")[2] not in read]
     assert not unread, "defined in src/effrate but never referenced there: %r" % unread
+
+
+_MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "vdot", "inner", "tensordot"}
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_module_forms_a_matrix_product(path):
+    # numpy hands a matrix product to BLAS: its buffers add resident memory
+    # to every process, and the kernel OpenBLAS picks for the CPU sets the
+    # product's last bits.  So no @, no call named like a product, and
+    # nothing from linalg
+    tree, _ = _parse(path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in _MATRIX_PRODUCTS:
+                found.append((node.lineno, name))
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            if getattr(node, "attr", getattr(node, "id", None)) == "linalg":
+                found.append((node.lineno, "linalg"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("linalg" in n.split(".") for n in names):
+                found.append((node.lineno, "linalg"))
+    assert not found, "%s forms a matrix product: %r" % (path.name, found)
