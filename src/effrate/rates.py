@@ -78,7 +78,7 @@ def rate_exact_quadrature(link, rho):
     that nothing is lost when rho is tiny (log_mean_power).  rho is a
     scalar (giving a float) or a sequence (giving an array; one node set
     serves it all).  Raises ValueError where rho is too small for normal
-    doubles (_refuse_subnormal).
+    doubles.
     """
     p = link.fit.fitted
     rhos = positive_grid(rho, "rho")
