@@ -102,7 +102,9 @@ def test_every_definition_has_a_reader_in_the_package():
     assert not unread, "defined in src/effrate but never referenced there: %r" % unread
 
 
-_MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "vdot", "inner", "tensordot"}
+# numpy's products, and convolve and correlate, which sum through BLAS's dot
+_MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "vdot", "inner", "tensordot", "vecdot",
+                    "matvec", "vecmat", "convolve", "correlate"}
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
