@@ -21,7 +21,8 @@ from .rates import LN2
 from .special import like_grid, positive_grid
 from .splitmix import standard_gamma, stream_keys
 
-_STREAMS = 8  # independent streams the draws of one estimate are split into
+_STREAMS = 8  # fewest independent streams the draws of one estimate are split into
+_CAP = 8192  # most draws of one stream, which sizes the working set
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,14 @@ class McConfig:
 
 def _stream_plan(cfg):
     """Deterministic (key, count) pairs: the draws of each SplitMix64 stream
-    of the seed."""
-    counts = [cfg.samples // _STREAMS] * _STREAMS
-    for i in range(cfg.samples % _STREAMS):
+    of the seed.  The samples are split over max(8, ceil(samples / 8192))
+    streams, whose counts differ by at most one, the longer first, so no
+    stream draws more than 8192."""
+    streams = max(_STREAMS, -(-cfg.samples // _CAP))
+    counts = [cfg.samples // streams] * streams
+    for i in range(cfg.samples % streams):
         counts[i] += 1
-    return list(zip(stream_keys(cfg.seed, _STREAMS), counts))
+    return list(zip(stream_keys(cfg.seed, streams), counts))
 
 
 def _accumulate(links, rho, cfg, term_fn):
@@ -56,52 +60,56 @@ def _accumulate(links, rho, cfg, term_fn):
 
     Links that share (branch.mu, n_t) share one stream plan and one unit
     Gamma block per stream (common random numbers across the links of a
-    figure).  Each distinct branch forms S / n_t from the block once, column
-    by column, each rho costs one log1p per branch, and each link one
-    term_fn call.  The sums of each (link, rho) still accumulate in stream
-    order, so every row is the one a call with that link, or that rho,
-    alone gives.  One working set, made once per call, serves every stream
-    of every group: a flat unit Gamma buffer of ceil(samples / 8) * max(n_t)
-    entries, viewed as each stream's (count, n_t) block, and three vectors
-    of ceil(samples / 8) entries: S / n_t, a scratch (column powers, then
-    log1p) and the terms.  While a stream draws, its Gamma sampler works in
-    the three vectors.
+    figure).  The block is turned into log W once per stream, and each
+    distinct branch forms S / n_t = (beta / n_t) sum_k exp((2 / alpha)
+    log W_k) from it, column by column; each rho costs one log1p per
+    branch, and each link one term_fn call.  The sums of each (link, rho)
+    still accumulate in stream order, so every row is the one a call with
+    that link, or that rho, alone gives.  One working set, made once per
+    call and sized by the longest stream (at most 8192 draws, whatever the
+    sample count), serves every stream of every group: a flat unit Gamma
+    buffer of longest * max(n_t) entries, viewed as each stream's (count,
+    n_t) block, and three vectors of longest entries: S / n_t, a scratch
+    (column powers, then log1p) and the terms.  While a stream draws, its
+    Gamma sampler works in the three vectors.
     """
     rhos = positive_grid(rho, "rho").tolist()
-    sums = np.zeros((2, len(links), len(rhos)))  # sum of terms, sum of squared deviations
+    sums = [[[0.0, 0.0] for _ in rhos] for _ in links]  # sum of terms, of squared deviations
     groups = {}
     for i, link in enumerate(links):
         groups.setdefault((link.branch.mu, link.n_t), {}).setdefault(link.branch, []).append(i)
-    longest = -(-cfg.samples // _STREAMS)  # draws of the longest stream
+    plan = _stream_plan(cfg)
+    longest = plan[0][1]
     unit = np.empty(longest * max(n_t for _, n_t in groups))
     vectors = np.empty((3, longest))
     for (mu, n_t), by_branch in groups.items():
         seen = 0  # draws of the streams already reduced
-        for key, count in _stream_plan(cfg):
-            w = standard_gamma(key, mu, unit[:count * n_t].reshape(count, n_t), vectors)
+        for key, count in plan:
+            log_w = standard_gamma(key, mu, unit[:count * n_t].reshape(count, n_t), vectors)
+            with np.errstate(divide="ignore"):  # a draw that underflowed to 0 gives exp(-inf) = 0
+                np.log(log_w, out=log_w)
             s_avg, scratch, terms = vectors[:, :count]
             for branch, indices in by_branch.items():
-                # S / n_t = sum_k beta w_k^(2/alpha) / n_t, one column at a time
-                np.power(w[:, 0], 2.0 / branch.alpha, out=s_avg)
-                s_avg *= branch.beta
+                power = 2.0 / branch.alpha
+                np.exp(np.multiply(log_w[:, 0], power, out=s_avg), out=s_avg)
                 for k in range(1, n_t):
-                    np.power(w[:, k], 2.0 / branch.alpha, out=scratch)
-                    scratch *= branch.beta
-                    s_avg += scratch
-                s_avg /= n_t
+                    s_avg += np.exp(np.multiply(log_w[:, k], power, out=scratch), out=scratch)
+                s_avg *= branch.beta / n_t
                 for j, rho in enumerate(rhos):
                     log1p_x = np.log1p(np.multiply(s_avg, rho, out=scratch), out=scratch)
                     for i in indices:
                         term_fn(links[i], log1p_x, terms)
-                        total = terms.sum()
+                        total = float(terms.sum())
                         stream_mean = total / count
-                        delta = stream_mean - sums[0, i, j] / max(seen, 1)
+                        row = sums[i][j]
+                        delta = stream_mean - row[0] / max(seen, 1)
                         terms -= stream_mean
-                        sums[:, i, j] += total, (np.square(terms, out=terms).sum()
-                                                 + delta * delta * seen * count / (seen + count))
+                        row[0] += total
+                        row[1] += (float(np.square(terms, out=terms).sum())
+                                   + delta * delta * seen * count / (seen + count))
             seen += count
-    mean = sums[0] / cfg.samples
-    return mean, sums[1] / (cfg.samples - 1)
+    sums = np.array(sums)
+    return sums[..., 0] / cfg.samples, sums[..., 1] / (cfg.samples - 1)
 
 
 def _decay_term(link, log1p_x, out):

@@ -10,9 +10,11 @@ wide as the caller's scratch, and the draws do not depend on that width.
 A uniform takes the top 52 bits j of an output to (2j + 1) 2^-53, the
 midpoint of one of 2^52 equal cells: strictly inside (0, 1), exact, and
 1 - u is a uniform of the same set.  Gamma(a) draws are exact:
-  - a = 1: -log U, one output per draw;
-  - a > 1: Cheng's GB rejection (Cheng 1977, Appl. Statist. 26, 71-75),
-    two outputs per candidate, candidates accepted in order;
+  - a = 1, 2, 3, 4: -log(U_1 ... U_a) (Devroye 1986, ch. IX), a
+    consecutive outputs per draw, multiplied in output order; up to a = 4
+    this costs less than the rejection (half at a = 2);
+  - other a > 1: Cheng's GB rejection (Cheng 1977, Appl. Statist. 26,
+    71-75), two outputs per candidate, candidates accepted in order;
   - a < 1: Gamma(a + 1) U^(1/a), three outputs per candidate of the
     Gamma(a + 1) rejection, the third being U.
 GB's acceptance test W >= log Z is evaluated, as exp(W) >= Z, for every
@@ -37,6 +39,7 @@ _TOP52 = np.uint64(12)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # exponent bits of 1.0
 _SLICE = 8192  # candidates per take, whose index array takes 8 bytes a draw
 _RAMP = np.arange(4096, dtype=np.uint64)  # 0, 1, 2, ...: the first states of a stretch
+_ERLANG = 4  # integer shapes up to this draw as -log of a product of uniforms, not by GB
 
 
 def _mix(z):
@@ -89,8 +92,8 @@ def standard_gamma(key, shape, out, scratch):
         raise ValueError("standard_gamma: shape must be finite and > 0, got %r" % (shape,))
     if not out.flags.c_contiguous:
         raise ValueError("standard_gamma: out must be C-contiguous")
-    if shape == 1.0:
-        _exponential(key, out.reshape(-1), scratch[2].view(np.uint64))
+    if shape <= _ERLANG and shape == math.floor(shape):
+        _erlang(key, int(shape), out.reshape(-1), scratch)
     else:
         _cheng(key, shape, out.reshape(-1), scratch)
     return out
@@ -110,14 +113,21 @@ def _states(key, z, start, stride=1):
         n += m
 
 
-def _exponential(key, flat, tmp):
-    """-log U into flat, one output per draw, in passes of len(tmp)."""
+def _erlang(key, shape, flat, scratch):
+    """-log(U_1 ... U_shape) into flat, draw i from outputs shape i to
+    shape i + shape - 1, multiplied in that order, in passes as wide as
+    scratch."""
+    z, tmp = scratch[1].view(np.uint64), scratch[2].view(np.uint64)
     for start in range(0, len(flat), len(tmp)):
-        z = flat[start:start + len(tmp)].view(np.uint64)
-        _states(key, z, start)
-        u = _uniforms(z, tmp[:len(z)])
-        np.log(u, out=u)
-        np.negative(u, out=u)
+        prod = flat[start:start + len(tmp)]
+        n = len(prod)
+        _states(key, prod.view(np.uint64), shape * start, shape)
+        _uniforms(prod.view(np.uint64), tmp[:n])
+        for k in range(1, shape):
+            _states(key, z[:n], shape * start + k, shape)
+            prod *= _uniforms(z[:n], tmp[:n])
+        np.log(prod, out=prod)
+        np.negative(prod, out=prod)
 
 
 def _cheng(key, shape, flat, scratch):

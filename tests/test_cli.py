@@ -658,7 +658,7 @@ nakagami-closed-form               32    5.968e-15    1.0e-08 PASS
 branch-mean-consistency             8    2.220e-16    1.0e-10 PASS
 special-function-identities        17    4.013e-15    1.0e-08 PASS
 pdf-normalization                   3    1.468e-13    1.0e-08 PASS
-mc-vs-analytic                     12    3.323e-01    1.0e+00 PASS
+mc-vs-analytic                     12    3.739e-01    1.0e+00 PASS
 high-snr-gap-bits                   4    5.389e-05    1.0e-02 PASS
 wideband-metrics                   11    4.441e-16    1.0e-10 PASS
 low-snr-intercept-db                3    3.800e-04    5.0e-02 PASS

@@ -14,16 +14,17 @@ from effrate.alphamu import AlphaMuParams
 from effrate.montecarlo import (McConfig, _stream_plan, simulate_ergodic_capacity, simulate_rate,
                                 simulate_rates)
 from effrate.rates import MisoLink, ergodic_capacity_quadrature, rate_exact_quadrature
-from effrate.splitmix import standard_gamma
+from effrate.splitmix import standard_gamma, stream_keys
 
 _RAYLEIGH = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
 
 
-def _branch_snrs(branch, key, count, n_t):
-    """The (count, n_t) branch SNRs beta W^(2/alpha) that stream `key`
-    gives, W its first Gamma(mu) draws."""
+def _snr_means(branch, key, count, n_t):
+    """The count branch means S / n_t = (beta / n_t) sum_k W_k^(2/alpha)
+    that stream `key` gives, W its first (count, n_t) Gamma(mu) draws, each
+    power taken as exp((2/alpha) log W) and the powers summed by row."""
     w = standard_gamma(key, branch.mu, np.empty((count, n_t)), np.empty((3, 1000)))
-    return branch.beta * w ** (2.0 / branch.alpha)
+    return np.exp(2.0 / branch.alpha * np.log(w)).sum(axis=1) * (branch.beta / n_t)
 
 
 def test_estimate_matches_closed_value():
@@ -44,26 +45,31 @@ _THREADS_SCRIPT = (
     "import sys\n"
     "if sys.argv[1] != '1':\n"
     "    import numpy  # noqa: F401  loaded first, OpenBLAS starts its thread pool\n"
+    "from effrate import montecarlo\n"
     "from effrate.montecarlo import McConfig, simulate_rates\n"
     "from effrate.verify import FIGURE_LAYOUTS\n"
-    "out = simulate_rates(FIGURE_LAYOUTS[1][2], (1.0, 10.0, 100.0),\n"
-    "                     McConfig(samples=100_000, seed=0))\n"
-    "print(' '.join(float(x).hex() for pair in out for xs in pair for x in xs))\n"
+    "for cap in (montecarlo._CAP, 16_384):\n"
+    "    montecarlo._CAP = cap\n"
+    "    out = simulate_rates(FIGURE_LAYOUTS[1][2], (1.0, 10.0, 100.0),\n"
+    "                         McConfig(samples=100_000, seed=0))\n"
+    "    print(' '.join(float(x).hex() for pair in out for xs in pair for x in xs))\n"
 )
 
 
 def test_estimates_do_not_depend_on_the_blas_thread_count():
     # the reductions stay in numpy and out of BLAS, whose threaded dot
-    # product sums in another order.  A fresh interpreter per thread count;
-    # 1e5 samples make streams of 12,500 terms, long enough for OpenBLAS to
-    # split a dot product over two threads (at 1e4 a np.dot reduction passes)
+    # product sums in another order.  A fresh interpreter per thread count.
+    # OpenBLAS splits a dot product over two threads only above 10,000
+    # terms, so streams capped at 8192 draws would let a np.dot reduction
+    # pass; the script also runs with the cap raised to 16,384, where 1e5
+    # samples make 8 streams of 12,500 terms
     runs = [subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, threads],
                            capture_output=True, text=True,
                            env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
                                 "PYTHONPATH": os.pathsep.join(sys.path)})
             for threads in ("1", "2")]
     assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
-    assert len(runs[0].stdout.split()) == 24
+    assert [len(line.split()) for line in runs[0].stdout.splitlines()] == [24, 24]
     assert runs[0].stdout == runs[1].stdout
 
 
@@ -77,6 +83,21 @@ def test_bit_reproducible(monkeypatch):
     c = simulate_rate(_RAYLEIGH, 3.0, cfg)
     assert c != a
     assert abs(c[0] - a[0]) < 5.0 * (a[1] + c[1])
+
+
+def test_stream_plan_caps_every_stream_at_8192_draws():
+    # 8 streams up to 8 x 8192 samples, then ceil(samples / 8192); the
+    # counts differ by at most one, the longer first, and the keys are the
+    # first outputs of the seed, so a longer plan extends a shorter one
+    keys = stream_keys(3, 200)
+    for samples, streams in ((10_007, 8), (65_535, 8), (65_536, 8), (65_537, 9),
+                             (100_000, 13), (1_000_000, 123)):
+        plan = _stream_plan(McConfig(samples=samples, seed=3))
+        counts = [count for _, count in plan]
+        assert len(plan) == streams, samples
+        assert sum(counts) == samples and max(counts) <= 8192, samples
+        assert counts == sorted(counts, reverse=True) and counts[0] - counts[-1] <= 1, samples
+        assert [key for key, _ in plan] == keys[:streams], samples
 
 
 def test_vector_call_rows_equal_scalar_calls():
@@ -122,7 +143,7 @@ def test_simulate_rates_rows_are_single_link_calls():
 
 
 def test_ergodic_estimate_is_the_stream_ordered_mean():
-    # the parent estimator, written out: each stream's row sums, then
+    # the estimator, written out: each stream's row sums, then
     # log2(1 + rho S / n_t) summed per stream and in stream order
     cfg = McConfig(samples=10_007, seed=13)
     rhos = [1e-3, 1.0, 1e3]
@@ -130,9 +151,9 @@ def test_ergodic_estimate_is_the_stream_ordered_mean():
         link = MisoLink(n_t=n_t, delay_a=0.7, branch=AlphaMuParams(alpha=alpha, mu=mu))
         totals = [0.0] * len(rhos)
         for key, count in _stream_plan(cfg):
-            snr_sum = _branch_snrs(link.branch, key, count, n_t).sum(axis=1)
+            s_avg = _snr_means(link.branch, key, count, n_t)
             for j, rho in enumerate(rhos):
-                totals[j] += float((np.log1p(rho * snr_sum / n_t) / math.log(2.0)).sum())
+                totals[j] += float((np.log1p(rho * s_avg) / math.log(2.0)).sum())
         want = [total / cfg.samples for total in totals]
         assert simulate_ergodic_capacity(link, rhos, cfg).tolist() == want
         assert simulate_ergodic_capacity(link, rhos[1], cfg) == want[1]
@@ -149,7 +170,7 @@ def test_branch_sum_matches_the_row_reduction():
         link = MisoLink(n_t=n_t, delay_a=1.0, branch=AlphaMuParams(alpha=1.3, mu=0.7))
         totals = [0.0] * len(rhos)
         for key, count in _stream_plan(cfg):
-            s_avg = _branch_snrs(link.branch, key, count, n_t).sum(axis=1) / n_t
+            s_avg = _snr_means(link.branch, key, count, n_t)
             for j, rho in enumerate(rhos):
                 totals[j] += float((np.log1p(rho * s_avg) / math.log(2.0)).sum())
         want = [total / cfg.samples for total in totals]
@@ -166,80 +187,97 @@ _FIG1_LINKS = [MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=alpha, mu
 
 def test_working_set_is_one_unit_block_and_three_vectors():
     # the four figure-1 links share (mu, n_t); every stream of the call draws
-    # into one (samples/8, n_t) unit Gamma block and reduces into three
-    # vectors of samples/8, made once per call; 100 KB covers the rest
-    cfg = McConfig(samples=100_000, seed=0)
-    rhos = [1.0, 10.0, 100.0]
-    simulate_rates(_FIG1_LINKS, rhos, cfg)
-    tracemalloc.start()
-    try:
-        simulate_rates(_FIG1_LINKS, rhos, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    entries = -(-cfg.samples // 8)
+    # into one (longest stream, n_t) unit Gamma block and reduces into three
+    # vectors of the longest stream, made once per call.  No stream draws
+    # more than 8192, so 1e5 and 1e6 samples stay under one bound; 100 KB
+    # covers the rest
+    entries = 8192
     working_set = 8 * (2 * entries + 3 * entries)  # bytes of the n_t = 2 block and three vectors
-    assert peak < working_set + 100_000, (peak, working_set)
+    rhos = [1.0, 10.0, 100.0]
+    for samples in (100_000, 1_000_000):
+        cfg = McConfig(samples=samples, seed=0)
+        simulate_rates(_FIG1_LINKS, rhos, cfg)
+        tracemalloc.start()
+        try:
+            simulate_rates(_FIG1_LINKS, rhos, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < working_set + 100_000, (samples, peak, working_set)
 
 
-# float.hex of Monte Carlo results at seed 7, frozen when the streams became
-# SplitMix64 with Cheng's Gamma sampler: for each sample count, the rows
-# of simulate_rates(_FROZEN_LINKS, [0.5, 20.0]) (two rates, two
-# half-widths), then simulate_rate(link, 3.0) on _FROZEN_LINKS[::4] (rate,
-# half-width), then simulate_ergodic_capacity(link, [0.5, 20.0]) on
-# _FROZEN_LINKS[1::4]
+# float.hex of Monte Carlo results at seed 7, frozen when integer shapes up
+# to 4 began to draw as -log of a product of uniforms and the branch powers
+# as exp((2/alpha) log W): for each sample count, the rows of
+# simulate_rates(_FROZEN_LINKS, [0.5, 20.0]) (two rates, two half-widths),
+# then simulate_rate(link, 3.0) on _FROZEN_LINKS[::4] (rate, half-width),
+# then simulate_ergodic_capacity(link, [0.5, 20.0]) on _FROZEN_LINKS[1::4].
+# Their last bits are those of numpy's log, exp and log1p loops, which differ
+# between numpy releases and between the CPU dispatch targets numpy picks;
+# _FROZEN_NUMPY is the release and the active targets that made them (X86_V4
+# and the AVX512_* are numpy's AVX-512 loops).
 _FROZEN_LINKS = [MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
                  for mu in (0.5, 2.0, 3.7) for n_t in (1, 3)
                  for alpha, a in ((1.3, 0.7), (4.0, 2.0))]
+_FROZEN_NUMPY = ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
 _FROZEN = {
     1003: (
-        "0x1.480847a88a1efp-2 0x1.9df535b90c567p+0 0x1.c6e1fb08477dep-6 0x1.9281b086cfbdcp-4",
+        "0x1.480847a88a1efp-2 0x1.9df535b90c567p+0 0x1.c6e1fb08477dep-6 0x1.9281b086cfbddp-4",
         "0x1.d7037e9445e53p-2 0x1.3f8a46e591c6ep+1 0x1.39c57d1e6aa95p-6 0x1.11c183a6f4a47p-3",
         "0x1.d57139255f5f6p-2 0x1.76b5001b4512ap+1 0x1.a00cb74a3ea17p-6 0x1.b1a0ab6bbc6d3p-4",
-        "0x1.17bc89ec943e1p-1 0x1.f10797097c9eap+1 0x1.97e836cefda85p-7 0x1.7b0bdde012bf9p-4",
-        "0x1.dbe7c2e6a0e1ep-2 0x1.937b9194f9a25p+1 0x1.83c35a4dad6b7p-6 0x1.911b25bdded9fp-4",
-        "0x1.1a0f914e74444p-1 0x1.041f09d97a9a7p+2 0x1.5c56e110de94dp-7 0x1.7dee1c86c7925p-5",
-        "0x1.1534a59582d2ap-1 0x1.f89047a4a71f2p+1 0x1.19daf4f39e166p-6 0x1.f2e0216df8acap-5",
-        "0x1.26847226591f1p-1 0x1.13029409094c3p+2 0x1.a6a55071494d0p-8 0x1.5f5045ea1f724p-6",
-        "0x1.068ff2f985f3cp-1 0x1.d720a220b80cap+1 0x1.49e0eea459aafp-6 0x1.3415bedf0fae5p-4",
+        "0x1.17bc89ec943e1p-1 0x1.f10797097c9eap+1 0x1.97e836cefda86p-7 0x1.7b0bdde012bfbp-4",
+        "0x1.e2c0027355d15p-2 0x1.92d5815f02c2dp+1 0x1.7cd3d9885b0ebp-6 0x1.a754dcf087089p-4",
+        "0x1.1ac3ed3735808p-1 0x1.01e1f2db72da9p+2 0x1.648a2eb5cb241p-7 0x1.01580d8e3c06ep-4",
+        "0x1.14ba54a1a21ffp-1 0x1.fc319325ab0f8p+1 0x1.0bab72f702012p-6 0x1.d243ef850851ep-5",
+        "0x1.270f0fa42fcaap-1 0x1.13afceb6acbd3p+2 0x1.9290061d8ee6ap-8 0x1.43c4f6a529691p-6",
+        "0x1.068ff2f985f3cp-1 0x1.d720a220b80cap+1 0x1.49e0eea459aafp-6 0x1.3415bedf0fae4p-4",
         "0x1.228131afa1319p-1 0x1.0f1fad1cb747dp+2 0x1.0268cddda2d71p-7 0x1.c36cb4e90ef9ap-6",
-        "0x1.1eaf97b198171p-1 0x1.09c57f891bca1p+2 0x1.ad55aed65867dp-7 0x1.5dc20023359a9p-5",
-        "0x1.29119013b5890p-1 0x1.16223c8ee54c4p+2 0x1.2f9209eae09bdp-8 0x1.d6342d8ef8efbp-7",
+        "0x1.1eaf97b198171p-1 0x1.09c57f891bca1p+2 0x1.ad55aed65867dp-7 0x1.5dc20023359a8p-5",
+        "0x1.29119013b5890p-1 0x1.16223c8ee54c4p+2 0x1.2f9209eae09bep-8 0x1.d6342d8ef8efcp-7",
         "0x1.a212091310fb6p-1 0x1.cf0fae6ec89e5p-5",
-        "0x1.6829aad58931ep+0 0x1.bd741af63a22dp-5",
+        "0x1.6cc1866e211f5p+0 0x1.c548edc368dd3p-5",
         "0x1.a0d9717885310p+0 0x1.7db7faf81adcep-5",
         "0x1.117ea4f571d35p-1 0x1.f24460470de56p+1",
-        "0x1.24acf5c6ca7dep-1 0x1.12931a56ed5b5p+2",
+        "0x1.257b5d166eb09p-1 0x1.12b2ba1d944d8p+2",
         "0x1.2853fccde08f6p-1 0x1.15e6665678fcfp+2",
     ),
     8000: (
-        "0x1.59722d02904b6p-2 0x1.a894a898619f4p+0 0x1.4dbaed5b43cb8p-7 0x1.21a453d27012cp-5",
+        "0x1.59722d02904b6p-2 0x1.a894a898619f4p+0 0x1.4dbaed5b43cb9p-7 0x1.21a453d27012cp-5",
         "0x1.e1361ac086d54p-2 0x1.3ff6e7b27eac2p+1 0x1.c244f736ea18bp-8 0x1.a30d6fac10c1fp-5",
         "0x1.c8512ca41145fp-2 0x1.6fd8739af6a6ap+1 0x1.2112d3eba7158p-7 0x1.3375bb2a37333p-5",
-        "0x1.157537acfa982p-1 0x1.f0edadd7167b3p+1 0x1.21edf72f2c109p-8 0x1.c8917be7a1ed4p-6",
-        "0x1.eaa92a6da7dc8p-2 0x1.9a0b269604b43p+1 0x1.1041a0c15103fp-7 0x1.22d98e80885cdp-5",
-        "0x1.1d5fe0776c772p-1 0x1.04c589d68af76p+2 0x1.efd877c79efbfp-9 0x1.2cac42fc3e1dfp-6",
-        "0x1.1673630b85f64p-1 0x1.fb7a48c372bf5p+1 0x1.83c4fa5edc3edp-8 0x1.5ce65b76f4b4ep-6",
-        "0x1.273ac89e22347p-1 0x1.137b5b9f28128p+2 0x1.23192f45ca3d3p-9 0x1.ebc205432ae20p-8",
+        "0x1.157537acfa982p-1 0x1.f0edadd7167b3p+1 0x1.21edf72f2c109p-8 0x1.c8917be7a1ed6p-6",
+        "0x1.e08833b945252p-2 0x1.940798ad325d8p+1 0x1.0f9c8206df90fp-7 0x1.21f5d69695700p-5",
+        "0x1.1ab48ca94c68ep-1 0x1.02ede75e79f4ap+2 0x1.f255966bfcfe4p-9 0x1.513b194085afbp-6",
+        "0x1.13226c91d50adp-1 0x1.f8537bd0fea92p+1 0x1.81faf4eafbbc9p-8 0x1.5c653eee790dcp-6",
+        "0x1.26488b8af9925p-1 0x1.131945a3b25eep+2 0x1.2455bf7198dedp-9 0x1.e8e88177ebf01p-8",
         "0x1.09a218ec8cdcap-1 0x1.da2641183a6c2p+1 0x1.c389a90b11184p-8 0x1.c2bb709ffc8f6p-6",
         "0x1.23e8527b75cb1p-1 0x1.0f6e8465a3663p+2 0x1.6b88f564dc39ap-9 0x1.59498bd38731ap-7",
-        "0x1.1e26d60b15676p-1 0x1.09dd141424c90p+2 0x1.2ad92db3118f2p-8 0x1.ea5daa025d6a8p-7",
-        "0x1.28e2071b9a9d8p-1 0x1.1621662b32b29p+2 0x1.a73f97ce74122p-10 0x1.4762bab13704cp-8",
+        "0x1.1e26d60b15673p-1 0x1.09dd141424c90p+2 0x1.2ad92db3118f1p-8 0x1.ea5daa025d6a8p-7",
+        "0x1.28e2071b9a9d8p-1 0x1.1621662b32b28p+2 0x1.a73f97ce74120p-10 0x1.4762bab13704bp-8",
         "0x1.b0f4a46a5d964p-1 0x1.51af9e9698017p-6",
-        "0x1.72099ccc13ca7p+0 0x1.40a489752cdeap-6",
+        "0x1.6b1c579685101p+0 0x1.3edd1f0f3ef34p-6",
         "0x1.a6395a1c51c00p+0 0x1.0f332d1f8cca0p-6",
         "0x1.179318f8edf64p-1 0x1.f784b25e219e8p+1",
-        "0x1.27d89c4b87a9ep-1 0x1.13ca433db2a41p+2",
+        "0x1.255044f53826cp-1 0x1.12be2623c8e43p+2",
         "0x1.298343f1e3e4dp-1 0x1.1661e1b15f0a3p+2",
     ),
 }
 
 
+def _numpy_dispatch():
+    """numpy's release and its CPU dispatch targets active in this process."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    return np.__version__, tuple(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
 def test_estimates_match_frozen_hex_values():
-    # mu 0.5, 2 and 3.7, n_t 1 and 3, two branches per (mu, n_t) group; at
-    # 1003 samples the 8 streams draw 126 or 125 each, so every buffer is
-    # viewed at two lengths
+    # mu 0.5, 2 and 3.7 (Cheng's rejection below and above 1, and the
+    # product form), n_t 1 and 3, two branches per (mu, n_t) group; at 1003
+    # samples the 8 streams draw 126 or 125 each, so every buffer is viewed
+    # at two lengths
     rhos = [0.5, 20.0]
+    dispatch = "frozen under numpy %s with dispatch %r, running numpy %s with %r" % (
+        _FROZEN_NUMPY + _numpy_dispatch())
 
     def hexes(*values):
         return " ".join(v.hex() for v in np.hstack(values).tolist())
@@ -250,7 +288,7 @@ def test_estimates_match_frozen_hex_values():
         got += [hexes(*simulate_rate(link, 3.0, cfg)) for link in _FROZEN_LINKS[::4]]
         got += [hexes(simulate_ergodic_capacity(link, rhos, cfg))
                 for link in _FROZEN_LINKS[1::4]]
-        assert got == list(frozen), samples
+        assert got == list(frozen), (samples, dispatch)
 
 
 def test_halfwidth_matches_a_two_pass_variance_where_terms_are_near_1():
@@ -260,7 +298,7 @@ def test_halfwidth_matches_a_two_pass_variance_where_terms_are_near_1():
     cfg = McConfig(samples=100_000, seed=0)
     for db in (-80.0, -120.0):
         rho = 10.0 ** (db / 10.0)
-        snr = np.concatenate([_branch_snrs(_RAYLEIGH.branch, key, count, 1)[:, 0]
+        snr = np.concatenate([_snr_means(_RAYLEIGH.branch, key, count, 1)
                               for key, count in _stream_plan(cfg)])
         terms = np.exp(-np.log1p(snr * rho))
         mean = terms.mean()
@@ -276,6 +314,20 @@ def test_underflowing_draws_raise_naming_a_and_rho():
     with pytest.raises(ArithmeticError, match=r"A = 50\.0, rho = 10000000000\.0") as exc:
         simulate_rate(link, [1.0, 1e10], McConfig(samples=10_000, seed=0))
     assert "(1 + rho S / n_t)^-A underflow at" in str(exc.value)
+
+
+def test_draws_that_underflow_to_zero_raise_no_warning():
+    # at mu = 0.01, U^(1/mu) underflows to 0 in about one draw in 1,700:
+    # its log W is -inf, taken silently, and its power exp(-inf) is 0, as
+    # W^(2/alpha) is.  The suite turns every warning into an error
+    link = MisoLink(n_t=2, delay_a=1.0, branch=AlphaMuParams(alpha=1.5, mu=0.01))
+    cfg = McConfig(samples=10_000, seed=0)
+    draws = [standard_gamma(key, 0.01, np.empty(2 * count), np.empty((3, count)))
+             for key, count in _stream_plan(cfg)]
+    assert any(np.any(w == 0.0) for w in draws)
+    rhos = [1.0, 100.0]
+    est, hw = simulate_rate(link, rhos, cfg)
+    assert np.all(np.abs(est - rate_exact_quadrature(link, rhos)) <= 2.0 * hw), (est, hw)
 
 
 def test_draws_without_spread_are_refused():

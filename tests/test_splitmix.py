@@ -45,11 +45,20 @@ def _draws(key, shape, n, width=1024):
 
 
 def test_outputs_equal_an_integer_splitmix64():
-    # a shape-1 draw is -log U of one output, U = (2j + 1) 2^-53 from its
-    # top 52 bits j
-    for key in (0, 0x0123456789ABCDEF, _MASK):
-        u = np.array([((z >> 12) * 2 + 1) * 2.0 ** -53 for z in _splitmix64(key, 64)])
-        np.testing.assert_array_equal(_draws(key, 1.0, 64), -np.log(u), err_msg=str(key))
+    # a draw of integer shape a up to 4 is -log of the product of the
+    # uniforms of outputs a i to a i + a - 1, multiplied in that order,
+    # U = (2j + 1) 2^-53 from an output's top 52 bits j; at a = 1, -log U
+    for shape in (1, 2, 3, 4):
+        for key in (0, 0x0123456789ABCDEF, _MASK):
+            u = [((z >> 12) * 2 + 1) * 2.0 ** -53 for z in _splitmix64(key, 64 * shape)]
+            products = []
+            for i in range(0, len(u), shape):
+                product = u[i]
+                for factor in u[i + 1:i + shape]:
+                    product *= factor
+                products.append(product)
+            np.testing.assert_array_equal(_draws(key, float(shape), 64),
+                                          -np.log(np.array(products)), err_msg=str((shape, key)))
 
 
 def test_stream_keys_are_the_outputs_of_the_seed():
@@ -61,7 +70,7 @@ def test_stream_keys_are_the_outputs_of_the_seed():
     assert len(set(stream_keys(2 ** 64 + 5, 8) + stream_keys(5, 8))) == 16
 
 
-@pytest.mark.parametrize("shape", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0])
 def test_draws_do_not_depend_on_the_scratch_width(shape):
     # a scratch of 40 entries splits a call into many passes, a full-width
     # one into one (8192 draws take two index slices), so the rejection
@@ -96,7 +105,7 @@ def test_two_streams_of_one_seed_are_uncorrelated():
         assert abs(r) < 5.0 / math.sqrt(n), (i, r)
 
 
-@pytest.mark.parametrize("shape", [0.3, 0.5, 0.6, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0, 40.0])
+@pytest.mark.parametrize("shape", [0.3, 0.5, 0.6, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 40.0])
 def test_gamma_draws_follow_the_exact_law(shape):
     x = _draws(stream_keys(2024, 1)[0], shape, 200_000)
     res = stats.kstest(x, "gamma", args=(shape,))
