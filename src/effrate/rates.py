@@ -58,15 +58,21 @@ class MisoLink:
         return fit_sum(self.branch, self.n_t)
 
 
-def _refuse_subnormal(route, rhos, kernel_slope, mean_snr):
+def _refuse_out_of_range(route, rhos, scale, n, mean_snr):
     """Raise ValueError naming rho where the route's kernel argument, rho *
-    kernel_slope, or the rate, which nears rho mean_snr / ln 2 as rho -> 0,
-    would fall below the normal doubles: a subnormal keeps too few digits,
-    and the kernels would overflow on its reciprocal or log 0."""
-    low = float(rhos.min())
-    if min(low * kernel_slope, low * mean_snr / LN2) < sys.float_info.min:
+    scale / n, or the rate, which nears rho mean_snr / ln 2 as rho -> 0,
+    would fall below the normal doubles (a subnormal keeps too few digits,
+    and the kernels would overflow on its reciprocal or log 0), or where
+    rho * scale or the kernel argument would overflow: in Python floats,
+    which overflow to inf silently, before any numpy product can warn."""
+    low, high = float(rhos.min()), float(rhos.max())
+    slope = scale / n
+    if min(low * slope, low * mean_snr / LN2) < sys.float_info.min:
         raise ValueError("%s: rho=%r is too small: the kernel argument or the rate would be "
                          "below the smallest normal double" % (route, low))
+    if not math.isfinite(high * max(scale, slope)):
+        raise ValueError("%s: rho=%r is too large: the kernel argument would overflow the "
+                         "doubles" % (route, high))
 
 
 def rate_exact_quadrature(link, rho):
@@ -77,12 +83,12 @@ def rate_exact_quadrature(link, rho):
     u = (gamma/beta)^(alpha/2), and the integrand is exp(-A log1p(.)) so
     that nothing is lost when rho is tiny (log_mean_power).  rho is a
     scalar (giving a float) or a sequence (giving an array; one node set
-    serves it all).  Raises ValueError where rho is too small for normal
+    serves it all).  Raises ValueError where rho is out of range for normal
     doubles.
     """
     p = link.fit.fitted
     rhos = positive_grid(rho, "rho")
-    _refuse_subnormal("rate_exact_quadrature", rhos, p.beta / link.n_t, link.branch.mean_snr)
+    _refuse_out_of_range("rate_exact_quadrature", rhos, p.beta, link.n_t, link.branch.mean_snr)
     c = rhos * p.beta / link.n_t
     log_e = log_mean_power(p.mu, c, 2.0 / p.alpha, -link.delay_a)
     return like_grid(rho, -log_e / (link.delay_a * LN2))
@@ -105,11 +111,11 @@ def rate_exact_foxh(link, rho):
     small 1 - E keeps its digits; the nearer that next pole, whose residue
     leads E - 1, the less the sum cancels.
     Raises TruncationError where the rate's estimated relative error
-    exceeds 1e-12, and ValueError where rho is too small for normal doubles.
+    exceeds 1e-12, and ValueError where rho is out of range for normal doubles.
     """
     rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
-    _refuse_subnormal("rate_exact_foxh", rhos, p.beta / link.n_t, link.branch.mean_snr)
+    _refuse_out_of_range("rate_exact_foxh", rhos, p.beta, link.n_t, link.branch.mean_snr)
     a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
     log_z = half_alpha * np.log(link.n_t / (rhos * p.beta))
@@ -154,7 +160,7 @@ def rate_nakagami(link, rho):
     gives with -A itself as the exponent: forming b = m n_t + 1 - A first
     would round A away next to a large m n_t.  rho is a scalar or a
     sequence, as for rate_exact_quadrature.  Raises ValueError unless the
-    branch alpha is 2 within 1e-12, or where rho is too small for normal
+    branch alpha is 2 within 1e-12, or where rho is out of range for normal
     doubles.
     """
     b = link.branch
@@ -162,7 +168,7 @@ def rate_nakagami(link, rho):
         raise ValueError("rate_nakagami: needs alpha = 2, got alpha=%g" % b.alpha)
     mn = b.mu * link.n_t
     rhos = positive_grid(rho, "rho")
-    _refuse_subnormal("rate_nakagami", rhos, b.mean_snr / mn, b.mean_snr)
+    _refuse_out_of_range("rate_nakagami", rhos, b.mean_snr, mn, b.mean_snr)
     z = mn / (b.mean_snr * rhos)
     log_u = log_mean_power(mn, 1.0 / z, 1.0, -link.delay_a)
     return like_grid(rho, -log_u / (link.delay_a * LN2))
@@ -277,10 +283,13 @@ def ergodic_capacity_quadrature(link, rho):
     """E{log2(1 + rho S / n_t)} under the fitted sum density.
 
     The A -> 0 limit of the effective rate; used as the no-QoS reference.
-    rho is a scalar or a sequence, as for rate_exact_quadrature.
+    rho is a scalar or a sequence, as for rate_exact_quadrature, and is
+    refused as there.
     """
     rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
+    _refuse_out_of_range("ergodic_capacity_quadrature", rhos, p.beta, link.n_t,
+                         link.branch.mean_snr)
     e, _ = gamma_expectation(p.mu, lambda t: np.log1p(t, out=t), rhos * p.beta / link.n_t,
                              2.0 / p.alpha, growth=1.0)
     return like_grid(rho, e / LN2)

@@ -33,28 +33,18 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2^64 / golden ratio, odd
-_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 0))  # (shift, multiplier)
-_MIX_U64 = tuple((np.uint64(shift), np.uint64(mult)) for shift, mult in _MIX)
+_MIX = tuple((np.uint64(shift), np.uint64(mult))  # (shift, multiplier)
+             for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 0)))
 _TOP52 = np.uint64(12)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # exponent bits of 1.0
-_SLICE = 8192  # candidates per take, whose index array takes 8 bytes a draw
 _RAMP = np.arange(4096, dtype=np.uint64)  # 0, 1, 2, ...: the first states of a stretch
 _ERLANG = 4  # integer shapes up to this draw as -log of a product of uniforms, not by GB
-
-
-def _mix(z):
-    """SplitMix64's output function of one 64-bit state, a Python int."""
-    for shift, mult in _MIX:
-        z ^= z >> shift
-        if mult:
-            z = z * mult & _MASK
-    return z
 
 
 def _outputs(z, tmp):
     """SplitMix64's output function, in place on the states in the uint64
     array z; tmp, as long as z, is overwritten."""
-    for shift, mult in _MIX_U64:
+    for shift, mult in _MIX:
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         if mult:
@@ -75,12 +65,15 @@ def _uniforms(z, tmp):
 def stream_keys(seed, count):
     """Keys of `count` streams of one seed: the first `count` outputs of a
     SplitMix64 generator started at state `seed` (a seed of 2^64 or more is
-    folded to 64 bits through the output function, word by word)."""
+    folded to 64 bits word by word: state = first output ^ next word)."""
     seed = int(seed)  # a numpy integer too
     state = seed & _MASK
     for shift in range(64, seed.bit_length(), 64):
-        state = _mix((state + _GOLDEN) & _MASK) ^ (seed >> shift & _MASK)
-    return [_mix((state + (j + 1) * _GOLDEN) & _MASK) for j in range(count)]
+        state = stream_keys(state, 1)[0] ^ (seed >> shift & _MASK)
+    z, tmp = np.empty((2, count), np.uint64)  # uint64 arrays wrap silently
+    _states(state, z, 0)
+    _outputs(z, tmp)
+    return z.tolist()
 
 
 def standard_gamma(key, shape, out, scratch):
@@ -132,7 +125,8 @@ def _erlang(key, shape, flat, scratch):
 
 def _cheng(key, shape, flat, scratch):
     """Gamma(shape) draws into flat by Cheng's GB rejection at
-    a = max(shape, shape + 1), times U^(1/shape) below 1."""
+    a = max(shape, shape + 1), times U^(1/shape) below 1.  A pass picks
+    its accepted candidates by one index array, bounded by scratch's width."""
     a = shape + 1.0 if shape < 1.0 else shape
     width = 3 if shape < 1.0 else 2  # outputs per candidate
     lam = math.sqrt(2.0 * a - 1.0)
@@ -165,17 +159,10 @@ def _cheng(key, shape, flat, scratch):
             _states(key, z2, position + 2, width)
             u3 = _uniforms(z2, tmp)
             y *= np.power(u3, 1.0 / shape, out=u3)
-        for start in range(0, len(accept), _SLICE):
-            # mode="clip" takes in place, where "raise" would copy the output first
-            picks = np.flatnonzero(accept[start:start + _SLICE])
-            used = min(len(accept) - start, _SLICE)
-            if len(picks) >= len(flat) - filled:  # stop at the candidate of the last draw
-                picks = picks[:len(flat) - filled]
-                used = int(picks[-1]) + 1
-            np.take(y[start:start + used], picks, out=flat[filled:filled + len(picks)],
-                    mode="clip")
-            filled += len(picks)
-            position += width * used
-            del picks  # one index array at a time
-            if filled == len(flat):
-                break
+        picks = np.flatnonzero(accept)[:len(flat) - filled]
+        # the pass that fills flat stops at the candidate of the last draw
+        used = int(picks[-1]) + 1 if filled + len(picks) == len(flat) else len(accept)
+        # mode="clip" takes in place, where "raise" would copy the output first
+        np.take(y[:used], picks, out=flat[filled:filled + len(picks)], mode="clip")
+        filled += len(picks)
+        position += width * used

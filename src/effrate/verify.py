@@ -39,6 +39,7 @@ def _links(alphas, mus, n_ts, delay_as):
 # module level, so that each link's cached fit serves every run
 _ROUTE_LINKS = _links((0.8, 2.0, 4.0), (1.0, 2.0), (1, 2), (0.5, 2.0))
 _ROUTE_RHOS = (1.0, 100.0)
+_NAKAGAMI_LINKS = _links((2.0,), (0.5, 1.0, 2.0, 3.5), (1, 2), (0.5, 1.0))
 
 # The paper's figure layouts, one parameter swept at n_t = 2:
 # {figure: (swept parameter, its values, one link per value)}
@@ -63,8 +64,7 @@ def _check_route_agreement():
 
 
 def _check_nakagami():
-    links = _links((2.0,), (0.5, 1.0, 2.0, 3.5), (1, 2), (0.5, 1.0))
-    return _route_errors(links, (1.0, 10.0), rate_exact_foxh, rate_nakagami)
+    return _route_errors(_NAKAGAMI_LINKS, (1.0, 10.0), rate_exact_foxh, rate_nakagami)
 
 
 def _check_branch_mean():

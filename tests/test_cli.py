@@ -175,6 +175,22 @@ def test_rate_invalid_delay_exits_2(capsys):
         assert named in err, err
 
 
+def test_rate_beyond_the_double_range_exits_2(capsys):
+    # 3082.3 dB is rho = 1.7e308, whose kernel argument rho beta / n_t
+    # overflows: one error line naming rho, and no numpy warning before it
+    for method in ("quadrature", "foxh", "nakagami"):
+        code, out, err = _run(
+            [
+                "rate", "--alpha", "2", "--mu", "0.3", "--nt", "1", "--delay-a", "1",
+                "--snr-db", "3082.3", "--method", method,
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "rho=1.69" in err and "too large" in err, err
+
+
 def test_rate_nakagami_needs_alpha_two(capsys):
     code, _, err = _run(
         [
@@ -524,31 +540,61 @@ def test_no_argument_carries_between_calls(tmp_path, capsys):
 # --------------------------------------------------------------- tracing
 
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _bench_module(name):
+    """bench/<name>.py, loaded from its file (bench is not a package)."""
+    import importlib.util
+
+    path = os.path.join(_ROOT, "bench", name + ".py")
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_trace_targets_resolve():
     # the benchmark's span recorder replaces each (module, attribute) it
     # names and stops on one that is missing
     import importlib
-    import importlib.util
-    import pathlib
 
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    for mod, attr, _, _ in spans.PATCHES:
+    for mod, attr, _, _ in _bench_module("spans").PATCHES:
         assert hasattr(importlib.import_module("effrate." + mod), attr), (mod, attr)
+
+
+def test_tracer_only_names_are_traced():
+    # the inverse: each name src/effrate keeps only for the span recorder,
+    # a module-level `noqa: F401` import or a `name = None` placeholder,
+    # is a (module, attribute) that bench/spans.py patches, so a patch that
+    # is dropped cannot leave its name behind
+    import ast
+    import glob
+
+    patched = {(mod, attr) for mod, attr, _, _ in _bench_module("spans").PATCHES}
+    kept = []
+    for path in sorted(glob.glob(os.path.join(_ROOT, "src", "effrate", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                kept += [(module, alias.asname or alias.name) for alias in node.names]
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                  and node.value.value is None):
+                kept += [(module, target.id) for target in node.targets]
+    assert [name for name in kept if name not in patched] == [], kept
 
 
 def test_bench_csv_reader_reads_demo_output():
     # the benchmark parses every figure file it checks with its own reader;
     # a header or column change that would break its checks fails here first
-    import importlib.util
     import pathlib
 
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("bench_worker", root / "bench" / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    root = pathlib.Path(_ROOT)
+    worker = _bench_module("worker")
     files = sorted((root / "demo_output").glob("*.csv"))
     assert len(files) == 32
     for path in files:

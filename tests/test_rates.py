@@ -634,6 +634,20 @@ def test_exact_routes_refuse_a_subnormal_snr_by_name():
                 assert _rel(route(link, 1e-300), 1e-300 / math.log(2.0)) < 1e-12
 
 
+def test_routes_refuse_both_ends_of_the_double_range_by_name():
+    # at 1.7e308 the kernel argument rho beta / n_t (rho omega / (m n_t))
+    # overflows: every route raised numpy's overflow warning first; at
+    # 1e-320 ergodic capacity answered a subnormal where the others refused
+    link = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (rate_exact_quadrature, rate_exact_foxh, rate_nakagami,
+                      ergodic_capacity_quadrature):
+            for rho, end in ((1.7e308, "large"), (1e-320, "small"), ([1.0, 1.7e308], "large")):
+                with pytest.raises(ValueError, match=r"rho=\S+ is too %s" % end):
+                    route(link, rho)
+
+
 def test_every_route_refuses_an_empty_grid_by_name():
     # an empty grid used to give an empty array on some routes and a bare
     # numpy or builtin error on the others

@@ -65,16 +65,26 @@ def test_stream_keys_are_the_outputs_of_the_seed():
     assert stream_keys(12345, 8) == _splitmix64(12345, 8)
     for seed in (np.int64(12345), np.uint64(12345)):
         assert stream_keys(seed, 8) == _splitmix64(12345, 8)
+    assert stream_keys(12345, 0) == []
     # a seed beyond 64 bits keeps its high words
     assert stream_keys(2 ** 64 + 5, 2) != stream_keys(5, 2)
     assert len(set(stream_keys(2 ** 64 + 5, 8) + stream_keys(5, 8))) == 16
+    # folded from the lowest word up: state = mix(state + G) ^ word, the
+    # first output of a generator started at state, then the next word
+    for words in ((5, 1), (0x0123456789ABCDEF, _MASK), (_MASK, 0, 7), (3, _GOLDEN, 1)):
+        state = words[0]
+        for word in words[1:]:
+            state = _splitmix64(state, 1)[0] ^ word
+        seed = sum(word << 64 * i for i, word in enumerate(words))
+        assert stream_keys(seed, 8) == _splitmix64(state, 8), words
 
 
 @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0])
 def test_draws_do_not_depend_on_the_scratch_width(shape):
     # a scratch of 40 entries splits a call into many passes, a full-width
-    # one into one (8192 draws take two index slices), so the rejection
-    # loop's bookkeeping is covered at pass and slice boundaries
+    # one into one, at 8192 draws of more candidates than the scratch of a
+    # capped stream holds, so the rejection loop's bookkeeping is covered
+    # at pass boundaries and in one wide pass
     for n in (1, 2, 1000, 5007, 8192):
         np.testing.assert_array_equal(_draws(77, shape, n, width=40),
                                       _draws(77, shape, n, width=4 * n + 64), err_msg=str(n))
