@@ -27,7 +27,8 @@ import numpy as np
 
 from .alphamu import AlphaMuParams
 from .special import (FoxHSpec, TruncationError, contour_integral, contour_integrals,
-                      gamma_expectation, like_grid, log_mean_power, positive_grid)
+                      gamma_expectation, lgamma_slope, like_grid, log_mean_power,
+                      positive_grid)
 # unused here: bench/spans.py traces calls through rates.fox_h and rates.tricomi_u
 from .special import fox_h, tricomi_u  # noqa: F401
 from .sumfit import fit_sum, sum_moments
@@ -58,18 +59,30 @@ class MisoLink:
         return fit_sum(self.branch, self.n_t)
 
 
-def _refuse_out_of_range(route, rhos, scale, n, mean_snr):
+def _refuse_out_of_range(route, rhos, scale, n, mean_snr, delay_a=None):
     """Raise ValueError naming rho where the route's kernel argument, rho *
     scale / n, or the rate, which nears rho mean_snr / ln 2 as rho -> 0,
     would fall below the normal doubles (a subnormal keeps too few digits,
     and the kernels would overflow on its reciprocal or log 0), or where
     rho * scale or the kernel argument would overflow: in Python floats,
-    which overflow to inf silently, before any numpy product can warn."""
+    which overflow to inf silently, before any numpy product can warn.
+    Given delay_a, also raise one naming A and rho where E - 1, about
+    -A ln2 times the rate, would be subnormal, that is where A * min(rho
+    mean_snr, 1) is, and one naming A where log Gamma(A) would overflow."""
     low, high = float(rhos.min()), float(rhos.max())
     slope = scale / n
     if min(low * slope, low * mean_snr / LN2) < sys.float_info.min:
         raise ValueError("%s: rho=%r is too small: the kernel argument or the rate would be "
                          "below the smallest normal double" % (route, low))
+    if delay_a is not None:
+        if delay_a * min(low * mean_snr, 1.0) < sys.float_info.min:
+            raise ValueError("%s: delay_a=%r is too small at rho=%r: E - 1, about -A ln2 "
+                             "times the rate, would be below the smallest normal double"
+                             % (route, delay_a, low))
+        # A (log A - 1), Stirling's leading term, is log Gamma(A) to far below its ulp here
+        if not delay_a * (math.log(delay_a) - 1.0) <= sys.float_info.max:
+            raise ValueError("%s: delay_a=%r is too large: log Gamma(A) would overflow the "
+                             "doubles" % (route, delay_a))
     if not math.isfinite(high * max(scale, slope)):
         raise ValueError("%s: rho=%r is too large: the kernel argument would overflow the "
                          "doubles" % (route, high))
@@ -88,7 +101,8 @@ def rate_exact_quadrature(link, rho):
     """
     p = link.fit.fitted
     rhos = positive_grid(rho, "rho")
-    _refuse_out_of_range("rate_exact_quadrature", rhos, p.beta, link.n_t, link.branch.mean_snr)
+    _refuse_out_of_range("rate_exact_quadrature", rhos, p.beta, link.n_t, link.branch.mean_snr,
+                         link.delay_a)
     c = rhos * p.beta / link.n_t
     log_e = log_mean_power(p.mu, c, 2.0 / p.alpha, -link.delay_a)
     return like_grid(rho, -log_e / (link.delay_a * LN2))
@@ -115,7 +129,8 @@ def rate_exact_foxh(link, rho):
     """
     rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
-    _refuse_out_of_range("rate_exact_foxh", rhos, p.beta, link.n_t, link.branch.mean_snr)
+    _refuse_out_of_range("rate_exact_foxh", rhos, p.beta, link.n_t, link.branch.mean_snr,
+                         link.delay_a)
     a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
     log_z = half_alpha * np.log(link.n_t / (rhos * p.beta))
@@ -168,7 +183,7 @@ def rate_nakagami(link, rho):
         raise ValueError("rate_nakagami: needs alpha = 2, got alpha=%g" % b.alpha)
     mn = b.mu * link.n_t
     rhos = positive_grid(rho, "rho")
-    _refuse_out_of_range("rate_nakagami", rhos, b.mean_snr, mn, b.mean_snr)
+    _refuse_out_of_range("rate_nakagami", rhos, b.mean_snr, mn, b.mean_snr, link.delay_a)
     z = mn / (b.mean_snr * rhos)
     log_u = log_mean_power(mn, 1.0 / z, 1.0, -link.delay_a)
     return like_grid(rho, -log_u / (link.delay_a * LN2))
@@ -199,7 +214,9 @@ def rate_high_snr(link, rho):
 
         R ~ log2(beta rho / n_t) - (1/A) log2( Gamma(mu - 2A/alpha) / Gamma(mu) )
 
-    in the fitted sum parameters.  rho is a scalar or a sequence, as for
+    in the fitted sum parameters; as A -> 0 the gap term nears
+    (2/alpha) psi(mu) / ln 2, and below 2A/alpha = 1e-3 it is formed from
+    special.lgamma_slope, since the two log-gamma values cancel there.  rho is a scalar or a sequence, as for
     rate_exact_quadrature.  Requires A < alpha mu / 2; between that bound
     and the conservative A < alpha mu / 2 - 1 a warning is emitted because
     convergence becomes slow.  A second warning fires where A lies between
@@ -227,8 +244,14 @@ def rate_high_snr(link, rho):
         )
     p = link.fit.fitted
     a_qos = link.delay_a
-    gap = math.lgamma(p.mu - 2.0 * a_qos / p.alpha) - math.lgamma(p.mu)
-    return like_grid(rho, np.log2(p.beta * rhos / link.n_t) - gap / (a_qos * LN2))
+    d = 2.0 * a_qos / p.alpha
+    if d < 1e-3:
+        # the gap is -d lgamma_slope(mu, -d), whose digits do not cancel, and
+        # d / A is 2 / alpha, formed without d, which may be subnormal
+        gap_bits = -2.0 / p.alpha * lgamma_slope(p.mu, -d) / LN2
+    else:
+        gap_bits = (math.lgamma(p.mu - d) - math.lgamma(p.mu)) / (a_qos * LN2)
+    return like_grid(rho, np.log2(p.beta * rhos / link.n_t) - gap_bits)
 
 
 def channel_power_moments(link):

@@ -15,6 +15,7 @@ here calls BLAS, and no result depends on the BLAS kernel a CPU selects.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,35 @@ def lgamma_second_difference(x, d):
     e = d / (x + d)
     return (total + (x - 0.5) * math.log1p(-e * e) + 2.0 * d * math.log1p(e)
             + d * d / (6.0 * x * (x + d) * (x + 2.0 * d)) + tail)
+
+
+def _log1p_ratio(y):
+    """log1p(y) / y, and its limit 1 where y is 0."""
+    return math.log1p(y) / y if y else 1.0
+
+
+def lgamma_slope(x, d):
+    """(lgamma(x + d) - lgamma(x)) / d for x > 0, x + d > 0 and |d| < 1e-3,
+    and its limit psi(x) at d = 0, to within about 1e-15 of psi(x)'s scale,
+    where the two lgamma values nearly cancel or d is subnormal.
+
+    As in lgamma_second_difference: below x = 12 the recurrence moves x up,
+    each step adding -log1p(d / x) / d.  From there Stirling's series: the
+    difference of (x - 1/2) log x - x is (x - 1/2) log1p(d / x) +
+    d log(x + d) - d, that of 1/(12 x) is -d / (12 x (x + d)), and that of
+    _stirling_tail is d times its derivative at x + d/2 (minus the sum of
+    B_2n / (2n (x + d/2)^(2n))), which is within d^2 / x^2 of it.  Each
+    log1p(d / x) / d is formed as _log1p_ratio(d / x) / x.
+    """
+    total = 0.0
+    while x < 12.0:
+        total -= _log1p_ratio(d / x) / x
+        x += 1.0
+    v = 1.0 / (x + 0.5 * d) ** 2
+    tail = v * v * (1.0 / 120 + v * (-1.0 / 252 + v * (1.0 / 240 + v * (
+        -1.0 / 132 + v * 691.0 / 32760))))
+    return (total + (x - 0.5) / x * _log1p_ratio(d / x) + math.log(x + d) - 1.0
+            - 1.0 / (12.0 * x * (x + d)) + tail)
 
 
 def tricomi_u(a, b, z):
@@ -261,6 +291,23 @@ _TARGET = _MARGIN - math.log(1e-12)  # nats below its peak an integrand is resol
 _SADDLE_SLACK = 4.0  # nats the line of a finite strip may lie above its lowest trial abscissa
 _BLOCK = 1 << 14  # entries per block of a (points x nodes) matrix
 _MAX_NODES = 1 << 22  # node cap of gamma_expectation, 32 MB per array of nodes
+_LOG_MAX = math.log(sys.float_info.max)  # the largest rise whose e^rise is a double
+
+
+def _trapezoid_error(full, half, size, rise, tail):
+    """Relative error estimate of each trapezoid sum in full, a vector.
+
+    half is the sum on every second node (halving the step squares the
+    error, which the integrand's rise, in nats, off the axis within the
+    strip inflates by e^rise), size the sum of the terms' magnitudes and
+    tail a bound on what the nodes leave out, both in the sum's units.
+    Rounding: a sum that cancels keeps about eps size / |full| of itself.
+    Where e^rise is not a double, the estimate is infinite.
+    """
+    mag = np.abs(full)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = ((full - 2.0 * half) ** 2 * np.exp(-rise) / size + tail) / mag + 2.2e-16 * size / mag
+    return np.where(rise <= _LOG_MAX, err, math.inf)
 
 
 def contour_integral(spec, c, log_z):
@@ -296,13 +343,14 @@ def contour_integral(spec, c, log_z):
     a = 0.9 * gap
     at_c, below, above = _log_abs_chi(spec, (c, c - a, c + a)).tolist()
     rise = np.maximum(np.maximum(below - at_c + a * log_z, above - at_c - a * log_z), 0.0)
-    h = 2.0 * math.pi * a / (rise.max() + _TARGET)
+    h = 2.0 * math.pi * a / (float(rise.max()) + _TARGET)
     log_chi, peak = np.empty(0, dtype=complex), -math.inf
     # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by _TARGET near t_fall +
     # _TARGET/kappa; the first batch of nodes reaches that far, and each
-    # further batch adds a quarter of the nodes made so far
-    more_nodes = int((t_fall + _TARGET / kappa) / h) + 16
-    # every batch, the first one too, is checked against the node budget before it is made
+    # further batch adds a quarter of the nodes made so far.  Every batch is
+    # checked against the node budget before it is made, the first in floats
+    t_end = t_fall + _TARGET / kappa
+    more_nodes = int(t_end / h) + 16 if t_end <= h * (1 << 20) else (1 << 20) + 1
     while len(log_chi) + more_nodes <= 1 << 20:
         more = _log_chi(spec, c, h * np.arange(len(log_chi), len(log_chi) + more_nodes))
         more_nodes = (len(log_chi) + len(more)) // 4 + 16
@@ -316,12 +364,7 @@ def contour_integral(spec, c, log_z):
     w = np.exp(log_chi[:keep] - peak)
     w[0] *= 0.5
     full, half = _phase_sums(w, h, log_z)
-    size, mag = np.abs(w).sum(), np.abs(full)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = (full - 2.0 * half) ** 2 / (mag * size * np.exp(rise))
-        err += 2.0 * abs(w[-1]) / (kappa * h * mag)
-        # rounding: a sum that cancels keeps about eps sum|w| / |sum w| of itself
-        err += 2.2e-16 * size / mag
+    err = _trapezoid_error(full, half, np.abs(w).sum(), rise, 2.0 * abs(w[-1]) / (kappa * h))
     return peak - c * log_z, full * (h / math.pi), err
 
 
@@ -406,11 +449,12 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     right = max(math.log(m), 0.0) + 1.0
     while m * right - math.exp(right) > m * math.log(m) - m - _TARGET:
         right += 1.0
-    left = min(0.0, -log_c.max() / p) - math.log(decay) / p - 45.0 / mu
-    nodes = math.ceil((right - left) / h) + 1
-    if nodes > _MAX_NODES:
+    left = min(0.0, -float(log_c.max()) / p) - math.log(decay) / p - 45.0 / mu
+    steps = (right - left) / h  # compared in floats: it may be no integer's
+    if not steps <= _MAX_NODES - 1:
         raise TruncationError("gamma_expectation: %g nodes needed, more than %d"
-                              % (nodes, _MAX_NODES))
+                              % (steps + 1.0, _MAX_NODES))
+    nodes = math.ceil(steps) + 1
     x = left + h * np.arange(nodes)
     w = np.exp(mu * x - np.exp(x) - math.lgamma(mu))
     px = p * x
@@ -435,9 +479,7 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
         # first secant or the weight's own slope bounds the decay
         slope = np.fmin(np.log(second / first) / h, mu - math.exp(x[0]))
         tails = np.where(slope > 0, first / slope, np.inf) + last / (math.exp(x[-1]) - m)
-        err = ((full - 2.0 * half) ** 2 / (size * math.exp(rise)) + tails / h) / abs(full)
-        # rounding: a sum that cancels keeps about eps sum|f| / |sum f| of itself
-        err += 2.2e-16 * size / abs(full)
+    err = _trapezoid_error(full, half, size, rise, tails / h)
     if not np.all(err <= 1e-12):
         i = int(np.argmax(~(err <= 1e-12)))
         raise TruncationError("gamma_expectation: error %g at c=%r exceeds 1e-12"
@@ -479,11 +521,8 @@ def contour_integrals(spec, log_z):
     Returns (log_scale, scaled, err) as contour_integral does."""
     log_z = np.atleast_1d(np.asarray(log_z, dtype=float))
     c = spec.contour_abscissa(log_z)
-    lines = set(c.tolist())
-    if len(lines) == 1:  # the common case, without the masks
-        return np.array(contour_integral(spec, lines.pop(), log_z))
     out = np.empty((3, len(log_z)))
-    for abscissa in lines:
+    for abscissa in set(c.tolist()):
         on = c == abscissa
         out[:, on] = contour_integral(spec, abscissa, log_z[on])
     return out

@@ -10,6 +10,7 @@ import xml.dom.minidom
 
 import numpy as np
 import pytest
+from conftest import numpy_dispatch_note
 
 import effrate.alphamu
 import effrate.special
@@ -189,6 +190,22 @@ def test_rate_beyond_the_double_range_exits_2(capsys):
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "rho=1.69" in err and "too large" in err, err
+
+
+def test_rate_at_stringent_or_subnormal_delay_exits_2(capsys):
+    # quadrature and nakagami raised a bare "math range error" at A = 1e4
+    # and 2,500, fox_h at 1e-306 an OverflowError after numpy's warning, and
+    # at A = 5e-324 quadrature printed 9.0 where the A -> 0 limit is 13.29
+    for alpha, mu, n_t, delay_a, snr_db, method in (
+            ("2", "1", "2", "1e4", "0", "quadrature"), ("2", "1", "2", "1e4", "0", "nakagami"),
+            ("0.8", "2", "2", "2500", "0", "quadrature"),
+            ("2", "8", "1000", "1e-306", "40", "foxh"),
+            ("2", "8", "1000", "5e-324", "40", "quadrature")):
+        code, out, err = _run(["rate", "--alpha", alpha, "--mu", mu, "--nt", n_t, "--delay-a",
+                               delay_a, "--snr-db", snr_db, "--method", method], capsys)
+        assert code == 2 and out == "", (delay_a, method, out)
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "math range error" not in err, err
 
 
 def test_rate_nakagami_needs_alpha_two(capsys):
@@ -450,7 +467,8 @@ def test_sweep_reproduces_demo_output(tmp_path, capsys):
     names = sorted(p.name for p in demo.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
-        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), name
+        assert (tmp_path / name).read_bytes() == (demo / name).read_bytes(), (
+            name, numpy_dispatch_note())
 
 
 def test_sweep_failing_part_way_writes_no_csv(tmp_path, capsys, monkeypatch):

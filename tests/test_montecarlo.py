@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import numpy_dispatch_note
 
 from effrate import montecarlo
 from effrate.alphamu import AlphaMuParams
@@ -212,14 +213,11 @@ def test_working_set_is_one_unit_block_and_three_vectors():
 # simulate_rates(_FROZEN_LINKS, [0.5, 20.0]) (two rates, two half-widths),
 # then simulate_rate(link, 3.0) on _FROZEN_LINKS[::4] (rate, half-width),
 # then simulate_ergodic_capacity(link, [0.5, 20.0]) on _FROZEN_LINKS[1::4].
-# Their last bits are those of numpy's log, exp and log1p loops, which differ
-# between numpy releases and between the CPU dispatch targets numpy picks;
-# _FROZEN_NUMPY is the release and the active targets that made them (X86_V4
-# and the AVX512_* are numpy's AVX-512 loops).
+# Their last bits are those of numpy's log, exp and log1p loops (see
+# conftest.numpy_dispatch_note).
 _FROZEN_LINKS = [MisoLink(n_t=n_t, delay_a=a, branch=AlphaMuParams(alpha=alpha, mu=mu))
                  for mu in (0.5, 2.0, 3.7) for n_t in (1, 3)
                  for alpha, a in ((1.3, 0.7), (4.0, 2.0))]
-_FROZEN_NUMPY = ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
 _FROZEN = {
     1003: (
         "0x1.480847a88a1efp-2 0x1.9df535b90c567p+0 0x1.c6e1fb08477dep-6 0x1.9281b086cfbddp-4",
@@ -264,20 +262,13 @@ _FROZEN = {
 }
 
 
-def _numpy_dispatch():
-    """numpy's release and its CPU dispatch targets active in this process."""
-    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
-    return np.__version__, tuple(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
-
-
 def test_estimates_match_frozen_hex_values():
     # mu 0.5, 2 and 3.7 (Cheng's rejection below and above 1, and the
     # product form), n_t 1 and 3, two branches per (mu, n_t) group; at 1003
     # samples the 8 streams draw 126 or 125 each, so every buffer is viewed
     # at two lengths
     rhos = [0.5, 20.0]
-    dispatch = "frozen under numpy %s with dispatch %r, running numpy %s with %r" % (
-        _FROZEN_NUMPY + _numpy_dispatch())
+    dispatch = numpy_dispatch_note()
 
     def hexes(*values):
         return " ".join(v.hex() for v in np.hstack(values).tolist())

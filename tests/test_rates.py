@@ -7,6 +7,7 @@ canonical single-antenna Rayleigh point at 0 dB with unit delay exponent is
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import numpy_dispatch_note
+from scipy import special as sps
 
 from effrate.alphamu import AlphaMuParams, moment
 from effrate.montecarlo import McConfig, simulate_ergodic_capacity, simulate_rate, simulate_rates
@@ -476,13 +479,14 @@ def test_foxh_matches_frozen_hex_values():
         link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
         got = rate_exact_foxh(link, rhos)[::10].tolist()
         got += rate_exact_foxh(link, [1.0, 100.0]).tolist()
-        assert " ".join(v.hex() for v in got) == " ".join(frozen), (alpha, mu, n_t, a_qos)
+        assert " ".join(v.hex() for v in got) == " ".join(frozen), (
+            (alpha, mu, n_t, a_qos), numpy_dispatch_note())
     spec = FoxHSpec(m=1, n=0, upper_pairs=(), lower_pairs=((0.0, 1.0),))
     got = [fox_h(spec, x) for x in (0.1, 1.0, 5.0, 20.0)]
     for w in (-0.5, -1.5, -3.0):
         spec = FoxHSpec(m=1, n=1, upper_pairs=((w + 1.0, 1.0),), lower_pairs=((0.0, 1.0),))
         got += [fox_h(spec, x) for x in (0.1, 1.0, 10.0)]
-    assert " ".join(v.hex() for v in got) == " ".join(_FOX_H_IDENTITY_HEX)
+    assert " ".join(v.hex() for v in got) == " ".join(_FOX_H_IDENTITY_HEX), numpy_dispatch_note()
 
 
 # fox_h on the 121-point benchmark sweep of three links: the first two gave
@@ -646,6 +650,71 @@ def test_routes_refuse_both_ends_of_the_double_range_by_name():
             for rho, end in ((1.7e308, "large"), (1e-320, "small"), ([1.0, 1.7e308], "large")):
                 with pytest.raises(ValueError, match=r"rho=\S+ is too %s" % end):
                     route(link, rho)
+
+
+def test_exact_routes_answer_or_refuse_by_name_at_both_ends_of_a():
+    # Below the normal doubles E - 1, about -A ln2 R, keeps too few digits:
+    # quadrature and nakagami answered 9.0 at A = 5e-324 on (2, 8, 1000) and
+    # 40 dB, where the A -> 0 limit is 13.29.  Past A = 9,000 at alpha 2
+    # (2,000 at alpha 0.8) the Gamma-weight kernel's e^rise overflowed with a
+    # bare OverflowError, and from A = 2.6e305 so did fox_h's lgamma(A).  A
+    # refusal names A, rho, the node budget or, from the Gamma-weight
+    # kernel, its argument c = rho beta / n_t
+    named = re.compile(r"\b(delay_a|rho|c)=|\bnodes\b")
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, mu in ((2.0, 1.0), (0.8, 2.0)):
+            routes = [rate_exact_foxh, rate_exact_quadrature] + [rate_nakagami] * (alpha == 2.0)
+            for a_qos in (5e-324, 1e-320, 1e-306, 2.5e3, 1e4, 1e6, 1.7e308):
+                link = MisoLink(n_t=2, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
+                for rho in (1e-10, 1.0, 1e4):
+                    for route in routes:
+                        try:
+                            got = route(link, rho)
+                        except (ValueError, TruncationError) as exc:
+                            assert named.search(str(exc)), (alpha, a_qos, rho, route, exc)
+                            continue
+                        assert math.isfinite(got), (alpha, a_qos, rho, route)
+                        if a_qos <= 1e-300:
+                            want = ergodic_capacity_quadrature(link, rho)
+                            assert _rel(got, want) <= 1e-12, (alpha, a_qos, rho, route)
+                            compared += 1
+    # quadrature (and nakagami at alpha 2) at A = 1e-306 and rho 1 and 1e4
+    assert compared == 6
+
+
+def test_stringent_delay_refusals_are_typed_where_fox_h_answers_or_not():
+    # quadrature and nakagami raised a bare OverflowError forming e^rise;
+    # fox_h's first node count on (2, 8, 1000, A = 1e-306), whose strip is
+    # 1e-306 wide, overflowed int() after numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (alpha, mu, n_t, a_qos), rho, routes in (
+                ((2.0, 1.0, 2, 1e4), 1.0, (rate_exact_quadrature, rate_nakagami)),
+                ((0.8, 2.0, 2, 2500.0), 1.0, (rate_exact_quadrature,)),
+                ((2.0, 8.0, 1000, 1e-306), 1e4, (rate_exact_foxh,))):
+            link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
+            for route in routes:
+                with pytest.raises(TruncationError):
+                    route(link, rho)
+        # fox_h still answers the first link, with the same bits as before
+        link = MisoLink(n_t=2, delay_a=1e4, branch=AlphaMuParams(alpha=2.0, mu=1.0))
+        assert rate_exact_foxh(link, 1.0) == 0.0024575569107949335
+
+
+def test_high_snr_asymptote_nears_its_limit_as_a_falls():
+    # As A -> 0 the gap term nears (2/alpha) psi(mu) / ln 2, in the fitted
+    # parameters, less A (2/alpha)^2 psi'(mu) / (2 ln 2).  Formed from two
+    # lgamma values, it cancelled: at (3, 1.5, 2) and rho 1e4 the asymptote
+    # read 13.1944288714 at A = 1e-14 and 12.2334009202 from 1e-16 down,
+    # 0.94 bit under its limit 13.1697095170
+    for a_qos in [10.0 ** -k for k in range(6, 301, 6)] + [1e-310, 5e-324]:
+        link = MisoLink(n_t=2, delay_a=a_qos, branch=AlphaMuParams(alpha=3.0, mu=1.5))
+        p = link.fit.fitted
+        limit = math.log2(p.beta * 1e4 / 2) + 2.0 / p.alpha * sps.digamma(p.mu) / math.log(2.0)
+        first = a_qos * (2.0 / p.alpha) ** 2 * sps.polygamma(1, p.mu) / (2.0 * math.log(2.0))
+        assert abs(rate_high_snr(link, 1e4) - (limit - first)) <= 1e-12 * limit, a_qos
 
 
 def test_every_route_refuses_an_empty_grid_by_name():

@@ -72,6 +72,31 @@ def test_lgamma_second_difference_frozen_values():
                                    err_msg=str((x, d)))
 
 
+# (x, d, (lgamma(x + d) - lgamma(x)) / d) at 80 digits, and psi(x) at d = 0:
+# through the recurrence and from 12 on, where the two lgamma values cancel
+# all but a few digits (or all of them, for subnormal d), and at psi's zero
+_LGAMMA_SLOPE_REF = [
+    (0.05, 9e-4, -20.3192869686348),
+    (0.05, 1e-10, -20.49784497122325),
+    (0.3, -9e-4, -3.5080448206654253),
+    (0.3, 5e-324, -3.502524222200133),
+    (1.4616321449683622, 9e-4, 0.00043533301148579104),
+    (1.4616321449683622, -1e-300, -9.241265521729427e-17),
+    (2.5, -9e-4, 0.7029359477606483),
+    (2.5, 0.0, 0.7031566406452432),
+    (11.9, 1e-10, 2.433933536886921),
+    (30.0, 9e-4, 3.384453385307605),
+    (30.0, -1e-300, 3.384438132685525),
+    (1e6, -9e-4, 13.81551005751419),
+]
+
+
+def test_lgamma_slope_frozen_values():
+    for x, d, ref in _LGAMMA_SLOPE_REF:
+        got = special.lgamma_slope(x, d)
+        assert abs(got - ref) <= 4e-15 * max(1.0, abs(ref)), (x, d, got, ref)
+
+
 def test_log_gamma_recurrence():
     # log Gamma(z+1) = log Gamma(z) + log z, exactly continuable in the
     # right half-plane so no branch jumps can hide here
@@ -378,6 +403,27 @@ def test_contour_integral_refusals():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             special.contour_integral(exp_spec, 1.0, [0.0, bad])
+
+
+def test_trapezoid_error_is_infinite_where_e_rise_is_not_a_double():
+    # ((full - 2 half)^2 e^-rise / size + tail) / |full| + eps size / |full|
+    full, half = np.ones(3), np.full(3, 0.501)
+    err = special._trapezoid_error(full, half, 2.0, np.array([0.0, 700.0, 710.0]), 1e-9)
+    assert err[0] == pytest.approx(2e-6 + 1e-9 + 4.4e-16, rel=1e-12)
+    assert err[1] == pytest.approx(1e-9 + 4.4e-16, rel=1e-12)
+    assert err[2] == math.inf
+
+
+def test_gamma_expectation_refuses_where_its_rise_or_span_leaves_the_doubles():
+    # decay 1e6 lifts the envelope's rise to about 79,000 nats, whose e^rise
+    # raised a bare OverflowError; at decay 1e308 the node count overflows
+    # before any int conversion
+    for decay, match in ((1e6, "error inf at c=1.0 exceeds"), (1e308, "inf nodes needed")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match=match):
+                gamma_expectation(1.0, lambda t: np.power(np.add(t, 1.0, out=t), -decay, out=t),
+                                  [1.0], decay=decay)
 
 
 # ----------------------------------------------------------------- Meijer G
