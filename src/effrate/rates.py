@@ -214,12 +214,13 @@ def rate_high_snr(link, rho):
 
         R ~ log2(beta rho / n_t) - (1/A) log2( Gamma(mu - 2A/alpha) / Gamma(mu) )
 
-    in the fitted sum parameters; as A -> 0 the gap term nears
-    (2/alpha) psi(mu) / ln 2, and below 2A/alpha = 1e-3 it is formed from
-    special.lgamma_slope, since the two log-gamma values cancel there.  rho is a scalar or a sequence, as for
-    rate_exact_quadrature.  Requires A < alpha mu / 2; between that bound
-    and the conservative A < alpha mu / 2 - 1 a warning is emitted because
-    convergence becomes slow.  A second warning fires where A lies between
+    in the fitted sum parameters.  As A -> 0 the second term nears
+    (2/alpha) psi(mu) / ln 2; below 2A/alpha = 1e-3, where the two
+    log-gamma values cancel, it comes from special.lgamma_slope.  rho is a
+    scalar or a sequence, as for rate_exact_quadrature.  Requires
+    A < alpha mu / 2; between that bound and the conservative
+    A < alpha mu / 2 - 1 a warning is emitted because convergence becomes
+    slow.  A second warning fires where A lies between
     the link's diversity order d = n_t alpha mu / 2 (branch parameters) and
     the surrogate's: there the link's rate grows with slope d/A, not 1.
     """

@@ -450,7 +450,7 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     while m * right - math.exp(right) > m * math.log(m) - m - _TARGET:
         right += 1.0
     left = min(0.0, -float(log_c.max()) / p) - math.log(decay) / p - 45.0 / mu
-    steps = (right - left) / h  # compared in floats: it may be no integer's
+    steps = (right - left) / h  # a float: a span too long for any int is refused by name
     if not steps <= _MAX_NODES - 1:
         raise TruncationError("gamma_expectation: %g nodes needed, more than %d"
                               % (steps + 1.0, _MAX_NODES))
