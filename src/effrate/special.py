@@ -343,7 +343,7 @@ def contour_integral(spec, c, log_z):
     a = 0.9 * gap
     at_c, below, above = _log_abs_chi(spec, (c, c - a, c + a)).tolist()
     rise = np.maximum(np.maximum(below - at_c + a * log_z, above - at_c - a * log_z), 0.0)
-    h = 2.0 * math.pi * a / (float(rise.max()) + _TARGET)
+    h = 2.0 * math.pi * a / (rise.max() + _TARGET)
     log_chi, peak = np.empty(0, dtype=complex), -math.inf
     # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by _TARGET near t_fall +
     # _TARGET/kappa; the first batch of nodes reaches that far, and each
@@ -450,7 +450,7 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     while m * right - math.exp(right) > m * math.log(m) - m - _TARGET:
         right += 1.0
     left = min(0.0, -float(log_c.max()) / p) - math.log(decay) / p - 45.0 / mu
-    steps = (right - left) / h  # a float: a span too long for any int is refused by name
+    steps = (right - left) / h  # a Python float, which overflows to inf silently
     if not steps <= _MAX_NODES - 1:
         raise TruncationError("gamma_expectation: %g nodes needed, more than %d"
                               % (steps + 1.0, _MAX_NODES))
