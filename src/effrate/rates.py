@@ -245,13 +245,14 @@ def rate_high_snr(link, rho):
         )
     p = link.fit.fitted
     a_qos = link.delay_a
-    d = 2.0 * a_qos / p.alpha
-    if d < 1e-3:
-        # the gap is -d lgamma_slope(mu, -d), whose digits do not cancel, and
-        # d / A is 2 / alpha, formed without d, which may be subnormal
-        gap_bits = -2.0 / p.alpha * lgamma_slope(p.mu, -d) / LN2
+    shift = 2.0 * a_qos / p.alpha
+    if shift < 1e-3:
+        # the gap is -shift lgamma_slope(mu, -shift), whose digits do not
+        # cancel, and shift / A is 2 / alpha, formed without shift, which may
+        # be subnormal
+        gap_bits = -2.0 / p.alpha * lgamma_slope(p.mu, -shift) / LN2
     else:
-        gap_bits = (math.lgamma(p.mu - d) - math.lgamma(p.mu)) / (a_qos * LN2)
+        gap_bits = (math.lgamma(p.mu - shift) - math.lgamma(p.mu)) / (a_qos * LN2)
     return like_grid(rho, np.log2(p.beta * rhos / link.n_t) - gap_bits)
 
 
