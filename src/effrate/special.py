@@ -124,7 +124,7 @@ def _log1p_ratio(y):
 
 def lgamma_slope(x, d):
     """(lgamma(x + d) - lgamma(x)) / d for x > 0, x + d > 0 and |d| < 1e-3,
-    and its limit psi(x) at d = 0, to within about 1e-15 of psi(x)'s scale,
+    and its limit psi(x) at d = 0, to within about 2e-15 of max(1, |psi(x)|),
     where the two lgamma values nearly cancel or d is subnormal.
 
     As in lgamma_second_difference: below x = 12 the recurrence moves x up,
@@ -348,7 +348,8 @@ def contour_integral(spec, c, log_z):
     # Stirling's |chi| ~ t^sigma e^(-kappa t) falls by _TARGET near t_fall +
     # _TARGET/kappa; the first batch of nodes reaches that far, and each
     # further batch adds a quarter of the nodes made so far.  Every batch is
-    # checked against the node budget before it is made, the first in floats
+    # checked against the node budget before it is made; the first in floats,
+    # where a first batch past the budget stands as one node past it
     t_end = t_fall + _TARGET / kappa
     more_nodes = int(t_end / h) + 16 if t_end <= h * (1 << 20) else (1 << 20) + 1
     while len(log_chi) + more_nodes <= 1 << 20:
