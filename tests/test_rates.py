@@ -656,7 +656,7 @@ def test_exact_routes_answer_or_refuse_by_name_at_both_ends_of_a():
     # Below the normal doubles E - 1, about -A ln2 R, keeps too few digits:
     # quadrature and nakagami answered 9.0 at A = 5e-324 on (2, 8, 1000) and
     # 40 dB, where the A -> 0 limit is 13.29.  Past A = 9,000 at alpha 2
-    # (2,000 at alpha 0.8) the Gamma-weight kernel's e^rise overflowed with a
+    # (2,100 at alpha 0.8) the Gamma-weight kernel's e^rise overflowed with a
     # bare OverflowError, and from A = 2.6e305 so did fox_h's lgamma(A).  A
     # refusal names A, rho, the node budget or, from the Gamma-weight
     # kernel, its argument c = rho beta / n_t
