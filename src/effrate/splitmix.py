@@ -41,9 +41,20 @@ _RAMP = np.arange(4096, dtype=np.uint64)  # 0, 1, 2, ...: the first states of a 
 _ERLANG = 4  # integer shapes up to this draw as -log of a product of uniforms, not by GB
 
 
-def _outputs(z, tmp):
-    """SplitMix64's output function, in place on the states in the uint64
-    array z; tmp, as long as z, is overwritten."""
+def _outputs(key, z, tmp, start, stride=1):
+    """z[i] = output start + i stride of the stream with key `key`:
+    SplitMix64's output function, in place, on the state key + (start + 1
+    + i stride) G mod 2^64, the first len(_RAMP) states from the ramp, then
+    each stretch as the one before plus its length.  z is a uint64 array;
+    tmp, as long as z, is overwritten."""
+    step = stride * _GOLDEN & _MASK
+    n = min(len(z), len(_RAMP))
+    np.multiply(_RAMP[:n], np.uint64(step), out=z[:n])
+    z[:n] += np.uint64((key + (start + 1) * _GOLDEN) & _MASK)
+    while n < len(z):
+        m = min(n, len(z) - n)
+        np.add(z[:m], np.uint64(n * step & _MASK), out=z[n:n + m])
+        n += m
     for shift, mult in _MIX:
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
@@ -51,10 +62,10 @@ def _outputs(z, tmp):
             z *= mult
 
 
-def _uniforms(z, tmp):
-    """Uniforms (2j + 1) 2^-53 of the outputs of the states in z, j their
+def _uniforms(key, z, tmp, start, stride):
+    """Uniforms (2j + 1) 2^-53 of the outputs `_outputs` writes, j their
     top 52 bits, written over z and returned as its float64 view."""
-    _outputs(z, tmp)
+    _outputs(key, z, tmp, start, stride)
     z >>= _TOP52
     z |= _ONE_BITS  # 1 + j 2^-52
     u = z.view(np.float64)
@@ -71,8 +82,7 @@ def stream_keys(seed, count):
     for shift in range(64, seed.bit_length(), 64):
         state = stream_keys(state, 1)[0] ^ (seed >> shift & _MASK)
     z, tmp = np.empty((2, count), np.uint64)  # uint64 arrays wrap silently
-    _states(state, z, 0)
-    _outputs(z, tmp)
+    _outputs(state, z, tmp, 0)
     return z.tolist()
 
 
@@ -92,20 +102,6 @@ def standard_gamma(key, shape, out, scratch):
     return out
 
 
-def _states(key, z, start, stride=1):
-    """z[i] = the state of output start + i stride of stream `key`, that is
-    key + (start + 1 + i stride) G mod 2^64: the first len(_RAMP) from the
-    ramp, then each stretch as the one before plus its length."""
-    step = stride * _GOLDEN & _MASK
-    n = min(len(z), len(_RAMP))
-    np.multiply(_RAMP[:n], np.uint64(step), out=z[:n])
-    z[:n] += np.uint64((key + (start + 1) * _GOLDEN) & _MASK)
-    while n < len(z):
-        m = min(n, len(z) - n)
-        np.add(z[:m], np.uint64(n * step & _MASK), out=z[n:n + m])
-        n += m
-
-
 def _erlang(key, shape, flat, scratch):
     """-log(U_1 ... U_shape) into flat, draw i from outputs shape i to
     shape i + shape - 1, multiplied in that order, in passes as wide as
@@ -114,11 +110,9 @@ def _erlang(key, shape, flat, scratch):
     for start in range(0, len(flat), len(tmp)):
         prod = flat[start:start + len(tmp)]
         n = len(prod)
-        _states(key, prod.view(np.uint64), shape * start, shape)
-        _uniforms(prod.view(np.uint64), tmp[:n])
+        _uniforms(key, prod.view(np.uint64), tmp[:n], shape * start, shape)
         for k in range(1, shape):
-            _states(key, z[:n], shape * start + k, shape)
-            prod *= _uniforms(z[:n], tmp[:n])
+            prod *= _uniforms(key, z[:n], tmp[:n], shape * start + k, shape)
         np.log(prod, out=prod)
         np.negative(prod, out=prod)
 
@@ -138,10 +132,8 @@ def _cheng(key, shape, flat, scratch):
         expect = (len(flat) - filled) / accepted
         u1, u2, t = scratch[:, :int(expect + 2.0 * math.sqrt(expect)) + 8]
         z1, z2, tmp = u1.view(np.uint64), u2.view(np.uint64), t.view(np.uint64)
-        _states(key, z1, position, width)
-        np.add(z1, np.uint64(_GOLDEN), out=z2)  # outputs position + 1 + i width
-        u1 = _uniforms(z1, tmp)
-        u2 = _uniforms(z2, tmp)
+        u1 = _uniforms(key, z1, tmp, position, width)
+        u2 = _uniforms(key, z2, tmp, position + 1, width)
         # V = log(U1 / (1 - U1)) / lam, Y = a e^V, W = b + q V - Y, Z = U1^2 U2
         np.subtract(1.0, u1, out=t)
         np.divide(u1, t, out=t)
@@ -156,8 +148,7 @@ def _cheng(key, shape, flat, scratch):
         t -= y
         accept = np.greater_equal(np.exp(t, out=t), u2)  # W >= log Z
         if width == 3:
-            _states(key, z2, position + 2, width)
-            u3 = _uniforms(z2, tmp)
+            u3 = _uniforms(key, z2, tmp, position + 2, width)
             y *= np.power(u3, 1.0 / shape, out=u3)
         picks = np.flatnonzero(accept)[:len(flat) - filled]
         # the pass that fills flat stops at the candidate of the last draw

@@ -47,22 +47,25 @@ def _draws(key, shape, n, width=1024):
 def test_outputs_equal_an_integer_splitmix64():
     # a draw of integer shape a up to 4 is -log of the product of the
     # uniforms of outputs a i to a i + a - 1, multiplied in that order,
-    # U = (2j + 1) 2^-53 from an output's top 52 bits j; at a = 1, -log U
-    for shape in (1, 2, 3, 4):
-        for key in (0, 0x0123456789ABCDEF, _MASK):
-            u = [((z >> 12) * 2 + 1) * 2.0 ** -53 for z in _splitmix64(key, 64 * shape)]
-            products = []
-            for i in range(0, len(u), shape):
-                product = u[i]
-                for factor in u[i + 1:i + shape]:
-                    product *= factor
-                products.append(product)
-            np.testing.assert_array_equal(_draws(key, float(shape), 64),
-                                          -np.log(np.array(products)), err_msg=str((shape, key)))
+    # U = (2j + 1) 2^-53 from an output's top 52 bits j; at a = 1, -log U.
+    # 4,200 draws run past the 4,096 states of the ramp into its doubling
+    cases = [(a, key, 64) for a in (1, 2, 3, 4) for key in (0, 0x0123456789ABCDEF, _MASK)]
+    for shape, key, n in cases + [(1, 7, 4200), (2, 7, 4200)]:
+        u = [((z >> 12) * 2 + 1) * 2.0 ** -53 for z in _splitmix64(key, n * shape)]
+        products = []
+        for i in range(0, len(u), shape):
+            product = u[i]
+            for factor in u[i + 1:i + shape]:
+                product *= factor
+            products.append(product)
+        np.testing.assert_array_equal(_draws(key, float(shape), n, width=8192),
+                                      -np.log(np.array(products)), err_msg=str((shape, key, n)))
 
 
 def test_stream_keys_are_the_outputs_of_the_seed():
     assert stream_keys(12345, 8) == _splitmix64(12345, 8)
+    # past the 4,096 states of the ramp, into its doubling
+    assert stream_keys(12345, 9000) == _splitmix64(12345, 9000)
     for seed in (np.int64(12345), np.uint64(12345)):
         assert stream_keys(seed, 8) == _splitmix64(12345, 8)
     assert stream_keys(12345, 0) == []
