@@ -237,6 +237,7 @@ def build_parser():
     link.add_argument("--alpha", type=float, required=True)
     link.add_argument("--mu", type=float, required=True)
     link.add_argument("--nt", type=int, required=True)
+    link.add_argument("--mean-snr", type=float, default=1.0)
 
     p_rate = sub.add_parser("rate", parents=[link],
                             help="evaluate the rate at one SNR or over a range")
@@ -245,13 +246,11 @@ def build_parser():
     group.add_argument("--snr-db", type=float)
     group.add_argument("--snr-db-range", type=_parse_range, metavar="START:STOP:POINTS")
     p_rate.add_argument("--method", choices=tuple(_routes()), required=True)
-    p_rate.add_argument("--mean-snr", type=float, default=1.0)
     p_rate.add_argument("--out", default=None)
     p_rate.add_argument("--format", choices=("csv", "json"), default="csv")
     p_rate.set_defaults(func=cmd_rate)
 
     p_fit = sub.add_parser("fit-sum", parents=[link], help="moment-match a branch sum")
-    p_fit.add_argument("--mean-snr", type=float, default=1.0)
     p_fit.set_defaults(func=cmd_fit_sum)
 
     p_ver = sub.add_parser("verify", help="cross-check all evaluation routes")

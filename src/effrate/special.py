@@ -292,6 +292,7 @@ _SADDLE_SLACK = 4.0  # nats the line of a finite strip may lie above its lowest 
 _BLOCK = 1 << 14  # entries per block of a (points x nodes) matrix
 _MAX_NODES = 1 << 22  # node cap of gamma_expectation, 32 MB per array of nodes
 _LOG_MAX = math.log(sys.float_info.max)  # the largest rise whose e^rise is a double
+_MISSED = "gamma_expectation: error %g at c=%r exceeds 1e-12"
 
 
 def _trapezoid_error(full, half, size, rise, tail):
@@ -437,7 +438,8 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     envelope is as far below its peak; more than _MAX_NODES of them raise
     TruncationError.  The sum on every second node, the two tail bounds and
     the rounding of a sum that cancels give an error estimate; above 1e-12
-    relative, TruncationError is raised.
+    relative, TruncationError is raised, before any node where e^rise is not
+    a double.
     Returns (E, err): the vector of expectations and that estimate of each.
     """
     if not mu > 0:
@@ -455,6 +457,8 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     if not steps <= _MAX_NODES - 1:
         raise TruncationError("gamma_expectation: %g nodes needed, more than %d"
                               % (steps + 1.0, _MAX_NODES))
+    if not rise <= _LOG_MAX:  # _trapezoid_error would be infinite at every c
+        raise TruncationError(_MISSED % (math.inf, math.exp(log_c[0])))
     nodes = math.ceil(steps) + 1
     x = left + h * np.arange(nodes)
     w = np.exp(mu * x - np.exp(x) - math.lgamma(mu))
@@ -468,7 +472,9 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
         t = block[:len(log_c) - i]
         t[:] = px
         t += log_c[i:i + rows, None]
-        f = g(np.exp(t, out=t))
+        with np.errstate(over="ignore"):  # an overflowed t is inf, the IEEE c u^p
+            np.exp(t, out=t)
+        f = g(t)
         f *= w
         sums[:2, i:i + rows] = f.sum(axis=1), f[:, ::2].sum(axis=1)
         np.abs(f, out=f)
@@ -483,8 +489,7 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     err = _trapezoid_error(full, half, size, rise, tails / h)
     if not np.all(err <= 1e-12):
         i = int(np.argmax(~(err <= 1e-12)))
-        raise TruncationError("gamma_expectation: error %g at c=%r exceeds 1e-12"
-                              % (err[i], math.exp(log_c[i])))
+        raise TruncationError(_MISSED % (err[i], math.exp(log_c[i])))
     return h * full, err
 
 

@@ -192,6 +192,23 @@ def test_rate_beyond_the_double_range_exits_2(capsys):
         assert "rho=1.69" in err and "too large" in err, err
 
 
+def test_rate_near_the_top_of_the_double_range_warns_nothing(capsys):
+    # at 3050 dB (rho = 1e305) the Gamma-weight kernel's exp overflowed
+    # and printed "warning: overflow encountered in exp" above this rate
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(
+            [
+                "rate", "--alpha", "0.8", "--mu", "2", "--nt", "2", "--delay-a", "0.5",
+                "--snr-db", "3050", "--method", "quadrature",
+            ],
+            capsys,
+        )
+    assert (code, err) == (0, ""), err
+    assert [str(w.message) for w in caught] == []
+    assert out == "snr_db,rate,method,ci_halfwidth\n3050.0,1011.3895640338642,quadrature,\n"
+
+
 def test_rate_at_stringent_or_subnormal_delay_exits_2(capsys):
     # quadrature and nakagami raised a bare "math range error" at A = 1e4
     # and 2,500, fox_h at 1e-306 an OverflowError after numpy's warning, and
@@ -734,7 +751,7 @@ def test_verify_table_is_pinned():
     out = io.StringIO()
     assert verify.run_verification(samples=100_000, seed=0, out=out) == []
     lines = out.getvalue().splitlines(keepends=True)
-    assert "".join(lines[:-1]) == _VERIFY_TABLE
+    assert "".join(lines[:-1]) == _VERIFY_TABLE, numpy_dispatch_note()
     assert lines[-1].startswith("PASS (9 checks) in ")
 
 

@@ -652,6 +652,36 @@ def test_routes_refuse_both_ends_of_the_double_range_by_name():
                     route(link, rho)
 
 
+def test_routes_answer_or_refuse_without_overflow_up_to_1e307():
+    # the Gamma-weight kernel's exp forming t = c u^p overflowed from about
+    # rho = 1e305: numpy's overflow warning, an error under this filter,
+    # even where the route then answered correctly.  An overflowed t is inf,
+    # the IEEE value of c u^p, where the rate integrands take their exact
+    # limit and a growing one (ergodic capacity) sums to inf and is refused
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, mu, n_t, a_qos in ((0.8, 2.0, 2, 0.5), (2.0, 1.0, 1, 1.0), (2.0, 0.3, 1, 0.5)):
+            link = MisoLink(n_t=n_t, delay_a=a_qos, branch=AlphaMuParams(alpha=alpha, mu=mu))
+            routes = [rate_exact_foxh, rate_exact_quadrature] + [rate_nakagami] * (alpha == 2.0)
+            for rho in (1e300, 1e303, 1e305, 1e307):
+                rates = []
+                for route in routes + [ergodic_capacity_quadrature]:
+                    try:
+                        got = route(link, rho)
+                    except (ValueError, TruncationError):
+                        continue
+                    assert math.isfinite(got), (alpha, mu, n_t, a_qos, rho, route)
+                    if route is not ergodic_capacity_quadrature:
+                        rates.append(got)
+                for got in rates[1:]:
+                    assert _rel(got, rates[0]) <= 1e-12, (alpha, mu, n_t, a_qos, rho)
+                    compared += 1
+    # quadrature refuses (0.8, 2, 2, 0.5) at 1e307 and fox_h (2, 1, 1, 1)
+    # throughout; every other pair of rate routes answers
+    assert compared == 15
+
+
 def test_exact_routes_answer_or_refuse_by_name_at_both_ends_of_a():
     # Below the normal doubles E - 1, about -A ln2 R, keeps too few digits:
     # quadrature and nakagami answered 9.0 at A = 5e-324 on (2, 8, 1000) and

@@ -417,13 +417,19 @@ def test_trapezoid_error_is_infinite_where_e_rise_is_not_a_double():
 def test_gamma_expectation_refuses_where_its_rise_or_span_leaves_the_doubles():
     # decay 1e6 lifts the envelope's rise to about 79,000 nats, whose e^rise
     # raised a bare OverflowError; at decay 1e308 the node count overflows
-    # before any int conversion
+    # before any int conversion.  Both are refused before any node is built
+    # (the first peaked at 32 MB when its nodes came first)
     for decay, match in ((1e6, "error inf at c=1.0 exceeds"), (1e308, "inf nodes needed")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(TruncationError, match=match):
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(), pytest.raises(TruncationError, match=match):
+                warnings.simplefilter("error")
                 gamma_expectation(1.0, lambda t: np.power(np.add(t, 1.0, out=t), -decay, out=t),
                                   [1.0], decay=decay)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (decay, peak)
 
 
 # ----------------------------------------------------------------- Meijer G
