@@ -678,7 +678,8 @@ def test_routes_answer_or_refuse_without_overflow_up_to_1e307():
                     assert _rel(got, rates[0]) <= 1e-12, (alpha, mu, n_t, a_qos, rho)
                     compared += 1
     # quadrature refuses (0.8, 2, 2, 0.5) at 1e307 and fox_h (2, 1, 1, 1)
-    # throughout; every other pair of rate routes answers
+    # throughout; every other rate route answers, and is compared with the
+    # first that does
     assert compared == 15
 
 
