@@ -14,6 +14,10 @@ both ends of the SNR axis get dedicated asymptotics.
 
 Every rate route takes (link, rho): rho is a scalar, giving a float, or a
 sequence, giving an array, and a sequence sets the route's kernel up once.
+Each route that takes rho refuses it in one call, _refuse_out_of_range,
+with a ValueError naming rho: an empty grid, an entry that is not finite
+and > 0, or one whose kernel argument or rate would leave the normal
+doubles.
 """
 
 import math
@@ -59,22 +63,24 @@ class MisoLink:
         return fit_sum(self.branch, self.n_t)
 
 
-def _refuse_out_of_range(route, rhos, scale, n, mean_snr, delay_a=None):
-    """Raise ValueError naming rho where the route's kernel argument, rho *
-    scale / n, or the rate, which nears rho mean_snr / ln 2 as rho -> 0,
-    would fall below the normal doubles (a subnormal keeps too few digits,
-    and the kernels would overflow on its reciprocal or log 0), or where
-    rho * scale or the kernel argument would overflow: in Python floats,
-    which overflow to inf silently, before any numpy product can warn.
-    Given delay_a, also raise one naming A and rho where E - 1, about
-    -A ln2 times the rate, would be subnormal, that is where A * min(rho
-    mean_snr, 1) is, and one naming A where log Gamma(A) would overflow."""
+def _refuse_out_of_range(route, link, rho, scale, n, check_a=True):
+    """rho as positive_grid's array, or a ValueError naming rho where the
+    route's kernel argument, rho * scale / n, or the rate, which nears rho
+    mean_snr / ln 2 as rho -> 0, would fall below the normal doubles (a
+    subnormal keeps too few digits, and the kernels would overflow on its
+    reciprocal or log 0), or where rho * scale or the kernel argument would
+    overflow: in Python floats, which overflow to inf silently, before any
+    numpy product can warn.  With check_a, also raise one naming A and rho
+    where E - 1, about -A ln2 times the rate, would be subnormal, that is
+    where A * min(rho mean_snr, 1) is, and one naming A where log Gamma(A)
+    would overflow."""
+    rhos = positive_grid(rho, "rho")
     low, high = float(rhos.min()), float(rhos.max())
-    slope = scale / n
+    slope, mean_snr, delay_a = scale / n, link.branch.mean_snr, link.delay_a
     if min(low * slope, low * mean_snr / LN2) < sys.float_info.min:
         raise ValueError("%s: rho=%r is too small: the kernel argument or the rate would be "
                          "below the smallest normal double" % (route, low))
-    if delay_a is not None:
+    if check_a:
         if delay_a * min(low * mean_snr, 1.0) < sys.float_info.min:
             raise ValueError("%s: delay_a=%r is too small at rho=%r: E - 1, about -A ln2 "
                              "times the rate, would be below the smallest normal double"
@@ -86,6 +92,7 @@ def _refuse_out_of_range(route, rhos, scale, n, mean_snr, delay_a=None):
     if not math.isfinite(high * max(scale, slope)):
         raise ValueError("%s: rho=%r is too large: the kernel argument would overflow the "
                          "doubles" % (route, high))
+    return rhos
 
 
 def rate_exact_quadrature(link, rho):
@@ -94,15 +101,10 @@ def rate_exact_quadrature(link, rho):
     This is the reference evaluation the other routes are checked against.
     The fitted sum density turns into a unit Gamma weight under
     u = (gamma/beta)^(alpha/2), and the integrand is exp(-A log1p(.)) so
-    that nothing is lost when rho is tiny (log_mean_power).  rho is a
-    scalar (giving a float) or a sequence (giving an array; one node set
-    serves it all).  Raises ValueError where rho is out of range for normal
-    doubles.
+    that nothing is lost when rho is tiny (log_mean_power).
     """
     p = link.fit.fitted
-    rhos = positive_grid(rho, "rho")
-    _refuse_out_of_range("rate_exact_quadrature", rhos, p.beta, link.n_t, link.branch.mean_snr,
-                         link.delay_a)
+    rhos = _refuse_out_of_range("rate_exact_quadrature", link, rho, p.beta, link.n_t)
     c = rhos * p.beta / link.n_t
     log_e = log_mean_power(p.mu, c, 2.0 / p.alpha, -link.delay_a)
     return like_grid(rho, -log_e / (link.delay_a * LN2))
@@ -114,23 +116,18 @@ def rate_exact_foxh(link, rho):
     The expectation equals (alpha/2) H / (Gamma(A) Gamma(mu)) with
     H = H^{2,1}_{1,2}[ (n_t/(rho beta))^(alpha/2) | (1, alpha/2);
                        (mu, 1), (A, alpha/2) ]
-    in the fitted sum parameters.  rho is a scalar (giving a float) or a
-    sequence (giving an array; one node set per contour serves it all).
-    H comes from the line FoxHSpec.contour_abscissa picks: the strip
-    midpoint, or a line nearer the saddle where the midpoint's sum would
-    cancel away digits (high SNR with large fitted mu and A).  Where
-    E > 1/2 and that line misses 1e-12 of log E, rounding counted, the
-    line Re s = 1.5/alpha, 3/4 of the way from the pole at s = 0 (whose
-    residue is the 1) to the next at 2/alpha, gives E - 1 as well, so a
-    small 1 - E keeps its digits; the nearer that next pole, whose residue
-    leads E - 1, the less the sum cancels.
-    Raises TruncationError where the rate's estimated relative error
-    exceeds 1e-12, and ValueError where rho is out of range for normal doubles.
+    in the fitted sum parameters.  H comes from the line
+    FoxHSpec.contour_abscissa picks: the strip midpoint, or a line nearer
+    the saddle where the midpoint's sum would cancel away digits (high SNR
+    with large fitted mu and A).  Where E > 1/2 and that line misses 1e-12
+    of log E, rounding counted, the line Re s = 1.5/alpha, 3/4 of the way
+    from the pole at s = 0 (whose residue is the 1) to the next at 2/alpha,
+    gives E - 1 as well, so a small 1 - E keeps its digits; the nearer that
+    next pole, whose residue leads E - 1, the less the sum cancels.  Raises
+    TruncationError where the rate's estimated relative error exceeds 1e-12.
     """
-    rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
-    _refuse_out_of_range("rate_exact_foxh", rhos, p.beta, link.n_t, link.branch.mean_snr,
-                         link.delay_a)
+    rhos = _refuse_out_of_range("rate_exact_foxh", link, rho, p.beta, link.n_t)
     a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
     log_z = half_alpha * np.log(link.n_t / (rhos * p.beta))
@@ -173,17 +170,14 @@ def rate_nakagami(link, rho):
     the second form through the log-scaled U, so no large logarithms cancel.
     That is log E[(1 + V/z)^-A], V ~ Gamma(m n_t, 1), which log_mean_power
     gives with -A itself as the exponent: forming b = m n_t + 1 - A first
-    would round A away next to a large m n_t.  rho is a scalar or a
-    sequence, as for rate_exact_quadrature.  Raises ValueError unless the
-    branch alpha is 2 within 1e-12, or where rho is out of range for normal
-    doubles.
+    would round A away next to a large m n_t.  Raises ValueError unless the
+    branch alpha is 2 within 1e-12.
     """
     b = link.branch
     if abs(b.alpha - 2.0) > 1e-12:
         raise ValueError("rate_nakagami: needs alpha = 2, got alpha=%g" % b.alpha)
     mn = b.mu * link.n_t
-    rhos = positive_grid(rho, "rho")
-    _refuse_out_of_range("rate_nakagami", rhos, b.mean_snr, mn, b.mean_snr, link.delay_a)
+    rhos = _refuse_out_of_range("rate_nakagami", link, rho, b.mean_snr, mn)
     z = mn / (b.mean_snr * rhos)
     log_u = log_mean_power(mn, 1.0 / z, 1.0, -link.delay_a)
     return like_grid(rho, -log_u / (link.delay_a * LN2))
@@ -216,15 +210,15 @@ def rate_high_snr(link, rho):
 
     in the fitted sum parameters.  As A -> 0 the second term nears
     (2/alpha) psi(mu) / ln 2; below 2A/alpha = 1e-3, where the two
-    log-gamma values cancel, it comes from special.lgamma_slope.  rho is a
-    scalar or a sequence, as for rate_exact_quadrature.  Requires
+    log-gamma values cancel, it comes from special.lgamma_slope.  Requires
     A < alpha mu / 2; between that bound and the conservative
     A < alpha mu / 2 - 1 a warning is emitted because convergence becomes
     slow.  A second warning fires where A lies between
     the link's diversity order d = n_t alpha mu / 2 (branch parameters) and
     the surrogate's: there the link's rate grows with slope d/A, not 1.
     """
-    rhos = positive_grid(rho, "rho")
+    p = link.fit.fitted
+    rhos = _refuse_out_of_range("rate_high_snr", link, rho, p.beta, link.n_t, check_a=False)
     required, conservative = high_snr_validity(link)
     d, d_f = _diversity_orders(link)
     if not required:
@@ -243,7 +237,6 @@ def rate_high_snr(link, rho):
             "but not the surrogate's %g; the link's slope is %g, not 1"
             % (link.delay_a, d, d_f, d / link.delay_a)
         )
-    p = link.fit.fitted
     a_qos = link.delay_a
     shift = 2.0 * a_qos / p.alpha
     if shift < 1e-3:
@@ -308,13 +301,10 @@ def ergodic_capacity_quadrature(link, rho):
     """E{log2(1 + rho S / n_t)} under the fitted sum density.
 
     The A -> 0 limit of the effective rate; used as the no-QoS reference.
-    rho is a scalar or a sequence, as for rate_exact_quadrature, and is
-    refused as there.
     """
-    rhos = positive_grid(rho, "rho")
     p = link.fit.fitted
-    _refuse_out_of_range("ergodic_capacity_quadrature", rhos, p.beta, link.n_t,
-                         link.branch.mean_snr)
+    rhos = _refuse_out_of_range("ergodic_capacity_quadrature", link, rho, p.beta, link.n_t,
+                                check_a=False)
     e, _ = gamma_expectation(p.mu, lambda t: np.log1p(t, out=t), rhos * p.beta / link.n_t,
                              2.0 / p.alpha, growth=1.0)
     return like_grid(rho, e / LN2)

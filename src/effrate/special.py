@@ -436,10 +436,11 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     + log rise).  Nodes run from 45/mu left of the knee, -log(max c)/p (or
     0) less log(decay)/p, where the weight falls as e^(mu x), to where the
     envelope is as far below its peak; more than _MAX_NODES of them raise
-    TruncationError.  The sum on every second node, the two tail bounds and
-    the rounding of a sum that cancels give an error estimate; above 1e-12
-    relative, TruncationError is raised, before any node where e^rise is not
-    a double.
+    TruncationError.  The sum on every second node, the two tail bounds, the
+    rounding of a sum that cancels and that of node values below the normal
+    doubles give an error estimate; above 1e-12 relative, TruncationError is
+    raised, before any node where e^rise is not a double, and naming the
+    overflow where the sum is infinite.
     Returns (E, err): the vector of expectations and that estimate of each.
     """
     if not mu > 0:
@@ -486,9 +487,13 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
         # first secant or the weight's own slope bounds the decay
         slope = np.fmin(np.log(second / first) / h, mu - math.exp(x[0]))
         tails = np.where(slope > 0, first / slope, np.inf) + last / (math.exp(x[-1]) - m)
-    err = _trapezoid_error(full, half, size, rise, tails / h)
+    # each node value below the normal doubles keeps 2^-1074 absolute, their spacing
+    err = _trapezoid_error(full, half, size, rise, tails / h + nodes * 2.0 ** -1074)
     if not np.all(err <= 1e-12):
         i = int(np.argmax(~(err <= 1e-12)))
+        if np.isinf(full[i]):
+            raise TruncationError("gamma_expectation: the sum overflows the doubles at c=%r"
+                                  % math.exp(log_c[i]))
         raise TruncationError(_MISSED % (err[i], math.exp(log_c[i])))
     return h * full, err
 

@@ -178,8 +178,9 @@ def test_rate_invalid_delay_exits_2(capsys):
 
 def test_rate_beyond_the_double_range_exits_2(capsys):
     # 3082.3 dB is rho = 1.7e308, whose kernel argument rho beta / n_t
-    # overflows: one error line naming rho, and no numpy warning before it
-    for method in ("quadrature", "foxh", "nakagami"):
+    # overflows: one error line naming rho, and no numpy warning before it.
+    # The high-SNR asymptote printed inf there after numpy's overflow warning
+    for method in ("quadrature", "foxh", "nakagami", "high-snr"):
         code, out, err = _run(
             [
                 "rate", "--alpha", "2", "--mu", "0.3", "--nt", "1", "--delay-a", "1",
@@ -211,13 +212,15 @@ def test_rate_near_the_top_of_the_double_range_warns_nothing(capsys):
 
 def test_rate_at_stringent_or_subnormal_delay_exits_2(capsys):
     # quadrature and nakagami raised a bare "math range error" at A = 1e4
-    # and 2,500, fox_h at 1e-306 an OverflowError after numpy's warning, and
-    # at A = 5e-324 quadrature printed 9.0 where the A -> 0 limit is 13.29
+    # and 2,500, fox_h at 1e-306 an OverflowError after numpy's warning, at
+    # A = 5e-324 quadrature printed 9.0 where the A -> 0 limit is 13.29, and
+    # at A = 63.35 and 77.48 dB it printed inf, its Gamma-weight sum subnormal
     for alpha, mu, n_t, delay_a, snr_db, method in (
             ("2", "1", "2", "1e4", "0", "quadrature"), ("2", "1", "2", "1e4", "0", "nakagami"),
             ("0.8", "2", "2", "2500", "0", "quadrature"),
             ("2", "8", "1000", "1e-306", "40", "foxh"),
-            ("2", "8", "1000", "5e-324", "40", "quadrature")):
+            ("2", "8", "1000", "5e-324", "40", "quadrature"),
+            ("0.843", "19.41", "5", "63.35", "77.48", "quadrature")):
         code, out, err = _run(["rate", "--alpha", alpha, "--mu", mu, "--nt", n_t, "--delay-a",
                                delay_a, "--snr-db", snr_db, "--method", method], capsys)
         assert code == 2 and out == "", (delay_a, method, out)

@@ -578,6 +578,36 @@ def test_surrogate_rate_grows_with_alpha_and_mu_at_a_fixed_mean_snr():
             assert np.all(np.diff(rates, axis=1) > 0), (n_t, a_qos)
 
 
+def test_branch_laws_are_convex_ordered_in_alpha_and_mu():
+    # The README's proof that the link's rate grows with alpha and mu at a
+    # fixed mean SNR rests on this: of two unit-mean alpha-mu laws adjacent
+    # in alpha (or in mu), the smaller parameter's is the larger in the
+    # convex order.  Equal means make that the order of the stop-loss
+    # transforms pi(t) = E[(gamma - t)+] = Q(mu + 2/alpha, w) - t Q(mu, w),
+    # w = (t / beta)^(alpha/2), beta = Gamma(mu) / Gamma(mu + 2/alpha), Q the
+    # regularized upper incomplete Gamma.  Allowance: 4 eps of the terms'
+    # size, Q(mu + 2/alpha, w) + t Q(mu, w), for the rounding of Q and of the
+    # difference (the largest miss measured was 1.1e-16 of it)
+    alphas, mus = np.geomspace(0.3, 20.0, 12), np.geomspace(0.1, 50.0, 12)
+    t = np.geomspace(1e-8, 60.0, 600)
+    a, m = alphas[:, None, None], mus[None, :, None]
+    w = (t * np.exp(sps.gammaln(m + 2.0 / a) - sps.gammaln(m))) ** (a / 2.0)
+    q_shifted, q = sps.gammaincc(m + 2.0 / a, w), sps.gammaincc(m, w)
+    pi, size = q_shifted - t * q, q_shifted + t * q
+
+    def on_top(pis, sizes):
+        # for each adjacent pair along axis 0, whether the first's pi lies
+        # on top of the second's everywhere in t
+        allowance = 4.0 * np.finfo(float).eps * np.maximum(sizes[:-1], sizes[1:])
+        return np.all(pis[1:] - pis[:-1] <= allowance, axis=-1)
+
+    for axis in (0, 1):  # alpha steps, then mu steps
+        pis, sizes = np.moveaxis(pi, axis, 0), np.moveaxis(size, axis, 0)
+        assert on_top(pis, sizes).all(), axis
+        # swapped, each of the 132 pairs fails: each is apart by at least 1.8e-3
+        assert not on_top(pis[::-1], sizes[::-1]).any(), axis
+
+
 def test_routes_agree_or_refuse_at_stringent_delays():
     # A up to 256, past the box of tests/test_domain.py.  The Gamma-weight
     # trapezoid, told that its integrand falls as (1 + t)^-A, answers at
@@ -641,12 +671,14 @@ def test_exact_routes_refuse_a_subnormal_snr_by_name():
 def test_routes_refuse_both_ends_of_the_double_range_by_name():
     # at 1.7e308 the kernel argument rho beta / n_t (rho omega / (m n_t))
     # overflows: every route raised numpy's overflow warning first; at
-    # 1e-320 ergodic capacity answered a subnormal where the others refused
+    # 1e-320 ergodic capacity answered a subnormal where the others refused.
+    # The high-SNR asymptote refused only this link's A, and at A = 0.1 it
+    # answered inf, after numpy's warning, and -1067; it now names rho first
     link = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=0.3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for route in (rate_exact_quadrature, rate_exact_foxh, rate_nakagami,
-                      ergodic_capacity_quadrature):
+                      ergodic_capacity_quadrature, rate_high_snr):
             for rho, end in ((1.7e308, "large"), (1e-320, "small"), ([1.0, 1.7e308], "large")):
                 with pytest.raises(ValueError, match=r"rho=\S+ is too %s" % end):
                     route(link, rho)
@@ -681,6 +713,45 @@ def test_routes_answer_or_refuse_without_overflow_up_to_1e307():
     # throughout; every other rate route answers, and is compared with the
     # first that does
     assert compared == 15
+
+
+def test_ergodic_capacity_names_the_overflow_at_the_top_of_the_range():
+    # from about rho = 1e306 the integrand log1p(c u^p) sums to inf, and the
+    # refusal read "error nan", from inf - inf, naming neither rho nor the
+    # overflow.  27 of these 100 calls refuse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, mu, n_t in ((0.8, 2.0, 2), (2.0, 1.0, 1), (2.0, 0.3, 1), (2.0, 2.0, 2)):
+            link = MisoLink(n_t=n_t, delay_a=1.0, branch=AlphaMuParams(alpha=alpha, mu=mu))
+            for rho in np.geomspace(1e300, 1.7e308, 25).tolist():
+                try:
+                    ergodic_capacity_quadrature(link, rho)
+                except (ValueError, TruncationError) as exc:
+                    assert re.search(r"\b(rho|c)=", str(exc)) and "nan" not in str(exc), exc
+
+
+def test_gamma_weight_routes_refuse_a_subnormal_sum():
+    # At alpha = 2 the fitted law is the exact sum Gamma(64, 1/64).  From 65
+    # dB, A R passes 1,022 bits, so E is subnormal and so is the kernel's
+    # sum, whose estimate underflowed with it and read 0: quadrature and
+    # nakagami answered 1.7e-10 off at 66 dB and 5.3e-6 at 67 dB.  50-digit
+    # rates from mpmath's w^N U(N; N + 1 - A; w), N = 64, w = N / rho
+    link = MisoLink(n_t=16, delay_a=50.0, branch=AlphaMuParams(alpha=2.0, mu=4.0))
+    exact = {60: 19.080760651521204799, 62: 19.745143649428953009, 64: 20.409527614610369538,
+             65: 20.741719842556112948, 66: 21.073912190107953247, 67: 21.406104632666617007}
+    routes, answered = (rate_exact_quadrature, rate_nakagami), set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for snr_db, want in exact.items():
+            for route in routes:
+                try:
+                    got = route(link, 10.0 ** (snr_db / 10.0))
+                except TruncationError:
+                    continue
+                assert _rel(got, want) <= 1e-12, (snr_db, route.__name__, got)
+                answered.add((snr_db, route))
+    # E is normal up to 64 dB, where both routes answer
+    assert answered >= {(d, r) for d in (60, 62, 64) for r in routes}
 
 
 def test_exact_routes_answer_or_refuse_by_name_at_both_ends_of_a():
