@@ -103,7 +103,11 @@ def moment(params, n):
     arg = mu + 2.0 * n / a
     if arg <= 0:
         raise ValueError("moment: diverges, need mu + 2n/alpha > 0 (got %g)" % arg)
-    return math.exp(n * math.log(params.beta) + math.lgamma(arg) - math.lgamma(mu))
+    try:
+        return math.exp(n * math.log(params.beta) + math.lgamma(arg) - math.lgamma(mu))
+    except OverflowError:
+        raise ValueError("moment: E{gamma^%r} overflows the doubles at alpha=%r, mu=%r"
+                         % (n, a, mu)) from None
 
 
 def sample(params, rng, size=None):

@@ -262,10 +262,12 @@ def wideband_metrics(link):
         (Eb/N0)_min = n_t ln2 / E{S}            (= ln2 / mean branch SNR)
         S0 = 2 E{S}^2 / ((A+1) E{S^2} - A E{S}^2)
 
-    For Nakagami-m branches S0 reduces to 2 m n_t / (A + 1 + m n_t).
+    S0 is scale free and read from the unit-mean branch law; the mean SNR
+    enters (Eb/N0)_min alone.  For Nakagami-m, S0 = 2 m n_t / (A + 1 + m n_t).
     """
-    e1, e2 = channel_power_moments(link)
-    eb_min = link.n_t * LN2 / e1
+    unit = AlphaMuParams(alpha=link.branch.alpha, mu=link.branch.mu)
+    e1, e2 = sum_moments(unit, link.n_t, 1), sum_moments(unit, link.n_t, 2)
+    eb_min = link.n_t * LN2 / (e1 * link.branch.mean_snr)
     a_qos = link.delay_a
     s0 = 2.0 * e1 * e1 / ((a_qos + 1.0) * e2 - a_qos * e1 * e1)
     return eb_min, s0

@@ -454,7 +454,9 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     while m * right - math.exp(right) > m * math.log(m) - m - _TARGET:
         right += 1.0
     left = min(0.0, -float(log_c.max()) / p) - math.log(decay) / p - 45.0 / mu
-    steps = (right - left) / h  # a Python float, which overflows to inf silently
+    # a Python float, which overflows to inf silently; a step rounded to 0
+    # (mu from about 4.5e16, where 1 - 5/m rounds to 1) spans inf nodes too
+    steps = (right - left) / h if h > 0 else math.inf
     if not steps <= _MAX_NODES - 1:
         raise TruncationError("gamma_expectation: %g nodes needed, more than %d"
                               % (steps + 1.0, _MAX_NODES))

@@ -132,24 +132,26 @@ def fit_sum(branch, n_t):
     curve the second increases with log alpha, which fixes alpha.  The scale
     is then fixed exactly by the first moment.  Mean and both ratios come
     from the sum cumulants K_1..K_4 (_sum_cumulants), free of the
-    E{S^4} - E^2{S^2} cancellation.  Residuals are relative mismatches of
-    the two ratios.
+    E{S^4} - E^2{S^2} cancellation, of the unit-mean branch law: the ratios
+    are scale free, and the mean SNR sets the fitted mean K_1 mean_snr
+    alone.  Residuals are relative mismatches of the two ratios.
 
     n_t = 1 short-circuits to the branch parameters with zero residuals.
     alpha = 2 (within 1e-12) short-circuits to the exact sum law
     Gamma(n_t mu), where the solve would be ill-conditioned for a known
     answer; its residuals are those of the two ratios at (2, n_t mu).
-    ValueError is raised unless n_t is a positive integer, or where the
-    moments round so that a variance is not > 0 (alpha near 1e15 and up); an
+    ValueError is raised unless n_t is a positive integer, where a unit-law
+    moment overflows the doubles (alphamu.moment), or where the moments
+    round so that a variance is not > 0 (alpha near 1e15 and up); an
     ArithmeticError or ValueError in the solve raises FitConvergenceError.
     """
-    k1, k2, k3, k4 = _sum_cumulants(branch, n_t, 4)
-    n_t = int(n_t)
     if n_t == 1:
         return SumFit(fitted=branch, residuals=(0.0, 0.0))
+    k1, k2, k3, k4 = _sum_cumulants(AlphaMuParams(alpha=branch.alpha, mu=branch.mu), n_t, 4)
+    n_t, mean = int(n_t), k1 * branch.mean_snr
     t1, t2 = _ratio_targets(k1, k2, k3, k4)
     if abs(branch.alpha - 2.0) <= 1e-12:
-        return _fit_result(2.0, n_t * branch.mu, k1, t1, t2)
+        return _fit_result(2.0, n_t * branch.mu, mean, t1, t2)
 
     lt1, lt2, lu0 = math.log(t1), math.log(t2), math.log(n_t * branch.mu)
 
@@ -161,7 +163,7 @@ def fit_sum(branch, n_t):
     try:
         la = _root(lambda la: _log_ratio(math.exp(la), math.exp(log_mu(la)), 2) - lt2,
                    math.log(branch.alpha), "log alpha", 16.0)
-        return _fit_result(math.exp(la), math.exp(log_mu(la)), k1, t1, t2)
+        return _fit_result(math.exp(la), math.exp(log_mu(la)), mean, t1, t2)
     except (ArithmeticError, ValueError) as err:
         raise FitConvergenceError("fit_sum: %s during the solve" % err)
 

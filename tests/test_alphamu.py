@@ -99,6 +99,15 @@ def test_moment_divergence_guard():
         moment(p, -0.5)
 
 
+def test_moment_overflow_is_named():
+    # E{gamma^3} of a unit-mean Gamma law of shape 1e-300 is about 2e600
+    p = AlphaMuParams(alpha=2.0, mu=1e-300)
+    assert moment(p, 2) > 1e299
+    with pytest.raises(ValueError,
+                       match=r"^moment: E\{gamma\^3\} overflows the doubles at alpha=2\.0, mu=1e-300$"):
+        moment(p, 3)
+
+
 def test_sample_reproducible_and_consistent():
     draws_a = sample(_P, np.random.default_rng(123), size=1000)
     draws_b = sample(_P, np.random.default_rng(123), size=1000)

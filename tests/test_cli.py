@@ -276,6 +276,17 @@ def test_rate_foxh_node_budget_exits_2(capsys):
     assert code == 0 and abs(float(out.split()[-1].split(",")[1]) - 3.36488) < 1e-5, out
 
 
+def test_rate_gamma_weight_zero_step_exits_2(capsys):
+    # from mu near 4.5e16 the kernel's step rounds to 0: that is an infinite
+    # span, refused by the node budget, not a bare division by zero
+    argv = ["rate", "--alpha", "2", "--mu", "1e17", "--nt", "1", "--delay-a", "1",
+            "--snr-db", "10", "--method"]
+    for method in ("nakagami", "quadrature"):
+        code, _, err = _run(argv + [method], capsys)
+        assert code == 2 and err == ("error: gamma_expectation: inf nodes needed, more than %d\n"
+                                     % effrate.special._MAX_NODES), err
+
+
 def test_rate_bad_range_spec(capsys):
     for spec, reason in (
         ("10:0:5", "range needs start < stop"),

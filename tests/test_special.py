@@ -223,6 +223,12 @@ def test_tricomi_log_scaled_frozen_values():
             np.testing.assert_allclose(log_mean_power(64.0, c, 1.0, -4.0), [ref], rtol=1e-12)
 
 
+def test_tricomi_zero_step_is_refused_by_the_node_budget():
+    # at a = 1e17 the Gamma-weight step rounds to 0, an infinite span
+    with pytest.raises(TruncationError, match=r"^gamma_expectation: inf nodes needed"):
+        tricomi_u(1e17, 1.0, 1.0)
+
+
 def test_tricomi_rejects_nonpositive_a():
     with pytest.raises(ValueError):
         tricomi_u(0.0, 1.0, 1.0)
