@@ -37,7 +37,8 @@ class AlphaMuParams:
     """Fading parameters of one alpha-mu SNR variate.
 
     mean_snr is the first moment E{gamma}; the power scale beta is always
-    recomputed from it so the two can never drift apart.
+    recomputed from it so the two can never drift apart.  Both must be normal
+    doubles: a subnormal scale keeps too few digits, as a subnormal rho does.
     """
 
     alpha: float
@@ -45,16 +46,17 @@ class AlphaMuParams:
     mean_snr: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha", "mu", "mean_snr"):
+        for name in ("alpha", "mu"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be finite and > 0, got %r" % (name, getattr(self, name)))
         try:
             beta = self.beta
         except OverflowError:
             beta = math.inf
-        if not 0 < beta < math.inf:
-            raise ValueError("power scale beta = %r out of range at alpha=%r, mu=%r, mean_snr=%r"
-                             % (beta, self.alpha, self.mu, self.mean_snr))
+        for name, scale in (("mean_snr", self.mean_snr), ("power scale beta", beta)):
+            if not sys.float_info.min <= scale < math.inf:
+                raise ValueError("%s = %r is not a normal double at alpha=%r, mu=%r, mean_snr=%r"
+                                 % (name, scale, self.alpha, self.mu, self.mean_snr))
 
     @property
     def beta(self):

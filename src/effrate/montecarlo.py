@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphamu import sample  # noqa: F401  bench/spans.py traces montecarlo.sample
-from .rates import LN2
-from .special import like_grid, positive_grid
+from .rates import LN2, refuse_out_of_range
+from .special import like_grid
 from .splitmix import standard_gamma, stream_keys
 
 _STREAMS = 8  # fewest independent streams the draws of one estimate are split into
@@ -51,12 +51,12 @@ def _stream_plan(cfg):
     return list(zip(stream_keys(cfg.seed, streams), counts))
 
 
-def _accumulate(links, rho, cfg, term_fn):
+def _accumulate(route, links, rho, cfg, term_fn):
     """Stream-ordered mean and variance of term_fn(link, log1p(rho S / n_t),
     out): two (links, rhos) arrays.  The variance sums the squared deviations
     from each stream's own mean, which do not cancel where every term is
     near 1, and adds the streams by the pairwise update of Chan, Golub &
-    LeVeque (1979).
+    LeVeque (1979).  Errors name the route.
 
     Links that share (branch.mu, n_t) share one stream plan and one unit
     Gamma block per stream (common random numbers across the links of a
@@ -73,7 +73,9 @@ def _accumulate(links, rho, cfg, term_fn):
     (column powers, then log1p) and the terms.  While a stream draws, its
     Gamma sampler works in the three vectors.
     """
-    rhos = positive_grid(rho, "rho").tolist()
+    for link in links:  # each call returns the same grid
+        rhos = refuse_out_of_range(route, link, rho, link.branch.beta, link.n_t, check_a=False)
+    rhos, top = rhos.tolist(), float(rhos.max())
     sums = [[[0.0, 0.0] for _ in rhos] for _ in links]  # sum of terms, of squared deviations
     groups = {}
     for i, link in enumerate(links):
@@ -95,6 +97,9 @@ def _accumulate(links, rho, cfg, term_fn):
                 for k in range(1, n_t):
                     s_avg += np.exp(np.multiply(log_w[:, k], power, out=scratch), out=scratch)
                 s_avg *= branch.beta / n_t
+                if not math.isfinite(top * float(s_avg.max())):
+                    raise ValueError("%s: rho=%r is too large: rho S / n_t would overflow the "
+                                     "doubles" % (route, top))
                 for j, rho in enumerate(rhos):
                     log1p_x = np.log1p(np.multiply(s_avg, rho, out=scratch), out=scratch)
                     for i in indices:
@@ -138,14 +143,15 @@ def simulate_rates(links, rho, cfg):
     there the estimate is rounding, not a measurement.  That covers terms
     with no spread (all underflow to 0, all round to 1, or their squared
     deviations underflow), whose half-width would read 0.0; where all
-    underflow, the message says so.
+    underflow, the message says so.  Each link refuses rho as the rate routes
+    do at its branch's beta, and where rho S / n_t overflows on a draw.
     """
     links = list(links)
     if not links:
         raise ValueError("simulate_rates: need at least one link")
     n = cfg.samples
     out = []
-    for link, mean, var in zip(links, *_accumulate(links, rho, cfg, _decay_term)):
+    for link, mean, var in zip(links, *_accumulate("simulate_rates", links, rho, cfg, _decay_term)):
         spread = 1.96 * np.sqrt(var / n)
         resolved = spread > 2.2e-16 * math.log2(n) * mean  # False for a NaN
         if not np.all(resolved):
@@ -167,6 +173,7 @@ def simulate_rate(link, rho, cfg):
 
 def simulate_ergodic_capacity(link, rho, cfg):
     """Monte Carlo E{log2(1 + rho S / n_t)}, the no-QoS ceiling; rho is a
-    scalar or a sequence, with one set of draws serving every rho."""
-    mean, _ = _accumulate([link], rho, cfg, _log_term)
+    scalar or a sequence, with one set of draws serving every rho, refused as
+    simulate_rates refuses it."""
+    mean, _ = _accumulate("simulate_ergodic_capacity", [link], rho, cfg, _log_term)
     return like_grid(rho, mean[0])

@@ -14,10 +14,10 @@ both ends of the SNR axis get dedicated asymptotics.
 
 Every rate route takes (link, rho): rho is a scalar, giving a float, or a
 sequence, giving an array, and a sequence sets the route's kernel up once.
-Each route that takes rho refuses it in one call, _refuse_out_of_range,
-with a ValueError naming rho: an empty grid, an entry that is not finite
-and > 0, or one whose kernel argument or rate would leave the normal
-doubles.
+Each route that takes rho, Monte Carlo's too, refuses it in one call,
+refuse_out_of_range, with a ValueError naming rho: an empty grid, an entry
+that is not finite and > 0, or one whose kernel argument or rate would
+leave the normal doubles.
 """
 
 import math
@@ -63,7 +63,7 @@ class MisoLink:
         return fit_sum(self.branch, self.n_t)
 
 
-def _refuse_out_of_range(route, link, rho, scale, n, check_a=True):
+def refuse_out_of_range(route, link, rho, scale, n, check_a=True):
     """rho as positive_grid's array, or a ValueError naming rho where the
     route's kernel argument, rho * scale / n, or the rate, which nears rho
     mean_snr / ln 2 as rho -> 0, would fall below the normal doubles (a
@@ -104,7 +104,7 @@ def rate_exact_quadrature(link, rho):
     that nothing is lost when rho is tiny (log_mean_power).
     """
     p = link.fit.fitted
-    rhos = _refuse_out_of_range("rate_exact_quadrature", link, rho, p.beta, link.n_t)
+    rhos = refuse_out_of_range("rate_exact_quadrature", link, rho, p.beta, link.n_t)
     c = rhos * p.beta / link.n_t
     log_e = log_mean_power(p.mu, c, 2.0 / p.alpha, -link.delay_a)
     return like_grid(rho, -log_e / (link.delay_a * LN2))
@@ -127,7 +127,7 @@ def rate_exact_foxh(link, rho):
     TruncationError where the rate's estimated relative error exceeds 1e-12.
     """
     p = link.fit.fitted
-    rhos = _refuse_out_of_range("rate_exact_foxh", link, rho, p.beta, link.n_t)
+    rhos = refuse_out_of_range("rate_exact_foxh", link, rho, p.beta, link.n_t)
     a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
     log_z = half_alpha * np.log(link.n_t / (rhos * p.beta))
@@ -177,7 +177,7 @@ def rate_nakagami(link, rho):
     if abs(b.alpha - 2.0) > 1e-12:
         raise ValueError("rate_nakagami: needs alpha = 2, got alpha=%g" % b.alpha)
     mn = b.mu * link.n_t
-    rhos = _refuse_out_of_range("rate_nakagami", link, rho, b.mean_snr, mn)
+    rhos = refuse_out_of_range("rate_nakagami", link, rho, b.mean_snr, mn)
     z = mn / (b.mean_snr * rhos)
     log_u = log_mean_power(mn, 1.0 / z, 1.0, -link.delay_a)
     return like_grid(rho, -log_u / (link.delay_a * LN2))
@@ -218,7 +218,7 @@ def rate_high_snr(link, rho):
     the surrogate's: there the link's rate grows with slope d/A, not 1.
     """
     p = link.fit.fitted
-    rhos = _refuse_out_of_range("rate_high_snr", link, rho, p.beta, link.n_t, check_a=False)
+    rhos = refuse_out_of_range("rate_high_snr", link, rho, p.beta, link.n_t, check_a=False)
     required, conservative = high_snr_validity(link)
     d, d_f = _diversity_orders(link)
     if not required:
@@ -279,10 +279,13 @@ def rate_low_snr(link, eb_n0):
     eb_n0 is a scalar (giving a float) or a sequence (giving an array), as
     rho is for the other routes.  Below the minimum energy per bit no
     positive rate is supportable; such values are clamped to 0 and one
-    warning is raised.
+    warning is raised.  A ValueError names eb_n0 where eb_n0 / eb_n0_min overflows.
     """
     ebs = positive_grid(eb_n0, "eb_n0").tolist()
     eb_min, s0 = wideband_metrics(link)
+    if not math.isfinite(max(ebs) / eb_min):
+        raise ValueError("rate_low_snr: eb_n0=%r is too large: eb_n0 / eb_n0_min would "
+                         "overflow the doubles" % max(ebs))
     if min(ebs) <= eb_min:
         warnings.warn("rate_low_snr: eb_n0 at or below the minimum, rate clamped to 0")
     # math.log2 per point keeps libm's rounding, which numpy's may not match
@@ -305,8 +308,8 @@ def ergodic_capacity_quadrature(link, rho):
     The A -> 0 limit of the effective rate; used as the no-QoS reference.
     """
     p = link.fit.fitted
-    rhos = _refuse_out_of_range("ergodic_capacity_quadrature", link, rho, p.beta, link.n_t,
-                                check_a=False)
+    rhos = refuse_out_of_range("ergodic_capacity_quadrature", link, rho, p.beta, link.n_t,
+                               check_a=False)
     e, _ = gamma_expectation(p.mu, lambda t: np.log1p(t, out=t), rhos * p.beta / link.n_t,
                              2.0 / p.alpha, growth=1.0)
     return like_grid(rho, e / LN2)

@@ -14,7 +14,7 @@ from conftest import numpy_dispatch_note
 
 import effrate.alphamu
 import effrate.special
-from effrate import cli, verify
+from effrate import cli, svg, verify
 from effrate.montecarlo import McConfig, simulate_rate
 
 
@@ -191,6 +191,23 @@ def test_rate_beyond_the_double_range_exits_2(capsys):
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "rho=1.69" in err and "too large" in err, err
+
+
+def test_rate_on_a_subnormal_mean_snr_exits_2(capsys):
+    # a mean SNR of 1e-315 keeps 28 significant bits: at 3000 dB the three
+    # exact routes printed rates 1.5e-9 to 4.0e-9 off the mean-1 link's at
+    # -150 dB, with exit 0
+    for method in ("foxh", "quadrature", "nakagami"):
+        code, out, err = _run(
+            [
+                "rate", "--alpha", "2", "--mu", "1.5", "--nt", "2", "--mean-snr", "1e-315",
+                "--delay-a", "1", "--snr-db", "3000", "--method", method,
+            ],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "mean_snr = 1e-315" in err and "normal double" in err, err
 
 
 def test_rate_near_the_top_of_the_double_range_warns_nothing(capsys):
@@ -391,6 +408,13 @@ def test_rate_curve_validation():
         cli.RateCurve(x_db=(0.0, 1.0), rate=(1.0, 2.0), method="exact")
     with pytest.raises(ValueError):
         cli.RateCurve(x_db=(0.0, 1.0), rate=(1.0, 2.0), method="fox_h", ci_halfwidth=(0.1,))
+    with pytest.raises(ValueError, match="x and rate lengths differ"):
+        cli.RateCurve(x_db=(0.0, 1.0), rate=(1.0,), method="fox_h")
+
+
+def test_nice_ticks_widen_an_empty_range():
+    # a flat curve gives lo == hi; ticks are laid over [lo, lo + 1]
+    assert svg._nice_ticks(1.0, 1.0) == pytest.approx([1.0, 1.2, 1.4, 1.6, 1.8, 2.0])
 
 
 def test_csv_round_trip_exact():

@@ -5,8 +5,17 @@ Every route returns finite values there or raises a typed error whose
 message names the cause, never Python's bare arithmetic message.  The sum
 fit reads the branch shape only, so its alpha, mu and residuals are bitwise
 those at mean SNR 1, and its mean is the mean SNR times the mean-1 one.
+
+A branch whose mean SNR or power scale beta is below the smallest normal
+double is refused by name, as such a rho is.  Short of that, a mean SNR of
+2^-k changes nothing but the scale: at rho = 2^(k-30) every route gives
+bitwise what the mean-1 link gives at rho = 2^-30, and Eb/N0_min is exactly
+2^k times the mean-1 one.  The wideband rate refuses by name an Eb/N0 whose
+ratio to Eb/N0_min overflows.
 """
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -14,13 +23,16 @@ import pytest
 
 from effrate import (
     AlphaMuParams,
+    McConfig,
     MisoLink,
     ergodic_capacity_quadrature,
     fit_sum,
     rate_exact_foxh,
     rate_exact_quadrature,
     rate_high_snr,
+    rate_low_snr,
     rate_nakagami,
+    simulate_rate,
     wideband_metrics,
 )
 
@@ -70,3 +82,66 @@ def test_fit_and_wideband_slope_read_the_shape_only(alpha, mu, n_t):
         eb_min_m, s0_m = wideband_metrics(MisoLink(n_t, 1.0, AlphaMuParams(alpha, mu, m)))
         assert s0_m == s0, m
         assert abs(eb_min_m * m / eb_min - 1.0) <= 4e-16, m
+
+
+def _value_or_error(route, link, rho):
+    try:
+        return route(link, rho)
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+# the routes whose value at rho = 2^(k-30) on the mean-2^-k link is the mean-1
+# link's at 2^-30: the fitted shape, every exact route, both asymptotes,
+# ergodic capacity and Monte Carlo
+SCALE_FREE = {
+    "fit_sum": lambda link, rho: (link.fit.fitted.alpha, link.fit.fitted.mu),
+    "quadrature": rate_exact_quadrature,
+    "fox_h": rate_exact_foxh,
+    "nakagami": rate_nakagami,
+    "high_snr": rate_high_snr,
+    "ergodic": ergodic_capacity_quadrature,
+    "low_snr": lambda link, rho: rate_low_snr(link, 2.0 * wideband_metrics(link)[0]),
+    "monte_carlo": lambda link, rho: simulate_rate(link, rho, McConfig(samples=10_000, seed=1)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", (1000, 1022, 1030, 1050))
+@pytest.mark.parametrize("alpha, mu, n_t", ((2.0, 1.5, 2), (1.5, 2.0, 2), (2.0, 0.5, 2)))
+def test_a_subnormal_scale_is_refused_and_a_normal_one_changes_nothing(alpha, mu, n_t, k):
+    # (2, 0.5) has Gamma(0.5) / Gamma(1.5) = 2, so beta = 2^-1021 admits the
+    # mean 2^-1022, where the other shapes' beta is subnormal.  Means below
+    # the normal doubles were once admitted: quadrature, fox_h and ergodic
+    # capacity were 3.0e-8 off at 2^-1050, and Eb/N0_min was inf at 2^-1030
+    mean_snr = math.ldexp(1.0, -k)
+    if k > 1022 or (k == 1022 and (alpha, mu) != (2.0, 0.5)):
+        scale = "mean_snr" if k > 1022 else "power scale beta"
+        with pytest.raises(ValueError, match="%s = .* is not a normal double" % scale):
+            AlphaMuParams(alpha, mu, mean_snr)
+        return
+    link = MisoLink(n_t, 1.0, AlphaMuParams(alpha, mu, mean_snr))
+    ref = MisoLink(n_t, 1.0, AlphaMuParams(alpha, mu))
+    for name, route in SCALE_FREE.items():
+        if name == "nakagami" and alpha != 2.0:
+            continue
+        got = _value_or_error(route, link, math.ldexp(1.0, k - 30))
+        assert got == _value_or_error(route, ref, math.ldexp(1.0, -30)), (name, got)
+    assert wideband_metrics(link)[0] == math.ldexp(wideband_metrics(ref)[0], k)
+
+
+def test_a_unit_mean_branch_with_a_subnormal_power_scale_is_refused():
+    # beta = Gamma(1500) / Gamma(1600) = 9.7e-320 at mean SNR 1
+    with pytest.raises(ValueError, match="power scale beta = 9.7"):
+        AlphaMuParams(alpha=0.02, mu=1500.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_wideband_rate_refuses_the_ratio_that_overflows():
+    # at mean SNR 1e300 Eb/N0_min is 6.9e-301, so eb_n0 / Eb/N0_min overflows
+    # from an Eb/N0 of about 1.25e8; the rate read inf there, with no warning
+    link = MisoLink(2, 1.0, AlphaMuParams(1.5, 2.0, 1e300))
+    assert math.isfinite(rate_low_snr(link, 1e8))
+    for eb_n0, named in ((1e10, 1e10), (1e300, 1e300), ([1e8, 1e10], 1e10)):
+        with pytest.raises(ValueError, match="eb_n0=%s is too large" % re.escape(repr(named))):
+            rate_low_snr(link, eb_n0)

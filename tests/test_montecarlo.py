@@ -378,6 +378,26 @@ def test_rate_rejects_bad_snr():
             simulate_rate(_RAYLEIGH, bad, McConfig(samples=10_000, seed=0))
 
 
+def test_rho_beyond_the_double_range_is_refused_by_name():
+    # At 1e-320 the kernel argument is subnormal: ergodic capacity returned
+    # 1.433e-320.  At 1.7e308 rho S / n_t overflows on the largest draws, and
+    # each such draw counted as a term of 0 where every term is of order
+    # (rho S)^-A: the rate read 11.6-12.0 half-widths above fox_h's 1022.1209
+    # (seeds 1-3), ergodic capacity inf, both after numpy's overflow warning
+    link = MisoLink(n_t=2, delay_a=0.5, branch=AlphaMuParams(alpha=0.8, mu=2.0))
+    cfg = McConfig(samples=100_000, seed=1)
+    for route in (simulate_rate, simulate_ergodic_capacity):
+        for rho, end in ((1e-320, "small"), (1.7e308, "large"), ([1.0, 1.7e308], "large")):
+            with pytest.raises(ValueError, match=r"^simulate_\w+: rho=.* is too %s" % end):
+                route(link, rho, cfg)
+    # at 1e300 every draw's product is a double, and the estimates stand
+    rate, halfwidth = simulate_rate(link, 1e300, cfg)
+    assert rate == pytest.approx(994.7104032093115, rel=1e-12)
+    assert halfwidth == pytest.approx(0.01791393628782944, rel=1e-12)
+    assert simulate_ergodic_capacity(link, 1e300, cfg) == pytest.approx(995.4653446777312,
+                                                                         rel=1e-12)
+
+
 def test_ergodic_estimate():
     link = MisoLink(n_t=2, delay_a=1.0, branch=AlphaMuParams(alpha=4.0, mu=2.0))
     est = simulate_ergodic_capacity(link, 10.0, McConfig(samples=400_000, seed=11))

@@ -1058,6 +1058,15 @@ def test_parametric_curve_hits_intercept():
         assert abs(offset_db) < 0.05
 
 
+def test_parametric_curve_refuses_a_rate_that_is_not_positive(monkeypatch):
+    # quadrature's rate is positive wherever it answers, so only a stand-in
+    # that returns zeros reaches the refusal; without it rho / R divides by 0
+    monkeypatch.setattr("effrate.rates.rate_exact_quadrature",
+                        lambda link, rho: np.zeros(len(rho)))
+    with pytest.raises(ArithmeticError, match="rate is not positive at rho="):
+        parametric_eb_n0(_EXP_LINK, [1e-4, 1.0])
+
+
 def test_channel_power_moments_exponential():
     # two exponential branches: E{S} = 2, E{S^2} = 2*2 + 2*1 = 6
     link = MisoLink(n_t=2, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=1.0))
