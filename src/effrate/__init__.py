@@ -9,7 +9,6 @@ from .alphamu import AlphaMuParams, moment, pdf, sample
 from .montecarlo import McConfig, simulate_ergodic_capacity, simulate_rate, simulate_rates
 from .rates import (
     MisoLink,
-    channel_power_moments,
     ergodic_capacity_quadrature,
     high_snr_validity,
     parametric_eb_n0,
@@ -41,7 +40,6 @@ __all__ = [
     "MisoLink",
     "SumFit",
     "TruncationError",
-    "channel_power_moments",
     "ergodic_capacity_quadrature",
     "fit_sum",
     "fox_h",

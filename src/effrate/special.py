@@ -290,9 +290,8 @@ _MARGIN = 10.0  # nats of accuracy the step and the cut-off aim for beyond 1e-12
 _TARGET = _MARGIN - math.log(1e-12)  # nats below its peak an integrand is resolved to
 _SADDLE_SLACK = 4.0  # nats the line of a finite strip may lie above its lowest trial abscissa
 _BLOCK = 1 << 14  # entries per block of a (points x nodes) matrix
-_MAX_NODES = 1 << 22  # node cap of gamma_expectation, 32 MB per array of nodes
+_MAX_NODES = 1 << 22  # node cap of gamma_sums, 32 MB per array of nodes
 _LOG_MAX = math.log(sys.float_info.max)  # the largest rise whose e^rise is a double
-_MISSED = "gamma_expectation: error %g at c=%r exceeds 1e-12"
 
 
 def _trapezoid_error(full, half, size, rise, tail):
@@ -416,7 +415,7 @@ def _phase_sums(w, h, log_z):
     return full, half
 
 
-def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
+def gamma_sums(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     """E[g(c U^p)] for U ~ Gamma(mu, 1), for every c > 0 of a vector.
 
     The trapezoid rule in x = log u converges geometrically (Trefethen &
@@ -435,13 +434,14 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     cos(p d/2)^-(decay - 1).  The step is 2 pi d / (log(1/1e-12) + margin
     + log rise).  Nodes run from 45/mu left of the knee, -log(max c)/p (or
     0) less log(decay)/p, where the weight falls as e^(mu x), to where the
-    envelope is as far below its peak; more than _MAX_NODES of them raise
-    TruncationError.  The sum on every second node, the two tail bounds, the
+    envelope is as far below its peak; more than _MAX_NODES of them, or an
+    e^rise that is not a double, raise TruncationError before any node is
+    made.  A node whose c u^p is not a double, which g receives as inf, is
+    no node to the right-tail bound of its row: that starts at the last
+    node before it.  The sum on every second node, the two tail bounds, the
     rounding of a sum that cancels and that of node values below the normal
-    doubles give an error estimate; above 1e-12 relative, TruncationError is
-    raised, before any node where e^rise is not a double, and naming the
-    overflow where the sum is infinite.
-    Returns (E, err): the vector of expectations and that estimate of each.
+    doubles give an error estimate.  Returns (E, err): the vector of
+    expectations and that estimate of each, which gamma_expectation judges.
     """
     if not mu > 0:
         raise ValueError("gamma_expectation: need mu > 0, got mu=%r" % (mu,))
@@ -461,12 +461,13 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
         raise TruncationError("gamma_expectation: %g nodes needed, more than %d"
                               % (steps + 1.0, _MAX_NODES))
     if not rise <= _LOG_MAX:  # _trapezoid_error would be infinite at every c
-        raise TruncationError(_MISSED % (math.inf, math.exp(log_c[0])))
+        raise TruncationError("gamma_expectation: error inf at c=%r exceeds 1e-12"
+                              % math.exp(log_c[0]))
     nodes = math.ceil(steps) + 1
     x = left + h * np.arange(nodes)
     w = np.exp(mu * x - np.exp(x) - math.lgamma(mu))
     px = p * x
-    sums = np.empty((6, len(log_c)))
+    sums = np.empty((7, len(log_c)))
     rows = max(1, _BLOCK // len(x))
     block = np.empty((min(rows, len(log_c)), len(x)))
     for i in range(0, len(log_c), rows):
@@ -475,56 +476,83 @@ def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
         t = block[:len(log_c) - i]
         t[:] = px
         t += log_c[i:i + rows, None]
-        with np.errstate(over="ignore"):  # an overflowed t is inf, the IEEE c u^p
+        end = np.full(len(t), len(x) - 1)  # each row's last node whose c u^p is a double
+        if t[:, -1].max() > _LOG_MAX:
+            end -= np.count_nonzero(t > _LOG_MAX, axis=1)
+        with np.errstate(over="ignore"):  # past it, g receives inf
             np.exp(t, out=t)
         f = g(t)
         f *= w
         sums[:2, i:i + rows] = f.sum(axis=1), f[:, ::2].sum(axis=1)
         np.abs(f, out=f)
         sums[2, i:i + rows] = f.sum(axis=1)
-        sums[3:, i:i + rows] = f[:, [0, 1, -1]].T
-    full, half, size, first, second, last = sums
+        sums[3:, i:i + rows] = f[:, 0], f[:, 1], f[np.arange(len(f)), end], x[end]
+    full, half, size, first, second, last, x_end = sums
     with np.errstate(divide="ignore", invalid="ignore"):
         # on the left log|f| is concave, or g rises with t, so either the
         # first secant or the weight's own slope bounds the decay
         slope = np.fmin(np.log(second / first) / h, mu - math.exp(x[0]))
-        tails = np.where(slope > 0, first / slope, np.inf) + last / (math.exp(x[-1]) - m)
+        tails = np.where(slope > 0, first / slope, np.inf) + last / np.fmax(np.exp(x_end) - m, 0.0)
     # each node value below the normal doubles keeps 2^-1074 absolute, their spacing
     err = _trapezoid_error(full, half, size, rise, tails / h + nodes * 2.0 ** -1074)
-    if not np.all(err <= 1e-12):
-        i = int(np.argmax(~(err <= 1e-12)))
-        if np.isinf(full[i]):
-            raise TruncationError("gamma_expectation: the sum overflows the doubles at c=%r"
-                                  % math.exp(log_c[i]))
-        raise TruncationError(_MISSED % (err[i], math.exp(log_c[i])))
     return h * full, err
 
 
-def log_mean_power(mu, c, p, k):
-    """log E[(1 + c U^p)^k] for U ~ Gamma(mu, 1) and a vector c > 0.  Where E
-    is within a factor 2 of 1 and its own sum misses 1e-12 of log E, E - 1
-    is summed as well, as the mean of expm1(k log1p(c U^p)), so that a small
-    logarithm keeps its digits.  The miss counts the kernel's estimate and
-    the weight's rounding: its exponent mu x - e^x - lgamma(mu) near the peak
-    x = log mu sums terms of size mu |log mu|, mu and |lgamma(mu)|, each off
-    by eps = 2.2e-16 of itself, and its exp, the integrand and their product
-    add eps each.
+def refuse_missed(route, err, name, at, sums=None):
+    """Raise TruncationError naming route and name=at[i] at the first i whose
+    error estimate err[i] misses 1e-12, and the overflow where sums[i] is inf."""
+    missed = ~(err <= 1e-12)
+    if missed.any():
+        i = int(np.argmax(missed))
+        at = float(np.ravel(at)[i])
+        if sums is not None and np.isinf(sums[i]):
+            raise TruncationError("%s: the sum overflows the doubles at %s=%r" % (route, name, at))
+        raise TruncationError("%s: error %g at %s=%r exceeds 1e-12" % (route, err[i], name, at))
+
+
+def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
+    """gamma_sums' (E, err), raising TruncationError where err exceeds 1e-12."""
+    e, err = gamma_sums(mu, g, c, p, growth, decay)
+    refuse_missed("gamma_expectation", err, "c", c, e)
+    return e, err
+
+
+def log_mean_sums(mu, c, p, k):
+    """(log E, err): log E[(1 + c U^p)^k] for U ~ Gamma(mu, 1) and a vector
+    c > 0, and an estimate of its error relative to |log E| (inf where log
+    E is not finite), unjudged.  Where E is within a factor 2 of 1 and its
+    own sum misses 1e-12 of |log E|, E - 1 is summed as well, as the mean of
+    expm1(k log1p(c U^p)), so that a small logarithm keeps its digits.  That
+    miss counts the weight's rounding: its exponent mu x - e^x - lgamma(mu)
+    near the peak x = log mu sums terms of size mu |log mu|, mu and
+    |lgamma(mu)|, each off by eps = 2.2e-16 of itself, and its exp, the
+    integrand and their product add eps each.
     """
     c = np.atleast_1d(c)
     if k == 0:
-        return np.zeros(c.size)
+        return np.zeros(c.size), np.zeros(c.size)
 
     def integrand(last):
         # last(k log1p(t)), formed in t itself
         return lambda t: last(np.multiply(np.log1p(t, out=t), k, out=t), out=t)
 
-    e, err = gamma_expectation(mu, integrand(np.exp), c, p, max(k, 0.0), max(-k, 1.0))
-    log_e = np.log(e)
+    e, err = gamma_sums(mu, integrand(np.exp), c, p, max(k, 0.0), max(-k, 1.0))
     rounding = 2.2e-16 * (3.0 + mu * abs(math.log(mu)) + mu + abs(math.lgamma(mu)))
-    near = ~(np.abs(log_e) > math.log(2.0)) & ~(err + rounding <= 1e-12 * np.abs(log_e))
-    if near.any():
-        log_e[near] = np.log1p(gamma_expectation(
-            mu, integrand(np.expm1), c[near], p, max(k, 1.0))[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_e = np.log(e)
+        near = ~(np.abs(log_e) > math.log(2.0)) & ~(err + rounding <= 1e-12 * np.abs(log_e))
+        err = np.where(np.isfinite(log_e), err / np.abs(log_e), np.inf)
+        if near.any():
+            e_minus_1, err_1 = gamma_sums(mu, integrand(np.expm1), c[near], p, max(k, 1.0))
+            log_e[near] = np.log1p(e_minus_1)
+            err[near] = err_1 * np.abs(e_minus_1 / ((1.0 + e_minus_1) * log_e[near]))
+    return log_e, err
+
+
+def log_mean_power(mu, c, p, k):
+    """log_mean_sums' log E, raising TruncationError where it misses 1e-12 of E."""
+    log_e, err = log_mean_sums(mu, c, p, k)
+    refuse_missed("log_mean_power", err * np.abs(log_e), "c", c)
     return log_e
 
 

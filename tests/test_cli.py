@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -225,6 +226,19 @@ def test_rate_near_the_top_of_the_double_range_warns_nothing(capsys):
     assert (code, err) == (0, ""), err
     assert [str(w.message) for w in caught] == []
     assert out == "snr_db,rate,method,ci_halfwidth\n3050.0,1011.3895640338642,quadrature,\n"
+
+
+def test_rate_whose_tail_leaves_the_doubles_exits_2(capsys):
+    # at 3080 dB (rho = 1e308) c u^p overflows inside the Gamma weight's
+    # body: quadrature and nakagami took those nodes' integrand as its limit
+    # 0 and printed 1022.6145349896801, 4.5e-5 off the rate 1022.56889072459
+    argv = ["rate", "--alpha", "2", "--mu", "3", "--nt", "1", "--delay-a", "1",
+            "--snr-db", "3080", "--method"]
+    for method, route in (("quadrature", "rate_exact_quadrature"), ("nakagami", "rate_nakagami")):
+        code, out, err = _run(argv + [method], capsys)
+        assert (code, out) == (2, ""), (method, out)
+        named = r"error: %s: error \S+ at rho=1e\+308 exceeds 1e-12\n" % route
+        assert re.fullmatch(named, err), err
 
 
 def test_rate_at_stringent_or_subnormal_delay_exits_2(capsys):
@@ -805,13 +819,13 @@ def test_negative_seed_is_refused_by_name(tmp_path, capsys):
 def test_verify_identities_flag_a_biased_gamma_kernel(monkeypatch):
     # negative control: a 1e-7 relative bias in the Gamma-weight kernel must
     # fail the special-function identities, whose Tricomi points reach it
-    orig = effrate.special.gamma_expectation
+    orig = effrate.special.gamma_sums
 
     def biased(*args, **kw):
         e, err = orig(*args, **kw)
         return e * (1.0 + 1e-7), err
 
-    monkeypatch.setattr(effrate.special, "gamma_expectation", biased)
+    monkeypatch.setattr(effrate.special, "gamma_sums", biased)
     assert "special-function-identities" in verify.run_verification(out=io.StringIO())
 
 

@@ -6,6 +6,10 @@ message names the cause, never Python's bare arithmetic message.  The sum
 fit reads the branch shape only, so its alpha, mu and residuals are bitwise
 those at mean SNR 1, and its mean is the mean SNR times the mean-1 one.
 
+At the top of the SNR range every exact route answers within 1e-12 of the
+high-SNR expansion, whose next term there is below 1e-250, or refuses by
+name; the Gamma-weight kernel counts no node whose c u^p leaves the doubles.
+
 A branch whose mean SNR or power scale beta is below the smallest normal
 double is refused by name, as such a rho is.  Short of that, a mean SNR of
 2^-k changes nothing but the scale: at rho = 2^(k-30) every route gives
@@ -25,6 +29,7 @@ from effrate import (
     AlphaMuParams,
     McConfig,
     MisoLink,
+    TruncationError,
     ergodic_capacity_quadrature,
     fit_sum,
     rate_exact_foxh,
@@ -145,3 +150,39 @@ def test_wideband_rate_refuses_the_ratio_that_overflows():
     for eb_n0, named in ((1e10, 1e10), (1e300, 1e300), ([1e8, 1e10], 1e10)):
         with pytest.raises(ValueError, match="eb_n0=%s is too large" % re.escape(repr(named))):
             rate_low_snr(link, eb_n0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_routes_answer_within_1e_12_or_refuse_at_the_top_of_the_range():
+    # n_t = 1, so the fitted law is the branch's, and where mu - 2A/alpha > 1
+    # and mu - 2(A + 1)/alpha > 0 the rate is
+    #     R = log2(rho beta) - (lgamma(mu - 2A/alpha) - lgamma(mu)) / (A ln 2)
+    # up to O(1/(rho beta)), beta = Gamma(mu) / Gamma(mu + 2/alpha).  The
+    # Gamma-weight kernel took a node whose c u^p overflowed as one whose
+    # integrand was its limit 0 and bounded the right tail from past it:
+    # from rho = 3e307, 14 quadrature and 4 nakagami answers were off, by
+    # up to 3.1e-4 on (3, 2, A 1) at 1.7e308 and 2.8e-4 on (2, 3, A 1)
+    answered = 0
+    for alpha in (0.8, 1.5, 2.0, 3.0, 4.0, 8.0):
+        for mu in (0.75, 1.0, 2.0, 3.0):
+            for a_qos in (0.5, 1.0, 2.0):
+                shift = 2.0 * a_qos / alpha
+                if not (mu - shift > 1.0 and mu - shift - 2.0 / alpha > 0.0):
+                    continue
+                link = MisoLink(1, a_qos, AlphaMuParams(alpha, mu))
+                beta = math.exp(math.lgamma(mu) - math.lgamma(mu + 2.0 / alpha))
+                gap = (math.lgamma(mu - shift) - math.lgamma(mu)) / (a_qos * math.log(2.0))
+                routes = [rate_exact_quadrature, rate_exact_foxh] + [rate_nakagami] * (alpha == 2)
+                for rho in (1e250, 1e280, 1e300, 1e304, 1e306, 1e307, 3e307, 1e308, 1.7e308):
+                    want = math.log2(rho * beta) - gap
+                    for route in routes:
+                        try:
+                            got = route(link, rho)
+                        except (ValueError, TruncationError) as exc:
+                            named = str(exc).startswith(route.__name__ + ":") and "rho=" in str(exc)
+                            assert named, exc
+                            continue
+                        assert abs(got / want - 1.0) <= 1e-12, (alpha, mu, a_qos, rho, route, got)
+                        answered += 1
+    # 213 of the 405 calls; quadrature answers 17 of the 21 links up to 1e307
+    assert answered >= 213
