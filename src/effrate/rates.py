@@ -142,13 +142,13 @@ def rate_exact_foxh(link, rho):
         # the node values and of these logs, eps times their size, which the
         # same ratio, at most err / eps, magnifies: err * size bounds it
         size = abs(log_k) + np.abs(log_scale) + np.abs(log_scaled)
-        low = ~(log_e < -LN2) & ~(err * (1.0 + size) <= 1e-12 * np.abs(log_e))
+        low = (log_e >= -LN2) & ~(err * (1.0 + size) <= 1e-12 * np.abs(log_e))
         if low.any():
             log_scale, scaled, err_low = contour_integral(spec, 1.5 / p.alpha, log_z[low])
             e_minus_1 = np.exp(log_k + log_scale) * scaled
             log_e[low] = np.log1p(e_minus_1)
             err[low] = err_low * np.abs(e_minus_1) / (1.0 + e_minus_1)
-        err /= np.abs(log_e)
+        err = np.where(np.isfinite(log_e), err / np.abs(log_e), np.inf)
     refuse_missed("rate_exact_foxh", err, "rho", rhos)
     return like_grid(rho, -log_e / (a_qos * LN2))
 

@@ -259,6 +259,18 @@ def test_rate_at_stringent_or_subnormal_delay_exits_2(capsys):
         assert "math range error" not in err, err
 
 
+def test_rate_at_stringent_delay_names_the_route_and_rho(capsys):
+    # at A = 1e4 the Gamma weight's rise, e^rise, is not a double: the
+    # kernel's estimate is inf before any node, and the route's judge names
+    # the route and rho, not "gamma_expectation" and the kernel's c
+    argv = ["rate", "--alpha", "2", "--mu", "1", "--nt", "2", "--delay-a", "1e4",
+            "--snr-db", "0", "--method"]
+    for method, route in (("quadrature", "rate_exact_quadrature"), ("nakagami", "rate_nakagami")):
+        code, out, err = _run(argv + [method], capsys)
+        assert (code, out) == (2, ""), (method, out)
+        assert err == "error: %s: error inf at rho=1.0 exceeds 1e-12\n" % route, err
+
+
 def test_rate_nakagami_needs_alpha_two(capsys):
     code, _, err = _run(
         [

@@ -6,7 +6,8 @@ replaces the name).  No module imports an underscore-prefixed name from
 another effrate module.  The package's `__init__` must export exactly what
 it imports.  Every module-level function and class, and every non-dunder
 method, is referenced somewhere in the package, so code kept only for the
-tests cannot stay unnoticed.  No module forms a matrix product.
+tests cannot stay unnoticed.  No module forms a matrix product.  Only
+special.refuse_missed refuses a result on its error estimate.
 """
 
 import ast
@@ -130,3 +131,27 @@ def test_no_module_forms_a_matrix_product(path):
             if any("linalg" in n.split(".") for n in names):
                 found.append((node.lineno, "linalg"))
     assert not found, "%s forms a matrix product: %r" % (path.name, found)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_only_refuse_missed_refuses_on_an_error_estimate(path):
+    # one judge, special.refuse_missed, names the route and the point of an
+    # estimate that misses 1e-12; a kernel that judged its own named itself
+    # and its internal argument instead.  The only other TruncationError is
+    # a node-budget refusal, made before the nodes, whose message names the
+    # budget: its nodes and a %d
+    tree, _ = _parse(path)
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "refuse_missed":
+            continue
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", getattr(call.func, "id", None))
+                    == "TruncationError"):
+                continue
+            text = " ".join(node.value for arg in call.args for node in ast.walk(arg)
+                            if isinstance(node, ast.Constant) and isinstance(node.value, str))
+            if not ("nodes" in text and "%d" in text):
+                found.add((call.lineno, func.name))
+    assert not found, "%s refuses on an estimate outside refuse_missed: %r" % (path.name, found)

@@ -688,11 +688,12 @@ def test_routes_answer_or_refuse_without_overflow_up_to_1e307():
     # the Gamma-weight kernel's exp forming t = c u^p overflowed from about
     # rho = 1e305: numpy's overflow warning, an error under this filter,
     # even where the route then answered correctly.  A node whose c u^p is
-    # not a double is no node: g receives inf there, no overflow is
+    # not a double adds no term: g receives inf there, no overflow is
     # raised, and each row's right-tail bound starts at its last node before
     # it, so a rate whose tail lies past the doubles is refused, not
     # answered from the integrand's limit; a growing integrand (ergodic
-    # capacity) sums to inf and is refused
+    # capacity) answers where the nodes left meet 1e-12 and is refused
+    # by its error estimate where they do not
     compared = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -731,6 +732,16 @@ def test_ergodic_capacity_names_the_overflow_at_the_top_of_the_range():
                     ergodic_capacity_quadrature(link, rho)
                 except (ValueError, TruncationError) as exc:
                     assert re.search(r"\b(rho|c)=", str(exc)) and "nan" not in str(exc), exc
+        # a node whose c u^p overflows adds no term, so where the rest of the
+        # sum meets 1e-12 the capacity answers: at n_t = 1 and alpha = 2 it is
+        # log2(rho beta) + psi(mu) / ln 2 up to O(1/(rho beta)), beta = 1/mu,
+        # with psi(mu) from mpmath at 40 digits.  Both refused with the overflow
+        for mu, rho, psi in ((0.3, 1e306, -3.502524222200132988964494507371981599538),
+                             (3.0, 1e307, 0.9227843350984671393934879099175975689578)):
+            link = MisoLink(n_t=1, delay_a=1.0, branch=AlphaMuParams(alpha=2.0, mu=mu))
+            beta = math.exp(math.lgamma(mu) - math.lgamma(mu + 1.0))
+            want = math.log2(rho * beta) + psi / math.log(2.0)
+            assert _rel(ergodic_capacity_quadrature(link, rho), want) <= 1e-12, (mu, rho)
 
 
 def test_gamma_weight_routes_refuse_a_subnormal_sum():
