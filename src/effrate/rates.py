@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .alphamu import AlphaMuParams
-from .special import (FoxHSpec, contour_integral, contour_integrals, gamma_expectation,
-                      lgamma_slope, like_grid, log_mean_sums, positive_grid, refuse_missed)
+from .special import (FoxHSpec, contour_integral, contour_integrals, gamma_expectation, like_grid,
+                      lgamma_slope, log_mean_sums, log_near_one, positive_grid, refuse_missed)
 # unused here: bench/spans.py traces calls through rates.fox_h and rates.tricomi_u
 from .special import fox_h, tricomi_u  # noqa: F401
 from .sumfit import fit_sum, sum_moments
@@ -120,37 +120,33 @@ def rate_exact_foxh(link, rho):
     in the fitted sum parameters.  H comes from the line
     FoxHSpec.contour_abscissa picks: the strip midpoint, or a line nearer
     the saddle where the midpoint's sum would cancel away digits (high SNR
-    with large fitted mu and A).  Where E > 1/2 and that line misses 1e-12
-    of log E, rounding counted, the line Re s = 1.5/alpha, 3/4 of the way
-    from the pole at s = 0 (whose residue is the 1) to the next at 2/alpha,
-    gives E - 1 as well, so a small 1 - E keeps its digits; the nearer that
-    next pole, whose residue leads E - 1, the less the sum cancels.
+    with large fitted mu and A).  Where log_near_one asks for E - 1, the
+    line Re s = 1.5/alpha, 3/4 of the way from the pole at s = 0 (whose
+    residue is the 1) to the next at 2/alpha, gives it; the nearer that next
+    pole, whose residue leads E - 1, the less the sum cancels.
     """
     p = link.fit.fitted
     rhos = refuse_out_of_range("rate_exact_foxh", link, rho, p.beta, link.n_t)
-    a_qos = link.delay_a
     half_alpha = 0.5 * p.alpha
     log_z = half_alpha * np.log(link.n_t / (rhos * p.beta))
     spec = FoxHSpec(m=2, n=1, upper_pairs=((1.0, half_alpha),),
-                    lower_pairs=((p.mu, 1.0), (a_qos, half_alpha)))
-    log_k = math.log(half_alpha) - math.lgamma(a_qos) - math.lgamma(p.mu)
+                    lower_pairs=((p.mu, 1.0), (link.delay_a, half_alpha)))
+    log_k = math.log(half_alpha) - math.lgamma(link.delay_a) - math.lgamma(p.mu)
+
+    def e_minus_1(low):
+        log_scale, scaled, err_low = contour_integral(spec, 1.5 / p.alpha, log_z[low])
+        return np.exp(log_k + log_scale) * scaled, err_low
+
     log_scale, scaled, err = contour_integrals(spec, log_z)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_scaled = np.log(scaled)
-        log_e = log_k + log_scale + log_scaled
         # err counts the sum's rounding, eps sum|w| / |sum w|, but not that of
         # the node values and of these logs, eps times their size, which the
         # same ratio, at most err / eps, magnifies: err * size bounds it
         size = abs(log_k) + np.abs(log_scale) + np.abs(log_scaled)
-        low = (log_e >= -LN2) & ~(err * (1.0 + size) <= 1e-12 * np.abs(log_e))
-        if low.any():
-            log_scale, scaled, err_low = contour_integral(spec, 1.5 / p.alpha, log_z[low])
-            e_minus_1 = np.exp(log_k + log_scale) * scaled
-            log_e[low] = np.log1p(e_minus_1)
-            err[low] = err_low * np.abs(e_minus_1) / (1.0 + e_minus_1)
-        err = np.where(np.isfinite(log_e), err / np.abs(log_e), np.inf)
+        log_e, err = log_near_one(log_k + log_scale + log_scaled, err, err * (1 + size), e_minus_1)
     refuse_missed("rate_exact_foxh", err, "rho", rhos)
-    return like_grid(rho, -log_e / (a_qos * LN2))
+    return like_grid(rho, -log_e / (link.delay_a * LN2))
 
 
 def rate_nakagami(link, rho):

@@ -163,7 +163,7 @@ def tricomi_u(a, b, z):
         raise ValueError("tricomi_u: need a > 0, got a=%r" % (a,))
     zs = positive_grid(z, "z")
     log_e, err = log_mean_sums(a, 1.0 / zs, 1.0, b - a - 1.0)
-    refuse_missed("tricomi_u", err * np.abs(log_e), "z", zs)
+    refuse_missed("tricomi_u", np.where(np.isfinite(log_e), err * np.abs(log_e), np.inf), "z", zs)
     return like_grid(z, np.exp(log_e - a * np.log(zs)))
 
 
@@ -305,12 +305,12 @@ def _trapezoid_error(full, half, size, rise, tail):
     strip inflates by e^rise), size the sum of the terms' magnitudes and
     tail a bound on what the nodes leave out, both in the sum's units.
     Rounding: a sum that cancels keeps about eps size / |full| of itself.
-    Where e^rise is not a double, the estimate is infinite.
+    Where e^rise is not a double or full is not finite, the estimate is inf.
     """
-    mag = np.abs(full)
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = ((full - 2.0 * half) ** 2 * np.exp(-rise) / size + tail) / mag + 2.2e-16 * size / mag
-    return np.where(rise <= _LOG_MAX, err, math.inf)
+        d, mag = full - 2.0 * half, np.abs(full)  # d (d / size): d^2 overflows from |d| = 1e154
+        err = (d * (d / size) * np.exp(-rise) + tail) / mag + 2.2e-16 * size / mag
+    return np.where((rise <= _LOG_MAX) & np.isfinite(full), err, math.inf)
 
 
 def contour_integral(spec, c, log_z):
@@ -444,8 +444,8 @@ def gamma_sums(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     its row's right-tail bound starts at the last node before it.  The sum
     on every second node, the two tail bounds, the rounding of a sum that
     cancels and that of node values below the normal doubles give an error
-    estimate.  Returns (E, err): the vector of expectations and that
-    estimate of each, unjudged.
+    estimate, inf where the sum is not finite (g or its product with the
+    weight overflowed).  Returns (E, err), unjudged.
     """
     if not mu > 0:
         raise ValueError("gamma_expectation: need mu > 0, got mu=%r" % (mu,))
@@ -483,12 +483,12 @@ def gamma_sums(mu, g, c, p=1.0, growth=0.0, decay=1.0):
         past = t > _LOG_MAX if t[:, -1].max() > _LOG_MAX else None
         if past is not None:
             end -= np.count_nonzero(past, axis=1)
-        with np.errstate(over="ignore"):  # past it, g receives inf
+        with np.errstate(over="ignore", invalid="ignore"):  # past it, g receives inf
             np.exp(t, out=t)
-        f = g(t)
-        if past is not None:  # and those nodes add no term
-            f[past] = 0.0
-        f *= w
+            f = g(t)
+            if past is not None:  # and those nodes add no term
+                f[past] = 0.0
+            f *= w
         sums[:2, i:i + rows] = f.sum(axis=1), f[:, ::2].sum(axis=1)
         np.abs(f, out=f)
         sums[2, i:i + rows] = f.sum(axis=1)
@@ -504,35 +504,44 @@ def gamma_sums(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     return h * full, err
 
 
-def refuse_missed(route, err, name, at, sums=None):
+def refuse_missed(route, err, name, at):
     """Raise TruncationError naming route and name=at[i] at the first i whose
-    error estimate err[i] misses 1e-12, and the overflow where sums[i] is inf."""
-    missed = ~(err <= 1e-12)
-    if missed.any():
-        i = int(np.argmax(missed))
-        at = float(np.ravel(at)[i])
-        if sums is not None and np.isinf(sums[i]):
-            raise TruncationError("%s: the sum overflows the doubles at %s=%r" % (route, name, at))
-        raise TruncationError("%s: error %g at %s=%r exceeds 1e-12" % (route, err[i], name, at))
+    error estimate err[i] misses 1e-12 (a sum that overflows reads inf)."""
+    i = int(np.argmin(err <= 1e-12))  # the first that misses, else 0, which meets it
+    if not err[i] <= 1e-12:
+        raise TruncationError("%s: error %g at %s=%r exceeds 1e-12"
+                              % (route, err[i], name, float(np.ravel(at)[i])))
 
 
 def gamma_expectation(mu, g, c, p=1.0, growth=0.0, decay=1.0):
     """gamma_sums' (E, err), raising TruncationError where err exceeds 1e-12."""
     e, err = gamma_sums(mu, g, c, p, growth, decay)
-    refuse_missed("gamma_expectation", err, "c", c, e)
+    refuse_missed("gamma_expectation", err, "c", c)
     return e, err
+
+
+def log_near_one(log_e, err, bound, e_minus_1):
+    """(log E, its estimate relative to |log E|, inf where log E is not finite)
+    from a kernel's log E and err, its estimate relative to E, arrays it
+    overwrites.  Where |log E| <= log 2, which a NaN fails, and bound, err
+    with log E's rounding, misses 1e-12 of |log E|, one call e_minus_1(near)
+    gives E - 1 and its estimate there; log E = log1p(E - 1) keeps its digits."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = (np.abs(log_e) <= math.log(2.0)) & ~(bound <= 1e-12 * np.abs(log_e))
+        if near.any():
+            e_1, err_1 = e_minus_1(near)
+            log_e[near], err[near] = np.log1p(e_1), err_1 * np.abs(e_1) / (1.0 + e_1)
+        return log_e, np.where(np.isfinite(log_e), err / np.abs(log_e), np.inf)
 
 
 def log_mean_sums(mu, c, p, k):
     """(log E, err): log E[(1 + c U^p)^k] for U ~ Gamma(mu, 1) and a vector
-    c > 0, and an estimate of its error relative to |log E| (inf where log E
-    is not finite, a NaN included), unjudged.  Where E is within a factor 2
-    of 1, which a NaN is not, and its own sum misses 1e-12 of |log E|, E - 1
-    is summed as well, as the mean of expm1(k log1p(c U^p)), so that a small
-    logarithm keeps its digits.  That miss counts the weight's rounding: its
-    exponent mu x - e^x - lgamma(mu) near the peak x = log mu sums terms of
-    size mu |log mu|, mu and |lgamma(mu)|, each off by eps = 2.2e-16 of
-    itself, and its exp, the integrand and their product add eps each.
+    c > 0, and its estimate relative to |log E|, unjudged, from log_near_one,
+    whose E - 1 pass is the mean of expm1(k log1p(c U^p)).  Its bound counts
+    the weight's rounding: the exponent mu x - e^x - lgamma(mu) near the
+    peak x = log mu sums terms of size mu |log mu|, mu and |lgamma(mu)|,
+    each off by eps = 2.2e-16 of itself, and its exp, the integrand and
+    their product add eps each.
     """
     c = np.atleast_1d(c)
     if k == 0:
@@ -546,13 +555,8 @@ def log_mean_sums(mu, c, p, k):
     rounding = 2.2e-16 * (3.0 + mu * abs(math.log(mu)) + mu + abs(math.lgamma(mu)))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_e = np.log(e)
-        near = (np.abs(log_e) <= math.log(2.0)) & ~(err + rounding <= 1e-12 * np.abs(log_e))
-        err = np.where(np.isfinite(log_e), err / np.abs(log_e), np.inf)
-        if near.any():
-            e_minus_1, err_1 = gamma_sums(mu, integrand(np.expm1), c[near], p, max(k, 1.0))
-            log_e[near] = np.log1p(e_minus_1)
-            err[near] = err_1 * np.abs(e_minus_1 / ((1.0 + e_minus_1) * log_e[near]))
-    return log_e, err
+    return log_near_one(log_e, err, err + rounding, lambda near: gamma_sums(
+        mu, integrand(np.expm1), c[near], p, max(k, 1.0)))
 
 
 def contour_integrals(spec, log_z):

@@ -20,6 +20,7 @@ from effrate.special import (
     fox_h,
     gamma_expectation,
     log_mean_sums,
+    log_near_one,
     tricomi_u,
 )
 
@@ -229,6 +230,33 @@ def test_tricomi_zero_step_is_refused_by_the_node_budget():
         tricomi_u(1e17, 1.0, 1.0)
 
 
+def test_tricomi_answers_or_refuses_by_name_where_u_overflows():
+    # at (0.5, 1e6, 1) U overflows: the E pass's terms overflowed, its sum
+    # was NaN, and numpy's overflow warning escaped before the judge read
+    # err |log E| = inf x NaN as "error nan".  Over this grid 19 points did
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError,
+                           match=r"^tricomi_u: error inf at z=1\.0 exceeds 1e-12$"):
+            tricomi_u(0.5, 1e6, 1.0)
+        # U of about 1e174 and 1e195, at 40 digits (mpmath), whose sums are
+        # doubles: the estimate squared the half-step difference and overflowed
+        for b, want in ((110.0, 2.040977087317187809998e174), (120.0, 7.214950566019273891624e194)):
+            assert abs(tricomi_u(0.5, b, 1.0) / want - 1.0) <= 1e-12, b
+        answered = 0
+        for a in (1e-3, 0.5, 5.0, 50.0):
+            for b in (-50.0, -1.0, 0.5, 5.0, 50.0, 500.0):
+                for z in (1e-6, 1e-2, 1.0, 1e2, 1e6):
+                    try:
+                        u = tricomi_u(a, b, z)
+                    except TruncationError as exc:
+                        assert "nan" not in str(exc), (a, b, z, exc)
+                        continue
+                    assert 0.0 < u < math.inf, (a, b, z, u)
+                    answered += 1
+    assert answered >= 90
+
+
 def test_tricomi_rejects_nonpositive_a():
     with pytest.raises(ValueError):
         tricomi_u(0.0, 1.0, 1.0)
@@ -436,6 +464,54 @@ def test_gamma_expectation_refuses_where_its_rise_or_span_leaves_the_doubles():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (decay, peak)
+
+
+def test_gamma_expectation_refuses_an_overflowing_sum_by_its_estimate():
+    # t^300 overflows the doubles from t of about 1e1.03, far below the
+    # nodes' reach at c = 10.  numpy's overflow warning escaped, and without
+    # it the refusal read "error nan": an overflowed term times an
+    # underflowed weight is NaN.  A sum that is not finite has an infinite
+    # estimate, which the judge's one message names
+    with warnings.catch_warnings(), pytest.raises(
+            TruncationError, match=r"^gamma_expectation: error inf at c=10\.0 exceeds 1e-12$"):
+        warnings.simplefilter("error")
+        gamma_expectation(2.0, lambda t: np.power(t, 300.0, out=t), [10.0], 1.0, growth=300.0)
+
+
+# ------------------------------------------------- log E from either kernel
+
+
+def test_log_near_one_sums_e_minus_1_once_where_e_is_near_1_and_its_bound_misses():
+    # entry 0: E within a factor 2 of 1, bound 1e-12 against 1e-15 of |log E|;
+    # entry 1: E < 1/2; entry 2: near 1, but its bound meets 1e-12 of |log E|
+    log_e = np.array([-1e-3, math.log(0.4), -0.5])
+    err = np.array([1e-12, 1e-13, 1e-15])
+    calls = []
+
+    def e_minus_1(near):
+        calls.append(near.copy())
+        return np.array([-9.995e-4]), np.array([1e-14])
+
+    got, rel = log_near_one(log_e.copy(), err.copy(), err, e_minus_1)
+    assert len(calls) == 1 and calls[0].tolist() == [True, False, False]
+    assert got[0] == np.log1p(-9.995e-4)
+    assert got[1:].tolist() == log_e[1:].tolist()
+    assert rel[0] == 1e-14 * 9.995e-4 / (1.0 - 9.995e-4) / abs(got[0])
+    assert rel[1:].tolist() == (err[1:] / np.abs(log_e[1:])).tolist()
+
+
+def test_log_near_one_reads_a_log_e_that_is_not_finite_as_inf():
+    # a NaN fails |log E| <= log 2, so it takes no E - 1 pass, whatever its
+    # bound; neither do E < 1/2 or a bound that meets 1e-12
+    def never(near):
+        raise AssertionError("e_minus_1 called at %r" % (near,))
+
+    for log_e, bound in ((math.nan, math.nan), (math.nan, math.inf), (math.inf, math.inf),
+                         (-math.inf, math.inf), (-1.0, math.inf), (-0.5, 1e-15)):
+        got, rel = log_near_one(np.array([log_e]), np.array([1e-15]), np.array([bound]), never)
+        assert got[0] == log_e or math.isnan(log_e), (log_e, bound, got)
+        want = 1e-15 / abs(log_e) if math.isfinite(log_e) else math.inf
+        assert rel[0] == want, (log_e, bound, rel)
 
 
 # ----------------------------------------------------------------- Meijer G
